@@ -3,13 +3,10 @@ from __future__ import annotations
 
 import json
 
+from ..surfaces.export import fmt
 from .ode import Trajectory, first_integral
 
 TRAJECTORY_CSV_COLUMNS = ("s", "x", "y", "theta", "J")
-
-
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def trajectory_csv(traj: Trajectory) -> str:

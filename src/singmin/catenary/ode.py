@@ -65,10 +65,7 @@ class Trajectory:
 
 def rhs(state: CatenaryState, alpha: float) -> tuple[float, float, float]:
     """(x', y', theta') of the tangent-angle system."""
-    if state.y <= 0.0:
-        raise SingularBoundaryError(f"curve reached the singular plane (y = {state.y:.6g})")
-    c = math.cos(state.theta)
-    return (c, math.sin(state.theta), alpha * c / state.y)
+    return _f(state.x, state.y, state.theta, alpha)
 
 
 def first_integral(state: CatenaryState, alpha: float) -> float:

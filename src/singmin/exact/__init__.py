@@ -9,22 +9,12 @@ from .errors import (
     SubstitutionDomainError,
 )
 from .poly import Monomial, Polynomial, content, divides, exact_div, poly_gcd, primitive
-from .ratexpr import (
-    RationalExpr,
-    collect_quadratic,
-    partial,
-    ring_ops,
-    solve_2x2,
-    solve_linear,
-    substitute,
-)
+from .ratexpr import RationalExpr, collect_quadratic, solve_2x2, solve_linear
 from .symbols import NAME_TO_VAR, NVARS, VAR_NAMES, Var
-from .termops import BACKEND
 from .textio import parse, render, render_poly
 
 __all__ = [
     "AlgebraError",
-    "BACKEND",
     "DegenerateSystemError",
     "ExprDivisionByZero",
     "Monomial",
@@ -43,13 +33,10 @@ __all__ = [
     "divides",
     "exact_div",
     "parse",
-    "partial",
     "poly_gcd",
     "primitive",
     "render",
     "render_poly",
-    "ring_ops",
     "solve_2x2",
     "solve_linear",
-    "substitute",
 ]

@@ -13,7 +13,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from . import termops
 from .symbols import NVARS, VAR_NAMES, Var
 
 Coeff = Union[int, Fraction]
@@ -30,6 +29,113 @@ def _norm_coeff(c: Coeff) -> Coeff:
     if isinstance(c, int):
         return c
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
+
+
+# -- term-dict kernel -----------------------------------------------------------
+# A term dict maps dense exponent tuples to nonzero coefficients; these are the
+# hot inner loops of the exact engine.
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_div(a, b):
+    """Exponent-wise difference, or None when not divisible."""
+    out = []
+    for x, y in zip(a, b):
+        d = x - y
+        if d < 0:
+            return None
+        out.append(d)
+    return tuple(out)
+
+
+def grlex_key(m):
+    return (sum(m), m)
+
+
+def lead_monomial(terms):
+    """Largest monomial in graded-lex order; terms must be nonempty."""
+    best = None
+    best_key = None
+    for m in terms:
+        k = (sum(m), m)
+        if best_key is None or k > best_key:
+            best_key = k
+            best = m
+    return best
+
+
+def add_terms(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def sub_terms(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = -c
+        else:
+            s = s - c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def neg_terms(a):
+    return {m: -c for m, c in a.items()}
+
+
+def mul_terms(a, b):
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
+            v = out.get(key)
+            if v is None:
+                out[key] = ca * cb
+            else:
+                v = v + ca * cb
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+    return out
+
+
+def submul_shifted(r, cq, mq, b):
+    """r - cq * x^mq * b, used by the exact-division loop."""
+    out = dict(r)
+    for m, c in b.items():
+        key = tuple(x + y for x, y in zip(m, mq))
+        v = out.get(key)
+        if v is None:
+            out[key] = -cq * c
+        else:
+            v = v - cq * c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
 
 
 class Monomial:
@@ -63,7 +169,7 @@ class Monomial:
         return self._e
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(termops.mono_mul(self._e, other._e))
+        return Monomial(mono_mul(self._e, other._e))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._e == other._e
@@ -72,16 +178,16 @@ class Monomial:
         return hash(self._e)
 
     def __lt__(self, other: "Monomial") -> bool:
-        return termops.grlex_key(self._e) < termops.grlex_key(other._e)
+        return grlex_key(self._e) < grlex_key(other._e)
 
     def __le__(self, other: "Monomial") -> bool:
-        return termops.grlex_key(self._e) <= termops.grlex_key(other._e)
+        return grlex_key(self._e) <= grlex_key(other._e)
 
     def __gt__(self, other: "Monomial") -> bool:
-        return termops.grlex_key(self._e) > termops.grlex_key(other._e)
+        return grlex_key(self._e) > grlex_key(other._e)
 
     def __ge__(self, other: "Monomial") -> bool:
-        return termops.grlex_key(self._e) >= termops.grlex_key(other._e)
+        return grlex_key(self._e) >= grlex_key(other._e)
 
     def __repr__(self) -> str:
         parts = [f"{VAR_NAMES[v]}^{p}" for v, p in self.exponents.items()]
@@ -179,19 +285,19 @@ class Polynomial:
     def leading_monomial(self) -> Monomial:
         if not self._t:
             raise ValueError("zero polynomial has no leading monomial")
-        return Monomial(termops.lead_monomial(self._t))
+        return Monomial(lead_monomial(self._t))
 
     def leading_coeff(self) -> Coeff:
         if not self._t:
             return 0
-        return self._t[termops.lead_monomial(self._t)]
+        return self._t[lead_monomial(self._t)]
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._raw(termops.add_terms(self._t, other._t))
+        return Polynomial._raw(add_terms(self._t, other._t))
 
     __radd__ = __add__
 
@@ -199,16 +305,16 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._raw(termops.sub_terms(self._t, other._t))
+        return Polynomial._raw(sub_terms(self._t, other._t))
 
     def __rsub__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._raw(termops.sub_terms(other._t, self._t))
+        return Polynomial._raw(sub_terms(other._t, self._t))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(termops.neg_terms(self._t))
+        return Polynomial._raw(neg_terms(self._t))
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -216,7 +322,7 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._raw(termops.mul_terms(self._t, other._t))
+        return Polynomial._raw(mul_terms(self._t, other._t))
 
     __rmul__ = __mul__
 
@@ -339,18 +445,18 @@ def exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
         inv = 1 / b.constant_value()
         return Polynomial._raw({m: _norm_coeff(c * inv) for m, c in a._t.items()})
     bt = b._t
-    lead_b = termops.lead_monomial(bt)
+    lead_b = lead_monomial(bt)
     lc_b = Fraction(bt[lead_b])
     r = dict(a._t)
     q: dict = {}
     while r:
-        lead_r = termops.lead_monomial(r)
-        mq = termops.mono_div(lead_r, lead_b)
+        lead_r = lead_monomial(r)
+        mq = mono_div(lead_r, lead_b)
         if mq is None:
             return None
         cq = _norm_coeff(Fraction(r[lead_r]) / lc_b)
         q[mq] = cq
-        r = termops.submul_shifted(r, cq, mq, bt)
+        r = submul_shifted(r, cq, mq, bt)
     return Polynomial._raw(q)
 
 

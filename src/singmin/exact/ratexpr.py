@@ -303,27 +303,6 @@ def _poly_subs(p: Polynomial, vals: Mapping[Var, RationalExpr]) -> RationalExpr:
 
 # -- spec-level operations ------------------------------------------------------
 
-def ring_ops(a: RationalExpr, b: RationalExpr, op: str) -> RationalExpr:
-    """Dispatch one of the four field operations by name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown ring op {op!r}")
-
-
-def partial(expr: RationalExpr, v: Var) -> RationalExpr:
-    return expr.partial(v)
-
-
-def substitute(expr: RationalExpr, bindings: Mapping[Var, RationalExpr]) -> RationalExpr:
-    return expr.substitute(bindings)
-
-
 def collect_quadratic(
     expr: RationalExpr, vars: tuple[Var, Var] = (Var.U1, Var.U2)
 ) -> tuple[RationalExpr, RationalExpr, RationalExpr]:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import termops
 from .errors import ParseError
-from .poly import Polynomial
+from .poly import Polynomial, grlex_key
 from .ratexpr import RationalExpr
 from .symbols import NAME_TO_VAR, VAR_NAMES, Var
 
@@ -19,7 +18,7 @@ from .symbols import NAME_TO_VAR, VAR_NAMES, Var
 def render_poly(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
-    items = sorted(p.items(), key=lambda mc: termops.grlex_key(mc[0]), reverse=True)
+    items = sorted(p.items(), key=lambda mc: grlex_key(mc[0]), reverse=True)
     pieces: list[str] = []
     for m, c in items:
         frac = Fraction(c)

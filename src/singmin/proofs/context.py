@@ -3,9 +3,9 @@
 A ``DerivationContext`` carries the rewrite table for the two frame
 derivatives ``E1``, ``E2``: one rule per generator, applied through the chain
 rule.  Defined abbreviations (second principal curvature, mean curvature,
-connection coefficients, tangential components) live alongside, as does the
-registry of expressions the argument assumes nonvanishing, which is used to
-audit recorded factors and denominators.
+connection coefficients, tangential components) live alongside.  The audits
+below check recorded factors and denominators against a theorem's registry of
+expressions the argument assumes nonvanishing.
 """
 from __future__ import annotations
 
@@ -33,11 +33,9 @@ class MissingRuleError(AlgebraError):
 @dataclass(frozen=True)
 class DerivationContext:
     name: str
-    generators: tuple[Var, ...]
     rules: Mapping[tuple[str, Var], RationalExpr]
     defined: Mapping[str, RationalExpr]
     constants: frozenset[Var] = field(default_factory=lambda: frozenset({Var.ALPHA, Var.C}))
-    nonvanishing: tuple[Polynomial, ...] = ()
 
     def rule(self, op: str, var: Var) -> RationalExpr:
         try:

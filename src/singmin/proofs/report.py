@@ -4,16 +4,17 @@ Every verified identity becomes a named ``Checkpoint`` in one of three modes:
 ``exact-zero``, ``exact-equal``, or ``equal-up-to-nonzero-factor`` (the factor
 must be a nonzero expression free of the gradient and height symbols and is
 always recorded).  A chain stops at its first failed checkpoint; the report
-carries whatever was established up to that point.
+carries whatever was established up to that point.  ``run_chain`` is the one
+runner the theorem chains share.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..exact import RationalExpr, Var, render
-from ..exact.errors import ExprDivisionByZero
+from ..exact.errors import AlgebraError, ExprDivisionByZero
 from ..exact.poly import Polynomial
 from .context import audit_denominator, audit_factor
 
@@ -21,7 +22,7 @@ MODE_ZERO = "exact-zero"
 MODE_EQUAL = "exact-equal"
 MODE_FACTOR = "equal-up-to-nonzero-factor"
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 _FACTOR_FORBIDDEN = (Var.U1, Var.U2, Var.W, Var.G, Var.M)
 
@@ -65,7 +66,6 @@ class Checkpoint:
 class ProofReport:
     theorem: str
     checkpoints: list[Checkpoint]
-    wall_time: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -76,13 +76,12 @@ class ProofReport:
             "schema_version": REPORT_SCHEMA_VERSION,
             "theorem": self.theorem,
             "status": "pass" if self.passed else "fail",
-            "wall_time_s": self.wall_time,
             "checkpoints": [cp.to_dict() for cp in self.checkpoints],
         }
 
     def to_text(self) -> str:
         lines = [f"== {self.theorem}: {'PASS' if self.passed else 'FAIL'} "
-                 f"({len(self.checkpoints)} checkpoints, {self.wall_time:.2f}s)"]
+                 f"({len(self.checkpoints)} checkpoints)"]
         lines.extend(cp.summary_line() for cp in self.checkpoints)
         return "\n".join(lines)
 
@@ -202,3 +201,24 @@ class Recorder:
         self.checkpoints.append(
             Checkpoint(name=name, mode=MODE_ZERO, passed=False, note=message)
         )
+
+
+def run_chain(
+    theorem: str,
+    chain: Callable[[Recorder], None],
+    registry: tuple[Polynomial, ...] = (),
+) -> ProofReport:
+    """Run one checkpoint chain against a fresh Recorder.
+
+    The chain stops at its first failed checkpoint.  An algebra error (a
+    ``MissingRuleError`` included) becomes a failed ``chain-error`` checkpoint
+    that names it, so every outcome is a report.
+    """
+    rec = Recorder(registry)
+    try:
+        chain(rec)
+    except ChainAborted:
+        pass
+    except AlgebraError as exc:
+        rec.error("chain-error", f"{type(exc).__name__}: {exc}")
+    return ProofReport(theorem=theorem, checkpoints=rec.checkpoints)

@@ -21,20 +21,17 @@ expressions below.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_2x2, solve_linear
-from ..exact.errors import AlgebraError
 from .context import (
     OP_E1,
     OP_E2,
     DerivationContext,
-    MissingRuleError,
     apply_derivation,
     gauss_curvature_expr,
 )
-from .report import ChainAborted, ProofReport, Recorder
+from .report import ProofReport, Recorder, run_chain
 
 AL = RationalExpr.variable(Var.ALPHA)
 C = RationalExpr.variable(Var.C)
@@ -208,8 +205,10 @@ def targets() -> Targets:
     )
 
 
-def _registry() -> tuple:
-    polys = [
+# expressions the argument assumes nonvanishing
+REGISTRY = tuple(
+    p.num
+    for p in (
         AL,
         C,
         K,
@@ -218,15 +217,15 @@ def _registry() -> tuple:
         K ** 2 + (AL + 1) * C,
         AL - 2,
         AL + 2,
-    ]
-    return tuple(p.num for p in polys)
+    )
+)
 
 
 def _registry_at(a0: int) -> tuple:
     """Registry entries specialized to a fixed weight exponent value."""
     sub = {Var.ALPHA: RationalExpr.from_number(a0)}
     out = []
-    for p in _registry():
+    for p in REGISTRY:
         q = RationalExpr(p).substitute(sub).num
         if not q.is_constant():
             out.append(q)
@@ -262,7 +261,6 @@ def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext
 
     return DerivationContext(
         name="constant-gauss-curvature",
-        generators=(Var.K1, Var.U1, Var.U2, Var.W),
         rules=rules,
         defined={
             "kappa2": kappa2,
@@ -273,7 +271,6 @@ def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext
             "gamma": tg.gamma,
             "mu": tg.mu,
         },
-        nonvanishing=_registry(),
     )
 
 
@@ -282,18 +279,10 @@ def _maybe_flip(expr: RationalExpr, key: tuple[str, Var], flip_rule) -> Rational
 
 
 def run_theorem1(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
-    t0 = time.perf_counter()
-    rec = Recorder(registry=_registry())
-    try:
-        _chain(rec, flip_rule)
-    except ChainAborted:
-        pass
-    except (AlgebraError, MissingRuleError) as exc:
-        rec.error("chain-error", f"{type(exc).__name__}: {exc}")
-    return ProofReport(
-        theorem="theorem-1-constant-gauss-curvature",
-        checkpoints=rec.checkpoints,
-        wall_time=time.perf_counter() - t0,
+    return run_chain(
+        "theorem-1-constant-gauss-curvature",
+        lambda rec: _chain(rec, flip_rule),
+        REGISTRY,
     )
 
 

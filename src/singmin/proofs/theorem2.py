@@ -10,20 +10,17 @@ coefficients.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_linear
-from ..exact.errors import AlgebraError
 from .context import (
     OP_E1,
     OP_E2,
     DerivationContext,
-    MissingRuleError,
     apply_derivation,
     gauss_curvature_expr,
 )
-from .report import ChainAborted, ProofReport, Recorder
+from .report import ProofReport, Recorder, run_chain
 
 AL = RationalExpr.variable(Var.ALPHA)
 C = RationalExpr.variable(Var.C)
@@ -93,9 +90,10 @@ def targets() -> Targets:
     )
 
 
-def _registry() -> tuple:
-    polys = [AL, C, K, K - C, C + (AL + 1) * K, K + (AL + 1) * C, AL + 2]
-    return tuple(p.num for p in polys)
+# expressions the argument assumes nonvanishing
+REGISTRY = tuple(
+    p.num for p in (AL, C, K, K - C, C + (AL + 1) * K, K + (AL + 1) * C, AL + 2)
+)
 
 
 def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext:
@@ -112,7 +110,6 @@ def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext
         rules[flip_rule] = -rules[flip_rule]
     return DerivationContext(
         name="constant-principal-curvature",
-        generators=(Var.K1, Var.U1, Var.U2, Var.W),
         rules=rules,
         defined={
             "kappa2": c,
@@ -121,23 +118,14 @@ def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext
             "omega_e1": U2 / (k - c),
             "omega_e2": RationalExpr.zero(),
         },
-        nonvanishing=_registry(),
     )
 
 
 def run_theorem2(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
-    t0 = time.perf_counter()
-    rec = Recorder(registry=_registry())
-    try:
-        _chain(rec, flip_rule)
-    except ChainAborted:
-        pass
-    except (AlgebraError, MissingRuleError) as exc:
-        rec.error("chain-error", f"{type(exc).__name__}: {exc}")
-    return ProofReport(
-        theorem="theorem-2-constant-principal-curvature",
-        checkpoints=rec.checkpoints,
-        wall_time=time.perf_counter() - t0,
+    return run_chain(
+        "theorem-2-constant-principal-curvature",
+        lambda rec: _chain(rec, flip_rule),
+        REGISTRY,
     )
 
 

@@ -7,18 +7,14 @@ using the Weingarten rules ``e_i(<N,a>) = -kappa_i <e_i,a>`` and
 """
 from __future__ import annotations
 
-import time
-
 from ..exact import RationalExpr, Var
-from ..exact.errors import AlgebraError
 from .context import (
     OP_E1,
     OP_E2,
     DerivationContext,
-    MissingRuleError,
     apply_derivation,
 )
-from .report import ChainAborted, ProofReport, Recorder
+from .report import ProofReport, Recorder, run_chain
 
 AL = RationalExpr.variable(Var.ALPHA)
 K = RationalExpr.variable(Var.K1)
@@ -41,7 +37,6 @@ def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext
         rules[flip_rule] = -rules[flip_rule]
     return DerivationContext(
         name="constant-mean-curvature",
-        generators=(Var.W, Var.NA, Var.A1, Var.A2, Var.K1),
         rules=rules,
         defined={"kappa2": kappa2},
         constants=frozenset({Var.ALPHA, Var.C, Var.H0}),
@@ -49,27 +44,21 @@ def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext
 
 
 def run_theorem3(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
-    t0 = time.perf_counter()
-    rec = Recorder()
-    try:
-        ctx = build_context(flip_rule)
-        identity = H0 * W - AL * NA
-        rec.exact_equal(
-            "cmc-gradient-e1",
-            apply_derivation(identity, OP_E1, ctx),
-            (H0 + AL * K) * A1,
-        )
-        rec.exact_equal(
-            "cmc-gradient-e2",
-            apply_derivation(identity, OP_E2, ctx),
-            (H0 + AL * (H0 - K)) * A2,
-        )
-    except ChainAborted:
-        pass
-    except (AlgebraError, MissingRuleError) as exc:
-        rec.error("chain-error", f"{type(exc).__name__}: {exc}")
-    return ProofReport(
-        theorem="theorem-3-constant-mean-curvature",
-        checkpoints=rec.checkpoints,
-        wall_time=time.perf_counter() - t0,
+    return run_chain(
+        "theorem-3-constant-mean-curvature", lambda rec: _chain(rec, flip_rule)
+    )
+
+
+def _chain(rec: Recorder, flip_rule) -> None:
+    ctx = build_context(flip_rule)
+    identity = H0 * W - AL * NA
+    rec.exact_equal(
+        "cmc-gradient-e1",
+        apply_derivation(identity, OP_E1, ctx),
+        (H0 + AL * K) * A1,
+    )
+    rec.exact_equal(
+        "cmc-gradient-e2",
+        apply_derivation(identity, OP_E2, ctx),
+        (H0 + AL * (H0 - K)) * A2,
     )

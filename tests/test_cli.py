@@ -122,6 +122,12 @@ def test_outputs_are_byte_deterministic(tmp_path, monkeypatch):
         assert (tmp_path / f"a{ext}").read_bytes() == (tmp_path / f"b{ext}").read_bytes()
 
 
+def test_prove_json_is_byte_deterministic(tmp_path):
+    assert run(["prove", "--json", str(tmp_path / "a.json")]) == 0
+    assert run(["prove", "--json", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.cfg"

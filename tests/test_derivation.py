@@ -10,7 +10,7 @@ from singmin.proofs import (
     apply_derivation,
 )
 from singmin.proofs.context import audit_factor, strip_registered
-from singmin.proofs.theorem1 import build_context
+from singmin.proofs.theorem1 import REGISTRY, build_context
 
 from conftest import rational_exprs
 
@@ -68,17 +68,16 @@ def test_quotient_rule_through_field_ops():
 
 
 def test_strip_registered_explains_products():
-    registry = CTX.nonvanishing
     lhs = ((AL + 1) * K ** 2 + C) ** 2 * K * C * 3
-    assert strip_registered(lhs.num, registry).is_constant()
+    assert strip_registered(lhs.num, REGISTRY).is_constant()
     stray = (AL + 3) * K
-    rem = strip_registered(stray.num, registry)
+    rem = strip_registered(stray.num, REGISTRY)
     assert not rem.is_constant()
 
 
 def test_audit_factor_flags_unregistered():
     ok = 2 * C / K ** 2
-    assert audit_factor(ok, CTX.nonvanishing) == ()
+    assert audit_factor(ok, REGISTRY) == ()
     bad = (2 * AL + 3) * C
-    flags = audit_factor(bad, CTX.nonvanishing)
+    flags = audit_factor(bad, REGISTRY)
     assert len(flags) == 1 and "2*alpha + 3" in flags[0]

@@ -1,5 +1,5 @@
 """Constant-mean-curvature identities."""
-from singmin.exact import RationalExpr, Var, substitute
+from singmin.exact import RationalExpr, Var
 from singmin.proofs import OP_E1, run_theorem3
 
 AL = RationalExpr.variable(Var.ALPHA)
@@ -20,8 +20,8 @@ def test_identities_reduce_at_alpha_zero():
     report = run_theorem3()
     by_name = {cp.name: cp for cp in report.checkpoints}
     zero = {Var.ALPHA: RationalExpr.zero()}
-    assert substitute(by_name["cmc-gradient-e1"].computed, zero) == H0 * A1
-    assert substitute(by_name["cmc-gradient-e2"].computed, zero) == H0 * A2
+    assert by_name["cmc-gradient-e1"].computed.substitute(zero) == H0 * A1
+    assert by_name["cmc-gradient-e2"].computed.substitute(zero) == H0 * A2
 
 
 def test_mutation_breaks_chain():
