@@ -7,19 +7,17 @@ differentiating the interpolant, so their accuracy matches the integrator's.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import ParameterError
-from ..surfaces.jets import Jet2Vec3
-from ..surfaces.patches import SurfacePatch, unit_vec
+from ..surfaces.jets import Jet2Vec3, reject_first
+from ..surfaces.patches import SurfacePatch, broadcast_uv, unit_vec
 from .ode import Trajectory
 
 EXTRUSION_TILT_TOL = 1e-12
 
 
-def _hermite(p0: float, d0: float, p1: float, d1: float, h: float, t: float) -> float:
+def _hermite(p0, d0, p1, d1, h: float, t):
     t2 = t * t
     t3 = t2 * t
     return (
@@ -30,25 +28,33 @@ def _hermite(p0: float, d0: float, p1: float, d1: float, h: float, t: float) -> 
     )
 
 
-def dense_state(traj: Trajectory, s: float) -> tuple[float, float, float]:
+def dense_state(traj: Trajectory, s):
     """Cubic-Hermite (x, y, theta) between stored states, with endpoint slopes
-    taken from the vector field."""
-    states = traj.states
-    s0 = states[0].s
-    s1 = states[-1].s
-    if not (s0 <= s <= s1):
-        raise ParameterError(f"s = {s:.6g} outside trajectory range [{s0:.6g}, {s1:.6g}]")
+    taken from the vector field; ``s`` may be an array of arc lengths."""
+    nodes_s, nodes_x, nodes_y, nodes_th = traj.arrays
+    s = np.asarray(s, dtype=float)
+    s0 = nodes_s[0]
+    s1 = nodes_s[-1]
+    reject_first(
+        ~((s0 <= s) & (s <= s1)),
+        lambda k: ParameterError(
+            f"s = {np.ravel(s)[k]:.6g} outside trajectory range [{s0:.6g}, {s1:.6g}]"
+        ),
+    )
     h = traj.step
-    i = int((s - s0) / h)
-    i = min(max(i, 0), len(states) - 2)
-    a, b = states[i], states[i + 1]
-    t = (s - a.s) / h
+    # truncation picks the interval from the uniform step, as int() did;
+    # searchsorted on the nodes can pick the neighbouring one at a node
+    i = np.clip(((s - s0) / h).astype(int), 0, len(nodes_s) - 2)
+    j = i + 1
+    t = (s - nodes_s[i]) / h
     alpha = traj.alpha
-    ca, cb = math.cos(a.theta), math.cos(b.theta)
-    sa, sb = math.sin(a.theta), math.sin(b.theta)
-    x = _hermite(a.x, ca, b.x, cb, h, t)
-    y = _hermite(a.y, sa, b.y, sb, h, t)
-    th = _hermite(a.theta, alpha * ca / a.y, b.theta, alpha * cb / b.y, h, t)
+    ca, cb = np.cos(nodes_th[i]), np.cos(nodes_th[j])
+    sa, sb = np.sin(nodes_th[i]), np.sin(nodes_th[j])
+    x = _hermite(nodes_x[i], ca, nodes_x[j], cb, h, t)
+    y = _hermite(nodes_y[i], sa, nodes_y[j], sb, h, t)
+    th = _hermite(
+        nodes_th[i], alpha * ca / nodes_y[i], nodes_th[j], alpha * cb / nodes_y[j], h, t
+    )
     return x, y, th
 
 
@@ -71,17 +77,20 @@ def to_extrusion(
     e = np.cross(a, v)
     alpha = trajectory.alpha
 
-    def ev(s: float, t: float) -> Jet2Vec3:
+    def ev(s, t) -> Jet2Vec3:
+        s, t = broadcast_uv(s, t)
         x, y, th = dense_state(trajectory, s)
-        c, sn = math.cos(th), math.sin(th)
+        c, sn = np.cos(th), np.sin(th)
         dth = alpha * c / y
+        x, y, t, c, sn, dth = (w[..., None] for w in (x, y, t, c, sn, dth))
+        zero = np.zeros(s.shape + (3,))
         return Jet2Vec3(
             value=x * e + y * a + t * v,
             du=c * e + sn * a,
-            dv=v.copy(),
+            dv=np.broadcast_to(v, zero.shape),
             duu=dth * (-sn * e + c * a),
-            duv=np.zeros(3),
-            dvv=np.zeros(3),
+            duv=zero,
+            dvv=zero,
         )
 
     return SurfacePatch(

@@ -13,7 +13,10 @@ integrator error directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+
+import numpy as np
 
 from ..errors import ParameterError, SingularBoundaryError
 
@@ -39,6 +42,7 @@ class CatenaryParams:
     y_min: float = 1e-3
 
     def __post_init__(self):
+        _require_finite(self)
         if self.alpha == 0.0:
             raise ParameterError("alpha = 0 is excluded (plain minimal case)")
         if self.step <= 0.0:
@@ -61,6 +65,20 @@ class Trajectory:
     @property
     def s_range(self) -> tuple[float, float]:
         return (self.states[0].s, self.states[-1].s)
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(s, x, y, theta)`` of the states as float arrays, built once."""
+        table = np.array([(st.s, st.x, st.y, st.theta) for st in self.states])
+        return tuple(table.T.copy())
+
+
+def _require_finite(record) -> None:
+    """ParameterError naming the first NaN or infinite field of a dataclass."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{f.name} must be finite, got {value}")
 
 
 def rhs(state: CatenaryState, alpha: float) -> tuple[float, float, float]:
@@ -116,6 +134,7 @@ def integrate(init: CatenaryState, params: CatenaryParams) -> Trajectory:
     Stops one step early whenever the next state would drop below ``y_min``
     and records the cutoff; deterministic for fixed inputs.
     """
+    _require_finite(init)
     if init.y <= params.y_min:
         raise ParameterError(
             f"initial height {init.y:.6g} must exceed y_min = {params.y_min:.6g}"

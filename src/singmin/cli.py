@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .catenary import (
     CatenaryParams,
@@ -26,7 +29,6 @@ from .catenary import (
 from .errors import ParameterError
 from .proofs import THEOREMS, reports_to_json, run_all
 from .surfaces import (
-    GRID_CSV_COLUMNS,
     builtin_patch,
     curvature_sample,
     default_residual_tol,
@@ -34,6 +36,7 @@ from .surfaces import (
     grid_csv,
     grid_json,
     grid_report,
+    in_sample_order,
     jet_deviation,
     obj_mesh,
 )
@@ -130,10 +133,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, text: str):
+    """Parse one config value as the action's flag would parse it."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if text.lower() not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return text.lower() == "true"
+    value = action.type(text) if action.type is not None else text
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {', '.join(map(str, action.choices))}")
+    return value
+
+
 def _load_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Apply a key = value config file as parser defaults; flags override.
 
-    Unknown keys are rejected (exit 2 via ParameterError).
+    Unknown keys and values the flag would not accept are rejected (exit 2
+    via ParameterError); switches take ``true`` or ``false``.
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", type=Path, default=None)
@@ -143,11 +159,11 @@ def _load_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     path = known.config
     if not path.exists():
         raise ParameterError(f"config file {path} does not exist")
-    valid = set()
+    actions: dict[str, list] = {}
     for action_parser in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
         for action in action_parser._actions:
-            valid.add(action.dest)
-    overrides: dict[str, str] = {}
+            if not isinstance(action, argparse._HelpAction):
+                actions.setdefault(action.dest, []).append((action_parser, action))
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -156,16 +172,14 @@ def _load_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
             raise ParameterError(f"{path}:{line_no}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in valid:
+        if key not in actions:
             raise ParameterError(f"{path}:{line_no}: unknown key {key!r}")
-        overrides[key] = value.strip()
-    if overrides:
-        for action_parser in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-            for action in action_parser._actions:
-                if action.dest in overrides and action.type is not None:
-                    action_parser.set_defaults(
-                        **{action.dest: action.type(overrides[action.dest])}
-                    )
+        for action_parser, action in actions[key]:
+            try:
+                parsed = _config_value(action, value.strip())
+            except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+                raise ParameterError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
+            action_parser.set_defaults(**{key: parsed})
     return argv
 
 
@@ -212,30 +226,27 @@ def cmd_residual(args: argparse.Namespace) -> int:
 
 def cmd_curvature(args: argparse.Namespace) -> int:
     patch = _make_patch(args)
-    import numpy as np
-
-    us = np.linspace(patch.u_range[0], patch.u_range[1], args.nu)
-    vs = np.linspace(patch.v_range[0], patch.v_range[1], args.nv)
-    lines = [",".join(("u", "v", "E", "F", "G", "L", "M", "N", "H", "K", "k1", "k2"))]
-    max_dev = 0.0
     h = args.fd_h
-    for u in us:
-        for v in vs:
-            s = curvature_sample(patch.jet(float(u), float(v)))
-            lines.append(
-                ",".join(
-                    fmt(x)
-                    for x in (u, v, s.E, s.F, s.G, s.L, s.M, s.N, s.H, s.K, s.k1, s.k2)
-                )
-            )
-            if (
-                patch.contains(u - h, v - h)
-                and patch.contains(u + h, v + h)
-                and patch.contains(u + h, v - h)
-                and patch.contains(u - h, v + h)
-            ):
-                dev = jet_deviation(fd_jet_oracle(patch, float(u), float(v), h), patch.jet(float(u), float(v)))
-                max_dev = max(max_dev, dev)
+
+    def evaluate(u, v):
+        sample = curvature_sample(patch.jet(u, v))
+        fits = (
+            patch.contains(u - h, v - h)
+            & patch.contains(u + h, v + h)
+            & patch.contains(u + h, v - h)
+            & patch.contains(u - h, v + h)
+        )
+        max_dev = 0.0
+        if fits.any():
+            u, v = u[fits], v[fits]
+            max_dev = jet_deviation(fd_jet_oracle(patch, u, v, h), patch.jet(u, v))
+        return sample, max_dev
+
+    u, v = patch.grid(args.nu, args.nv)
+    s, max_dev = in_sample_order(evaluate, u, v)
+    rows = np.column_stack((u, v, s.E, s.F, s.G, s.L, s.M, s.N, s.H, s.K, s.k1, s.k2))
+    lines = [",".join(("u", "v", "E", "F", "G", "L", "M", "N", "H", "K", "k1", "k2"))]
+    lines.extend(",".join(fmt(x) for x in row) for row in rows.tolist())
     _write(args.out.with_suffix(".csv"), "\n".join(lines) + "\n")
     summary = {
         "schema_version": 1,
@@ -273,19 +284,26 @@ def _load_trajectory(path: Path):
 
     if not path.exists():
         raise ParameterError(f"trajectory file {path} does not exist")
-    doc = json.loads(path.read_text())
-    states = tuple(
-        CatenaryState(s=float(s), x=float(x), y=float(y), theta=float(th))
-        for s, x, y, th, _ in doc["points"]
-    )
+    try:
+        doc = json.loads(path.read_text())
+        states = tuple(
+            CatenaryState(s=float(s), x=float(x), y=float(y), theta=float(th))
+            for s, x, y, th, _ in doc["points"]
+        )
+        alpha = float(doc["alpha"])
+        step = float(doc["step"])
+        termination = doc["termination"]
+    except KeyError as exc:
+        raise ParameterError(f"trajectory file {path} has no {exc} key") from None
+    except (ValueError, TypeError) as exc:
+        raise ParameterError(f"trajectory file {path} is malformed: {exc}") from None
     if len(states) < 2:
         raise ParameterError(f"trajectory file {path} has fewer than two states")
-    return Trajectory(
-        alpha=float(doc["alpha"]),
-        states=states,
-        step=float(doc["step"]),
-        termination=doc["termination"],
-    )
+    if not (math.isfinite(alpha) and math.isfinite(step) and step > 0.0):
+        raise ParameterError(
+            f"trajectory file {path} needs a finite alpha and a finite positive step"
+        )
+    return Trajectory(alpha=alpha, states=states, step=step, termination=termination)
 
 
 def cmd_extrude(args: argparse.Namespace) -> int:

@@ -1,12 +1,14 @@
 """Numeric differential geometry of parametric surface patches."""
-from .export import GRID_CSV_COLUMNS, grid_csv, grid_json, obj_mesh
+from .export import grid_csv, grid_json, obj_mesh
 from .fd import fd_jet_oracle, jet_deviation
 from .jets import (
     CurvatureSample,
     FundamentalForms,
     Jet2Vec3,
     curvature_sample,
+    dot,
     fundamental_forms,
+    in_sample_order,
     shape_data,
 )
 from .patches import (
@@ -18,10 +20,10 @@ from .patches import (
     swap_parameters,
 )
 from .residual import (
+    GRID_CSV_COLUMNS,
     RESIDUAL_TOL_ANALYTIC,
     RESIDUAL_TOL_ODE,
     GridReport,
-    GridSample,
     default_residual_tol,
     grid_report,
     smr_residual,
@@ -32,7 +34,6 @@ __all__ = [
     "FundamentalForms",
     "GRID_CSV_COLUMNS",
     "GridReport",
-    "GridSample",
     "Jet2Vec3",
     "RESIDUAL_TOL_ANALYTIC",
     "RESIDUAL_TOL_ODE",
@@ -41,11 +42,13 @@ __all__ = [
     "curvature_sample",
     "cylinder_patch",
     "default_residual_tol",
+    "dot",
     "fd_jet_oracle",
     "fundamental_forms",
     "grid_csv",
     "grid_json",
     "grid_report",
+    "in_sample_order",
     "jet_deviation",
     "obj_mesh",
     "plane_patch",

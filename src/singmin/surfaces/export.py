@@ -10,9 +10,7 @@ import json
 import numpy as np
 
 from .patches import SurfacePatch
-from .residual import GridReport
-
-GRID_CSV_COLUMNS = ("u", "v", "x", "y", "z", "H", "K", "k1", "k2", "residual")
+from .residual import GRID_CSV_COLUMNS, GridReport
 
 
 def fmt(x: float) -> str:
@@ -21,24 +19,8 @@ def fmt(x: float) -> str:
 
 def grid_csv(report: GridReport) -> str:
     lines = [",".join(GRID_CSV_COLUMNS)]
-    for s in report.samples:
-        lines.append(
-            ",".join(
-                fmt(x)
-                for x in (
-                    s.u,
-                    s.v,
-                    s.point[0],
-                    s.point[1],
-                    s.point[2],
-                    s.H,
-                    s.K,
-                    s.k1,
-                    s.k2,
-                    s.residual,
-                )
-            )
-        )
+    for row in report.samples.tolist():
+        lines.append(",".join(fmt(x) for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -54,23 +36,13 @@ def obj_mesh(patch: SurfacePatch, nu: int, nv: int) -> str:
     Vertices in grid-major order (u rows, then v); each quad is split along
     the same diagonal into two triangles.
     """
-    us = np.linspace(patch.u_range[0], patch.u_range[1], nu)
-    vs = np.linspace(patch.v_range[0], patch.v_range[1], nv)
     lines = [f"# {patch.name} {nu}x{nv}"]
-    for u in us:
-        for v in vs:
-            p = patch.position(float(u), float(v))
-            lines.append(f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}")
-
-    def vid(i: int, j: int) -> int:
-        return i * nv + j + 1
-
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
+    for p in patch.position(*patch.grid(nu, nv)).tolist():
+        lines.append(f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}")
+    # q is the 1-based id of vertex (i, j), the first corner of quad (i, j);
+    # its other corners (i+1, j), (i+1, j+1), (i, j+1) follow from it
+    corners = np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1) + 1
+    for q in corners.ravel().tolist():
+        lines.append(f"f {q} {q + nv} {q + nv + 1}")
+        lines.append(f"f {q} {q + nv + 1} {q + 1}")
     return "\n".join(lines) + "\n"

@@ -5,20 +5,31 @@ position evaluations only, second-order accurate in the step.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ParameterError
-from .jets import Jet2Vec3
-from .patches import SurfacePatch
+from .jets import Jet2Vec3, reject_first
+from .patches import SurfacePatch, broadcast_uv
 
 
-def fd_jet_oracle(patch: SurfacePatch, u: float, v: float, h: float) -> Jet2Vec3:
+def fd_jet_oracle(patch: SurfacePatch, u, v, h: float) -> Jet2Vec3:
     if h <= 0.0:
         raise ParameterError(f"finite-difference step must be positive, got {h}")
-    corners = [(u + du, v + dv) for du in (-h, 0.0, h) for dv in (-h, 0.0, h)]
-    for cu, cv in corners:
-        if not patch.contains(cu, cv):
-            raise ParameterError(
-                f"stencil point ({cu:.6g}, {cv:.6g}) is outside the patch domain"
-            )
+    u, v = broadcast_uv(u, v)
+    offsets = [(du, dv) for du in (-h, 0.0, h) for dv in (-h, 0.0, h)]
+    outside = np.stack(
+        [~patch.contains(u + du, v + dv) for du, dv in offsets], axis=-1
+    )
+
+    def stencil_error(k: int) -> ParameterError:
+        du, dv = offsets[k % len(offsets)]
+        cu = u.flat[k // len(offsets)] + du
+        cv = v.flat[k // len(offsets)] + dv
+        return ParameterError(
+            f"stencil point ({cu:.6g}, {cv:.6g}) is outside the patch domain"
+        )
+
+    reject_first(outside, stencil_error)
     p = patch.position
     c = p(u, v)
     pu = p(u + h, v)
@@ -40,9 +51,8 @@ def fd_jet_oracle(patch: SurfacePatch, u: float, v: float, h: float) -> Jet2Vec3
 
 
 def jet_deviation(a: Jet2Vec3, b: Jet2Vec3) -> float:
-    """Max-norm distance between two jets over all derivative slots."""
-    import numpy as np
-
+    """Max-norm distance between two jets over all derivative slots and all
+    samples of the batch."""
     return float(
         max(
             np.max(np.abs(a.du - b.du)),

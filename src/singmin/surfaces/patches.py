@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DegenerateMetricError, ParameterError
-from .jets import Jet2Vec3
+from .jets import Jet2Vec3, dot, reject_first
 
 UNIT_TOL = 1e-9
 
@@ -37,46 +37,70 @@ def perp_unit(a: np.ndarray) -> np.ndarray:
     return e / np.linalg.norm(e)
 
 
+def broadcast_uv(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Sample coordinates as float arrays of one broadcast batch shape."""
+    return np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+
+
+def _const(vec: np.ndarray, shape: tuple) -> np.ndarray:
+    """A constant vector field over the batch shape (read-only view)."""
+    return np.broadcast_to(vec, shape + (3,))
+
+
 @dataclass(frozen=True)
 class SurfacePatch:
     """A named parametric patch over a rectangle, producing exact jets.
 
-    The evaluator must describe an immersion on its domain; degenerate points
-    raise when the metric is formed.
+    The evaluator takes broadcastable ``u, v`` arrays and returns a jet whose
+    fields have shape ``broadcast(u, v).shape + (3,)``.  It must describe an
+    immersion on its domain; degenerate points raise when the jet is taken.
     """
 
     name: str
     u_range: tuple[float, float]
     v_range: tuple[float, float]
-    evaluator: Callable[[float, float], Jet2Vec3]
+    evaluator: Callable[[np.ndarray, np.ndarray], Jet2Vec3]
     metadata: dict = field(default_factory=dict)
 
-    def jet(self, u: float, v: float) -> Jet2Vec3:
+    def jet(self, u, v) -> Jet2Vec3:
         jet = self.evaluator(u, v)
         du, dv = jet.du, jet.dv
         cross = np.cross(du, dv)
-        n2 = float(cross @ cross)
-        ee = float(du @ du) + float(dv @ dv)
-        if n2 <= 1e-14 * ee * ee:
-            raise DegenerateMetricError(
-                f"patch {self.name!r} is not immersed at (u, v) = ({u:.6g}, {v:.6g})"
-            )
+        n2 = dot(cross, cross)
+        ee = dot(du, du) + dot(dv, dv)
+        us, vs = broadcast_uv(u, v)
+        reject_first(
+            n2 <= 1e-14 * ee * ee,
+            lambda i: DegenerateMetricError(
+                f"patch {self.name!r} is not immersed at (u, v) = "
+                f"({us.flat[i]:.6g}, {vs.flat[i]:.6g})"
+            ),
+        )
         return jet
 
-    def position(self, u: float, v: float) -> np.ndarray:
+    def position(self, u, v) -> np.ndarray:
         return self.evaluator(u, v).value
 
-    def contains(self, u: float, v: float) -> bool:
+    def contains(self, u, v):
         return (
-            self.u_range[0] <= u <= self.u_range[1]
-            and self.v_range[0] <= v <= self.v_range[1]
+            (self.u_range[0] <= u)
+            & (u <= self.u_range[1])
+            & (self.v_range[0] <= v)
+            & (v <= self.v_range[1])
         )
+
+    def grid(self, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ``(u, v)`` arrays of the uniform (nu x nv) grid over the
+        domain, row-major: u varies slowest."""
+        us = np.linspace(self.u_range[0], self.u_range[1], nu)
+        vs = np.linspace(self.v_range[0], self.v_range[1], nv)
+        return np.repeat(us, nv), np.tile(vs, nu)
 
 
 def swap_parameters(patch: SurfacePatch) -> SurfacePatch:
     """The same surface with (u, v) exchanged; flips the chart orientation."""
 
-    def ev(u: float, v: float) -> Jet2Vec3:
+    def ev(u, v) -> Jet2Vec3:
         jet = patch.evaluator(v, u)
         return Jet2Vec3(
             value=jet.value,
@@ -111,14 +135,16 @@ def plane_patch(
     if u_range[0] <= 0:
         raise ParameterError("plane patch u_range must stay at positive height")
 
-    def ev(u: float, v: float) -> Jet2Vec3:
+    def ev(u, v) -> Jet2Vec3:
+        u, v = broadcast_uv(u, v)
+        zero = _const(_ZERO3, u.shape)
         return Jet2Vec3(
-            value=u * a + v * e,
-            du=a.copy(),
-            dv=e.copy(),
-            duu=_ZERO3.copy(),
-            duv=_ZERO3.copy(),
-            dvv=_ZERO3.copy(),
+            value=u[..., None] * a + v[..., None] * e,
+            du=_const(a, u.shape),
+            dv=_const(e, u.shape),
+            duu=zero,
+            duv=zero,
+            dvv=zero,
         )
 
     return SurfacePatch(
@@ -145,14 +171,16 @@ def sphere_patch(
         raise ParameterError(f"sphere radius must be positive, got {r}")
     center = as_vec(center, "center")
 
-    def ev(u: float, v: float) -> Jet2Vec3:
+    def ev(u, v) -> Jet2Vec3:
+        u, v = broadcast_uv(u, v)
         cu, su = np.cos(u), np.sin(u)
         cv, sv = np.cos(v), np.sin(v)
-        radial = np.array([cu * cv, cu * sv, su])
-        d_u = np.array([-su * cv, -su * sv, cu])
-        d_v = np.array([-cu * sv, cu * cv, 0.0])
-        d_uv = np.array([su * sv, -su * cv, 0.0])
-        d_vv = np.array([-cu * cv, -cu * sv, 0.0])
+        zero = np.zeros(u.shape)
+        radial = np.stack([cu * cv, cu * sv, su], axis=-1)
+        d_u = np.stack([-su * cv, -su * sv, cu], axis=-1)
+        d_v = np.stack([-cu * sv, cu * cv, zero], axis=-1)
+        d_uv = np.stack([su * sv, -su * cv, zero], axis=-1)
+        d_vv = np.stack([-cu * cv, -cu * sv, zero], axis=-1)
         return Jet2Vec3(
             value=center + r * radial,
             du=r * d_u,
@@ -193,17 +221,19 @@ def cylinder_patch(
     n2 = n2 / norm
     n1 = np.cross(n2, axis)
 
-    def ev(u: float, v: float) -> Jet2Vec3:
-        cu, su = np.cos(u), np.sin(u)
+    def ev(u, v) -> Jet2Vec3:
+        u, v = broadcast_uv(u, v)
+        cu, su = np.cos(u)[..., None], np.sin(u)[..., None]
         radial = cu * n1 + su * n2
         d_ang = -su * n1 + cu * n2
+        zero = _const(_ZERO3, u.shape)
         return Jet2Vec3(
-            value=center + r * radial + v * axis,
+            value=center + r * radial + v[..., None] * axis,
             du=r * d_ang,
-            dv=axis.copy(),
+            dv=_const(axis, u.shape),
             duu=-r * radial,
-            duv=_ZERO3.copy(),
-            dvv=_ZERO3.copy(),
+            duv=zero,
+            dvv=zero,
         )
 
     return SurfacePatch(

@@ -11,12 +11,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import HalfspaceViolation
-from .jets import CurvatureSample, curvature_sample
+from .jets import CurvatureSample, curvature_sample, dot, in_sample_order, reject_first
 from .patches import SurfacePatch, unit_vec
 
 #: default pass thresholds for max |residual|
 RESIDUAL_TOL_ANALYTIC = 1e-9
 RESIDUAL_TOL_ODE = 1e-6
+
+#: columns of ``GridReport.samples``, which is also the CSV row layout
+GRID_CSV_COLUMNS = ("u", "v", "x", "y", "z", "H", "K", "k1", "k2", "residual")
 
 
 def default_residual_tol(patch: SurfacePatch) -> float:
@@ -25,26 +28,17 @@ def default_residual_tol(patch: SurfacePatch) -> float:
     return RESIDUAL_TOL_ANALYTIC
 
 
-def smr_residual(sample: CurvatureSample, pos, alpha: float, a) -> float:
-    """H*<pos,a> - alpha*<N,a>; requires the point strictly above the plane."""
+def smr_residual(sample: CurvatureSample, pos, alpha: float, a):
+    """H*<pos,a> - alpha*<N,a>; requires every point strictly above the plane."""
     a = unit_vec(a, "a")
-    pos = np.asarray(pos, dtype=float)
-    height = float(pos @ a)
-    if height <= 0.0:
-        raise HalfspaceViolation(f"<pos, a> = {height:.6g} is not positive")
-    return sample.H * height - alpha * float(sample.normal @ a)
-
-
-@dataclass(frozen=True)
-class GridSample:
-    u: float
-    v: float
-    point: np.ndarray
-    H: float
-    K: float
-    k1: float
-    k2: float
-    residual: float
+    height = dot(pos, a)
+    reject_first(
+        height <= 0.0,
+        lambda i: HalfspaceViolation(
+            f"<pos, a> = {np.ravel(height)[i]:.6g} is not positive"
+        ),
+    )
+    return sample.H * height - alpha * dot(sample.normal, a)
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,8 @@ class GridReport:
     min_H: float
     max_H: float
     halfspace_violations: int
-    samples: tuple[GridSample, ...] = field(repr=False, default=())
+    #: one row per valid sample, row-major, in ``GRID_CSV_COLUMNS`` order
+    samples: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -87,55 +82,42 @@ def grid_report(
     """Evaluate the residual on a uniform (nu x nv) grid over the domain.
 
     Samples outside the halfspace are skipped and counted; statistics cover
-    valid samples only.  Deterministic row-major traversal.
+    valid samples only.  A degenerate sample aborts the grid with the error
+    a row-major, point-by-point traversal would meet first.
     """
     if nu < 2 or nv < 2:
         raise HalfspaceViolation(f"grid dimensions must be >= 2, got {nu}x{nv}")
-    a = unit_vec(a, "a")
-    us = np.linspace(patch.u_range[0], patch.u_range[1], nu)
-    vs = np.linspace(patch.v_range[0], patch.v_range[1], nv)
-    rows: list[GridSample] = []
-    violations = 0
-    for u in us:
-        for v in vs:
-            jet = patch.jet(float(u), float(v))
-            height = float(jet.value @ a)
-            if height <= 0.0:
-                violations += 1
-                continue
-            sample = curvature_sample(jet)
-            res = sample.H * height - alpha * float(sample.normal @ a)
-            rows.append(
-                GridSample(
-                    u=float(u),
-                    v=float(v),
-                    point=jet.value,
-                    H=sample.H,
-                    K=sample.K,
-                    k1=sample.k1,
-                    k2=sample.k2,
-                    residual=res,
-                )
-            )
-    if not rows:
+    unit = unit_vec(a, "a")
+
+    def evaluate(u: np.ndarray, v: np.ndarray):
+        jet = patch.jet(u, v)
+        inside = ~(dot(jet.value, unit) <= 0.0)  # a NaN height is not skipped
+        sample = curvature_sample(jet[inside])
+        res = smr_residual(sample, sample.point, alpha, a)
+        return inside, sample, res
+
+    u, v = patch.grid(nu, nv)
+    inside, sample, res = in_sample_order(evaluate, u, v)
+    if not inside.any():
         raise HalfspaceViolation(
             f"all {nu * nv} grid samples violate the halfspace assumption"
         )
-    abs_res = np.array([abs(r.residual) for r in rows])
-    ks = np.array([r.K for r in rows])
-    hs = np.array([r.H for r in rows])
+    abs_res = np.abs(res)
+    rows = np.column_stack(
+        (u[inside], v[inside], sample.point, sample.H, sample.K, sample.k1, sample.k2, res)
+    )
     return GridReport(
         patch=patch.name,
         alpha=float(alpha),
-        direction=tuple(float(x) for x in a),
+        direction=tuple(float(x) for x in unit),
         nu=nu,
         nv=nv,
         max_abs_residual=float(abs_res.max()),
         mean_abs_residual=float(abs_res.mean()),
-        min_K=float(ks.min()),
-        max_K=float(ks.max()),
-        min_H=float(hs.min()),
-        max_H=float(hs.max()),
-        halfspace_violations=violations,
-        samples=tuple(rows),
+        min_K=float(sample.K.min()),
+        max_K=float(sample.K.max()),
+        min_H=float(sample.H.min()),
+        max_H=float(sample.H.max()),
+        halfspace_violations=int(np.count_nonzero(~inside)),
+        samples=rows,
     )

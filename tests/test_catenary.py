@@ -42,10 +42,33 @@ class TestParams:
         with pytest.raises(ParameterError):
             CatenaryParams(alpha=0.0)
 
-    @pytest.mark.parametrize("kw", [dict(step=0.0), dict(smax=-1.0), dict(y_min=0.0)])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(step=0.0),
+            dict(smax=-1.0),
+            dict(y_min=0.0),
+            dict(step=math.nan),
+            dict(step=math.inf),
+            dict(smax=math.inf),
+            dict(smax=math.nan),
+            dict(y_min=math.nan),
+            dict(y_min=math.inf),
+            dict(alpha=math.nan),
+            dict(alpha=math.inf),
+            dict(alpha=-math.inf),
+        ],
+    )
     def test_invalid_fields_rejected(self, kw):
         with pytest.raises(ParameterError):
-            CatenaryParams(alpha=1.0, **kw)
+            CatenaryParams(**{"alpha": 1.0, **kw})
+
+    @pytest.mark.parametrize("field", ["s", "x", "y", "theta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_initial_state_must_be_finite(self, field, bad):
+        init = {"s": 0.0, "x": 0.0, "y": 1.0, "theta": 0.0, field: bad}
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            integrate(CatenaryState(**init), CatenaryParams(alpha=1.0, smax=0.1))
 
     def test_initial_height_must_clear_cutoff(self):
         with pytest.raises(ParameterError):

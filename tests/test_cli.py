@@ -147,3 +147,64 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text("frobnicate = 1\n")
     assert run(["--config", str(cfg), "prove", "--theorem", "3"]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_config_switch_is_applied(tmp_path, monkeypatch, capsys):
+    # a sphere is not a solution at alpha = 5, so expect_pass must fail the run
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("expect_pass = true\n")
+    args = ["residual", "--patch", "sphere", "--alpha", "5", "--nu", "10", "--nv", "10"]
+    assert run(["--config", str(cfg), *args, "--out", "g"]) == 1
+    cfg.write_text("expect_pass = false\n")
+    assert run(["--config", str(cfg), *args, "--out", "h"]) == 0
+
+
+@pytest.mark.parametrize("line", ["expect_pass = yes", "nu = many", "patch = torus"])
+def test_config_bad_value_rejected(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    rc = run(["--config", str(cfg), "residual", "--alpha", "-2", "--out", str(tmp_path / "g")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad value" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--alpha", "nan"],
+        ["--alpha", "1", "--step", "nan"],
+        ["--alpha", "1", "--smax", "inf"],
+        ["--alpha", "1", "--y0", "nan"],
+    ],
+)
+def test_catenary_non_finite_input_is_usage_error(tmp_path, capsys, args):
+    rc = run(["catenary", *args, "--out", str(tmp_path / "t")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err and err.count("\n") == 1
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("{not json", "is malformed"),
+        ('{"alpha": "1", "step": "0.01", "termination": "reached-smax"}', "no 'points' key"),
+        ('{"points": [[0, 0, 1, 0, 1], [0.01, 0.01, 1, 0, 1]], "step": "0.01",'
+         ' "termination": "reached-smax"}', "no 'alpha' key"),
+        ('{"points": [[0, 0, 1, 0, 1], [0.01, 0.01, 1, 0, 1]], "alpha": "1",'
+         ' "termination": "reached-smax"}', "no 'step' key"),
+        ('{"points": [[0, 0, 1, 0], [0.01, 0.01, 1, 0]], "alpha": "1", "step": "0.01",'
+         ' "termination": "reached-smax"}', "is malformed"),
+    ],
+    ids=["bad-json", "no-points", "no-alpha", "no-step", "short-row"],
+)
+def test_extrude_malformed_trajectory_is_usage_error(tmp_path, capsys, text, message):
+    traj = tmp_path / "t.json"
+    traj.write_text(text)
+    rc = run(["extrude", "--traj", str(traj), "--out", str(tmp_path / "e")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
