@@ -45,12 +45,24 @@ from .surfaces.export import fmt
 PATCH_KINDS = ("plane", "sphere", "cylinder")
 
 
+def _finite(text: str) -> float:
+    """A float flag value; NaN and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+# argparse names the type in its "invalid float value" message
+_finite.__name__ = "float"
+
+
 def _vec(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected x,y,z — got {text!r}")
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
+        return tuple(_finite(p) for p in parts)  # type: ignore[return-value]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -59,7 +71,7 @@ def _pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected lo,hi — got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    return (_finite(parts[0]), _finite(parts[1]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def patch_flags(q: argparse.ArgumentParser) -> None:
         q.add_argument("--patch", choices=PATCH_KINDS, default="sphere")
-        q.add_argument("--r", type=float, default=1.0, help="radius")
+        q.add_argument("--r", type=_finite, default=1.0, help="radius")
         q.add_argument("--center", type=_vec, default=(0.0, 0.0, 0.0))
         q.add_argument("--axis", type=_vec, default=(1.0, 0.0, 0.0), help="cylinder axis")
         q.add_argument("--a", type=_vec, default=(0.0, 0.0, 1.0), help="reference direction")
@@ -92,15 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("residual", help="defining-identity residual on a grid")
     patch_flags(q)
-    q.add_argument("--alpha", type=float, default=None)
+    q.add_argument("--alpha", type=_finite, default=None)
     q.add_argument("--expect-pass", action="store_true",
                    help="exit 1 unless max |residual| is below the threshold")
-    q.add_argument("--threshold", type=float, default=None,
+    q.add_argument("--threshold", type=_finite, default=None,
                    help="override the per-patch default pass threshold")
 
     q = sub.add_parser("curvature", help="curvature table and FD cross-check")
     patch_flags(q)
-    q.add_argument("--fd-h", type=float, default=1e-3, help="finite-difference step")
+    q.add_argument("--fd-h", type=_finite, default=1e-3, help="finite-difference step")
 
     q = sub.add_parser("catenary", help="integrate a generating curve")
     q.add_argument("--alpha", type=float, default=None)
@@ -113,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", type=Path, default=Path("trajectory"))
 
     q = sub.add_parser("extrude", help="extrude a generating curve to a surface")
-    q.add_argument("--alpha", type=float, default=None)
+    q.add_argument("--alpha", type=_finite, default=None)
     q.add_argument("--traj", type=Path, default=None,
                    help="polyline JSON from the catenary command instead of "
                         "inline integration")
@@ -218,7 +230,8 @@ def cmd_residual(args: argparse.Namespace) -> int:
         f"{patch.name}: alpha={fmt(args.alpha)} max|residual|={fmt(report.max_abs_residual)} "
         f"threshold={fmt(threshold)} violations={report.halfspace_violations}"
     )
-    if args.expect_pass and report.max_abs_residual > threshold:
+    # written so that a NaN residual fails the expectation
+    if args.expect_pass and not report.max_abs_residual <= threshold:
         print("expectation failed: residual above threshold", file=sys.stderr)
         return 1
     return 0
@@ -236,7 +249,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
             & patch.contains(u + h, v - h)
             & patch.contains(u - h, v + h)
         )
-        max_dev = 0.0
+        max_dev = None
         if fits.any():
             u, v = u[fits], v[fits]
             max_dev = jet_deviation(fd_jet_oracle(patch, u, v, h), patch.jet(u, v))
@@ -244,6 +257,10 @@ def cmd_curvature(args: argparse.Namespace) -> int:
 
     u, v = patch.grid(args.nu, args.nv)
     s, max_dev = in_sample_order(evaluate, u, v)
+    if max_dev is None:
+        raise ParameterError(
+            f"no sample's finite-difference stencil at h={fmt(h)} fits inside the patch domain"
+        )
     rows = np.column_stack((u, v, s.E, s.F, s.G, s.L, s.M, s.N, s.H, s.K, s.k1, s.k2))
     lines = [",".join(("u", "v", "E", "F", "G", "L", "M", "N", "H", "K", "k1", "k2"))]
     lines.extend(",".join(fmt(x) for x in row) for row in rows.tolist())

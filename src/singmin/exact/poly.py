@@ -1,34 +1,25 @@
-"""Multivariate polynomials over the rationals.
+"""Multivariate polynomials over the integers, Z[vars].
 
 Terms are kept in a dict keyed by dense exponent tuples over the registered
-indeterminates; coefficients are exact (``int`` or ``fractions.Fraction``,
-never floats).  The monomial order is graded lex with ``Var.ALPHA`` most
-significant.  ``poly_gcd`` is a recursive content / primitive-part reduction
-with subresultant pseudo-remainder sequences, sized for the handful of
-variables and moderate degrees this engine produces.
+indeterminates; coefficients are Python ``int``s, and any other coefficient
+type (floats and ``fractions.Fraction`` included) is a ``TypeError``.
+Division is in Z[vars] too: ``exact_div`` returns None unless the quotient
+has integer coefficients.  Rationals enter only through ``eval_rational``.
+The monomial order is graded lex with ``Var.ALPHA`` most significant.
+``poly_gcd`` is a heuristic gcd by integer evaluation with a recursive
+content / primitive-part reduction over subresultant pseudo-remainder
+sequences as the fallback, sized for the handful of variables and moderate
+degrees this engine produces.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .symbols import NVARS, VAR_NAMES, Var
 
-Coeff = Union[int, Fraction]
-
 _ZERO_MONO = (0,) * NVARS
-
-
-def _norm_coeff(c: Coeff) -> Coeff:
-    """Store integral values as int so equal values share one representation."""
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return c
-    if isinstance(c, int):
-        return c
-    raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
 
 
 # -- term-dict kernel -----------------------------------------------------------
@@ -195,7 +186,7 @@ class Monomial:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with integer coefficients."""
 
     __slots__ = ("_t", "_hash")
 
@@ -204,7 +195,8 @@ class Polynomial:
         if terms:
             for m, c in terms.items():
                 key = m.as_tuple() if isinstance(m, Monomial) else tuple(m)
-                c = _norm_coeff(c)
+                if not isinstance(c, int):
+                    raise TypeError(f"coefficients must be int, got {type(c).__name__}")
                 if c:
                     t[key] = c
         self._t = t
@@ -227,9 +219,8 @@ class Polynomial:
         return cls._raw({_ZERO_MONO: 1})
 
     @classmethod
-    def const(cls, c: Coeff) -> "Polynomial":
-        c = _norm_coeff(c)
-        return cls._raw({_ZERO_MONO: c} if c else {})
+    def const(cls, c: int) -> "Polynomial":
+        return cls({_ZERO_MONO: c})
 
     @classmethod
     def variable(cls, v: Var) -> "Polynomial":
@@ -239,7 +230,7 @@ class Polynomial:
 
     # -- queries ------------------------------------------------------------
     @property
-    def terms(self) -> dict[Monomial, Coeff]:
+    def terms(self) -> dict[Monomial, int]:
         """Public view keyed by Monomial; no zero coefficients stored."""
         return {Monomial(m): c for m, c in self._t.items()}
 
@@ -252,10 +243,10 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self._t or (len(self._t) == 1 and _ZERO_MONO in self._t)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return Fraction(self._t.get(_ZERO_MONO, 0))
+        return self._t.get(_ZERO_MONO, 0)
 
     def is_one(self) -> bool:
         return self._t.get(_ZERO_MONO) == 1 and len(self._t) == 1
@@ -287,7 +278,7 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return Monomial(lead_monomial(self._t))
 
-    def leading_coeff(self) -> Coeff:
+    def leading_coeff(self) -> int:
         if not self._t:
             return 0
         return self._t[lead_monomial(self._t)]
@@ -317,7 +308,7 @@ class Polynomial:
         return Polynomial._raw(neg_terms(self._t))
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Polynomial._raw(scale(self._t, other))
         other = _coerce(other)
         if other is NotImplemented:
@@ -340,7 +331,7 @@ class Polynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Polynomial.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -381,7 +372,7 @@ class Polynomial:
             groups.setdefault(e, {})[key] = c
         return {e: Polynomial._raw(t) for e, t in groups.items()}
 
-    def eval_rational(self, values: Mapping[Var, Coeff]) -> Fraction:
+    def eval_rational(self, values: Mapping[Var, Union[int, Fraction]]) -> Fraction:
         """Evaluate at rational points; every occurring variable must be bound."""
         total = Fraction(0)
         for m, c in self._t.items():
@@ -396,71 +387,76 @@ class Polynomial:
 def _coerce(x) -> Union[Polynomial, type(NotImplemented)]:
     if isinstance(x, Polynomial):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return Polynomial.const(x)
     return NotImplemented
 
 
-def scale(t: dict, s: Coeff) -> dict:
-    s = _norm_coeff(s)
+def scale(t: dict, s: int) -> dict:
     if not s:
         return {}
-    return {m: _norm_coeff(c * s) for m, c in t.items()}
+    return {m: c * s for m, c in t.items()}
 
 
 # -- content / primitive part -------------------------------------------------
 
-def content(p: Polynomial) -> Fraction:
-    """Rational content: p == content(p) * primitive(p); sign follows the
-    leading coefficient so the primitive part has a positive one."""
-    if p.is_zero():
-        return Fraction(0)
-    num_gcd = 0
-    den_lcm = 1
+def content(p: Polynomial) -> int:
+    """Integer content: p == content(p) * primitive(p); the sign follows the
+    leading coefficient so the primitive part has a positive one.  0 for 0."""
+    g = 0
     for c in p._t.values():
-        f = Fraction(c)
-        num_gcd = math.gcd(num_gcd, abs(f.numerator))
-        den_lcm = den_lcm * f.denominator // math.gcd(den_lcm, f.denominator)
-    cont = Fraction(num_gcd, den_lcm)
-    if Fraction(p.leading_coeff()) < 0:
-        cont = -cont
-    return cont
+        g = math.gcd(g, c)
+        if g == 1:
+            break
+    if g and p.leading_coeff() < 0:
+        g = -g
+    return g
 
 
 def primitive(p: Polynomial) -> Polynomial:
-    """Integer-coefficient primitive part with positive leading coefficient."""
+    """Primitive part: integer content 1, positive leading coefficient."""
     if p.is_zero():
         return p
-    inv = 1 / content(p)
-    return Polynomial._raw({m: _norm_coeff(c * inv) for m, c in p._t.items()})
+    c = content(p)
+    if c == 1:
+        return p
+    return Polynomial._raw({m: v // c for m, v in p._t.items()})
 
 
 def exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
-    """Quotient a/b when b divides a in Q[vars], else None."""
+    """Quotient a/b when b divides a in Z[vars], else None."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return Polynomial.zero()
-    if b.is_constant():
-        inv = 1 / b.constant_value()
-        return Polynomial._raw({m: _norm_coeff(c * inv) for m, c in a._t.items()})
     bt = b._t
+    if b.is_constant():
+        d = bt[_ZERO_MONO]
+        q: dict = {}
+        for m, c in a._t.items():
+            q[m], r = divmod(c, d)
+            if r:
+                return None
+        return Polynomial._raw(q)
     lead_b = lead_monomial(bt)
-    lc_b = Fraction(bt[lead_b])
+    lc_b = bt[lead_b]
     r = dict(a._t)
-    q: dict = {}
+    q = {}
     while r:
         lead_r = lead_monomial(r)
         mq = mono_div(lead_r, lead_b)
         if mq is None:
             return None
-        cq = _norm_coeff(Fraction(r[lead_r]) / lc_b)
+        cq, rem = divmod(r[lead_r], lc_b)
+        if rem:
+            return None
         q[mq] = cq
         r = submul_shifted(r, cq, mq, bt)
     return Polynomial._raw(q)
 
 
 def divides(b: Polynomial, a: Polynomial) -> bool:
+    """True when b divides a in Z[vars]."""
     return exact_div(a, b) is not None
 
 
@@ -476,10 +472,13 @@ def _mono_content(t: dict) -> tuple:
     return tuple(mins)
 
 
-def _deflate(t: dict, m0: tuple) -> dict:
-    if not any(m0):
-        return t
-    return {tuple(x - y for x, y in zip(m, m0)): c for m, c in t.items()}
+def _deflate(p: Polynomial, c: int, m0: tuple) -> Polynomial:
+    """p / (c * x^m0), where both divide p."""
+    if c == 1 and not any(m0):
+        return p
+    return Polynomial._raw(
+        {tuple(x - y for x, y in zip(m, m0)): v // c for m, v in p._t.items()}
+    )
 
 
 def _prem(f: dict[int, Polynomial], g: dict[int, Polynomial]) -> dict[int, Polynomial]:
@@ -536,55 +535,25 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Greatest common divisor over Z[vars] (integer content included),
     normalized to a positive leading coefficient."""
     if a.is_zero():
-        return primitive(b) * _int_content_abs(b)
+        return -b if b.leading_coeff() < 0 else b
     if b.is_zero():
-        return primitive(a) * _int_content_abs(a)
+        return -a if a.leading_coeff() < 0 else a
 
-    ca, pa = _int_split(a)
-    cb, pb = _int_split(b)
-    cint = math.gcd(ca, cb)
-
-    ma = _mono_content(pa._t)
-    mb = _mono_content(pb._t)
+    ca = content(a)
+    cb = content(b)
+    ma = _mono_content(a._t)
+    mb = _mono_content(b._t)
     mg = tuple(min(x, y) for x, y in zip(ma, mb))
-    pa = Polynomial._raw(_deflate(pa._t, ma))
-    pb = Polynomial._raw(_deflate(pb._t, mb))
 
-    g = _gcd_primitive(pa, pb)
-    out = g * cint
+    g = _gcd_primitive(_deflate(a, ca, ma), _deflate(b, cb, mb))
+    out = g * math.gcd(ca, cb)
     if any(mg):
         out = out * Polynomial._raw({mg: 1})
     return out
 
 
-def _int_content_abs(p: Polynomial) -> int:
-    c = content(p)
-    return abs(c.numerator) if c.denominator == 1 else 1
-
-
-def _int_split(p: Polynomial) -> tuple[int, Polynomial]:
-    """(integer content, primitive part); requires nonzero p.
-
-    Fractional coefficients are cleared into the primitive part, so gcds of
-    rational-coefficient inputs come out defined up to a unit, which is all
-    canonicalization needs.
-    """
-    c = content(p)
-    prim = Polynomial._raw({m: _norm_coeff(v / c) for m, v in p._t.items()})
-    return (abs(c.numerator) if c.denominator == 1 else 1), prim
-
-
 def _max_norm(p: Polynomial) -> int:
-    return max(abs(int(c)) for c in p._t.values())
-
-
-def _int_content(p: Polynomial) -> int:
-    g = 0
-    for c in p._t.values():
-        g = math.gcd(g, abs(int(c)))
-        if g == 1:
-            break
-    return g
+    return max(abs(c) for c in p._t.values())
 
 
 def _eval_var(p: Polynomial, v: Var, xi: int) -> Polynomial:
@@ -609,7 +578,7 @@ def _balanced_digit(p: Polynomial, xi: int) -> Polynomial:
     half = xi // 2
     out: dict = {}
     for m, c in p._t.items():
-        r = int(c) % xi
+        r = c % xi
         if r > half:
             r -= xi
         if r:
@@ -635,15 +604,13 @@ def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial
     """
     if f._t == g._t:
         return f
-    if f.is_constant() and g.is_constant():
-        return Polynomial.const(math.gcd(int(f.constant_value()), int(g.constant_value())))
     if f.is_constant():
-        return Polynomial.const(math.gcd(int(f.constant_value()), _int_content(g)))
+        return Polynomial.const(math.gcd(f.constant_value(), content(g)))
     if g.is_constant():
-        return Polynomial.const(math.gcd(int(g.constant_value()), _int_content(f)))
+        return Polynomial.const(math.gcd(g.constant_value(), content(f)))
 
-    cf = _int_content(f)
-    cg = _int_content(g)
+    cf = abs(content(f))
+    cg = abs(content(g))
     c = math.gcd(cf, cg)
     if cf > 1:
         f = exact_div(f, Polynomial.const(cf))
@@ -674,16 +641,10 @@ def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial
                     power += 1
                 if rest.is_zero() and not h.is_zero():
                     cand = primitive(h)
-                    if _divides_int(f, cand) and _divides_int(g, cand):
+                    if divides(cand, f) and divides(cand, g):
                         return cand * c
         xi = xi * 73794 // 27011 + attempt + 1
     return None
-
-
-def _divides_int(a: Polynomial, b: Polynomial) -> bool:
-    """True when b divides a with an integer-coefficient quotient."""
-    q = exact_div(a, b)
-    return q is not None and all(isinstance(c, int) for c in q._t.values())
 
 
 def _gcd_primitive(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -1,14 +1,15 @@
 """Canonical rational functions over the registered indeterminates.
 
-A ``RationalExpr`` is a pair of integer-coefficient polynomials with
-``poly_gcd(num, den) == 1``, joint integer content 1, positive leading
-coefficient on the denominator, and zero represented as 0/1.  Equality is
-therefore plain structural comparison.  All operations are exact; floats are
-rejected at construction.
+A ``RationalExpr`` is a pair of polynomials in Z[vars] with
+``poly_gcd(num, den) == 1`` (so their joint integer content is 1), positive
+leading coefficient on the denominator, and zero represented as 0/1.
+Equality is therefore plain structural comparison.  All operations are exact.
+Rational numbers cross the boundary only through ``from_number`` (which also
+takes the ``int`` and ``Fraction`` operands of the arithmetic operators),
+``as_fraction`` and ``eval_rational``; floats are rejected.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -19,21 +20,10 @@ from .errors import (
     StrayMonomialError,
     SubstitutionDomainError,
 )
-from .poly import Polynomial, content, exact_div, poly_gcd
+from .poly import Polynomial, exact_div, poly_gcd
 from .symbols import Var
 
 Number = Union[int, Fraction]
-
-
-def _clear_to_int(p: Polynomial) -> tuple[Polynomial, int]:
-    """Scale to integer coefficients; returns (int poly, applied multiplier)."""
-    den_lcm = 1
-    for c in p.items():
-        d = c[1].denominator if isinstance(c[1], Fraction) else 1
-        den_lcm = den_lcm * d // math.gcd(den_lcm, d)
-    if den_lcm == 1:
-        return p, 1
-    return p * den_lcm, den_lcm
 
 
 class RationalExpr:
@@ -64,7 +54,8 @@ class RationalExpr:
     # -- constructors ---------------------------------------------------------
     @classmethod
     def from_number(cls, q: Number) -> "RationalExpr":
-        q = Fraction(q) if isinstance(q, int) else q
+        if isinstance(q, int):
+            return cls._wrap(Polynomial.const(q), Polynomial.one())
         if not isinstance(q, Fraction):
             raise TypeError("exact numbers only (int or Fraction)")
         return cls._wrap(Polynomial.const(q.numerator), Polynomial.const(q.denominator))
@@ -94,7 +85,7 @@ class RationalExpr:
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("expression is not constant")
-        return self.num.constant_value() / self.den.constant_value()
+        return Fraction(self.num.constant_value(), self.den.constant_value())
 
     def free_of(self, *vars: Var) -> bool:
         return all(
@@ -238,11 +229,12 @@ class RationalExpr:
 def _coerce(x) -> Union[RationalExpr, type(NotImplemented)]:
     if isinstance(x, RationalExpr):
         return x
-    if isinstance(x, (int, Fraction)):
-        return RationalExpr.from_number(x)
     if isinstance(x, Polynomial):
         return RationalExpr(x)
-    return NotImplemented
+    try:
+        return RationalExpr.from_number(x)
+    except TypeError:
+        return NotImplemented
 
 
 def _normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -251,24 +243,13 @@ def _normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
     if num.is_zero():
         return Polynomial.zero(), Polynomial.one()
 
-    num, mn = _clear_to_int(num)
-    den, md = _clear_to_int(den)
-    if mn != md:
-        num = num * md
-        den = den * mn
-
+    # poly_gcd includes gcd(content(num), content(den)), so the quotients
+    # have joint integer content 1
     g = poly_gcd(num, den)
     if not g.is_one():
         num = exact_div(num, g)
         den = exact_div(den, g)
-
-    cn = content(num)
-    cd = content(den)
-    k = math.gcd(abs(cn.numerator), abs(cd.numerator))
-    if k > 1:
-        num = exact_div(num, Polynomial.const(k))
-        den = exact_div(den, Polynomial.const(k))
-    if Fraction(den.leading_coeff()) < 0:
+    if den.leading_coeff() < 0:
         num = -num
         den = -den
     return num, den
@@ -293,7 +274,7 @@ def _poly_subs(p: Polynomial, vals: Mapping[Var, RationalExpr]) -> RationalExpr:
 
     total = RationalExpr.zero()
     for m, c in p.items():
-        term = RationalExpr.from_number(c if isinstance(c, Fraction) else Fraction(c))
+        term = RationalExpr.from_number(c)
         for i, e in enumerate(m):
             if e:
                 term = term * pw(i, e)

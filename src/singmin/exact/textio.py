@@ -1,13 +1,11 @@
 """Deterministic plain-text syntax for expressions, with a round-trip parser.
 
-Monomials print in descending graded-lex order with explicit rational
+Monomials print in descending graded-lex order with explicit integer
 coefficients, so equal expressions always render to identical bytes.  The
 parser accepts the same grammar (`+ - * / ^`, integers, registered variable
 names, parentheses) and returns a canonical ``RationalExpr``.
 """
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import ParseError
 from .poly import Polynomial, grlex_key
@@ -21,13 +19,12 @@ def render_poly(p: Polynomial) -> str:
     items = sorted(p.items(), key=lambda mc: grlex_key(mc[0]), reverse=True)
     pieces: list[str] = []
     for m, c in items:
-        frac = Fraction(c)
         mono = "*".join(
             VAR_NAMES[Var(i)] + (f"^{e}" if e > 1 else "")
             for i, e in enumerate(m)
             if e
         )
-        mag = abs(frac)
+        mag = abs(c)
         if not mono:
             body = str(mag)
         elif mag == 1:
@@ -35,9 +32,9 @@ def render_poly(p: Polynomial) -> str:
         else:
             body = f"{mag}*{mono}"
         if not pieces:
-            pieces.append(body if frac > 0 else f"-{body}")
+            pieces.append(body if c > 0 else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if frac > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(pieces)
 
 

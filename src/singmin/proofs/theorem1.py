@@ -21,6 +21,7 @@ expressions below.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_2x2, solve_linear
@@ -89,6 +90,7 @@ class Targets:
     flat_polynomial: RationalExpr
 
 
+@functools.cache
 def targets() -> Targets:
     a, c, k = AL, C, K
     A = (a + 1) * k ** 2 + c

@@ -10,6 +10,7 @@ coefficients.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_linear
@@ -47,6 +48,7 @@ class Targets:
     final_polynomial: RationalExpr
 
 
+@functools.cache
 def targets() -> Targets:
     a, c, k = AL, C, K
     bc = (a + 1) * c + k

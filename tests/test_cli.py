@@ -1,13 +1,23 @@
 """Command-line interface: exit codes, outputs, determinism."""
+import dataclasses
 import json
 
 import pytest
 
+import singmin.cli
 from singmin.cli import main
 
 
 def run(args):
     return main(list(args))
+
+
+def exit_code(args):
+    """Exit code of a run, including argparse's SystemExit for a bad flag."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_prove_single_theorem_passes(tmp_path, capsys):
@@ -160,7 +170,11 @@ def test_config_switch_is_applied(tmp_path, monkeypatch, capsys):
     assert run(["--config", str(cfg), *args, "--out", "h"]) == 0
 
 
-@pytest.mark.parametrize("line", ["expect_pass = yes", "nu = many", "patch = torus"])
+@pytest.mark.parametrize(
+    "line",
+    ["expect_pass = yes", "nu = many", "patch = torus",
+     "r = nan", "alpha = inf", "threshold = nan", "fd_h = nan", "center = 0,inf,0"],
+)
 def test_config_bad_value_rejected(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -208,3 +222,45 @@ def test_extrude_malformed_trajectory_is_usage_error(tmp_path, capsys, text, mes
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["residual", "--patch", "sphere", "--r", "nan", "--alpha", "-2", "--expect-pass"],
+        ["residual", "--patch", "sphere", "--center", "inf,0,1", "--alpha", "-2", "--expect-pass"],
+        ["residual", "--patch", "sphere", "--alpha", "-2", "--threshold", "nan", "--expect-pass"],
+        ["residual", "--patch", "plane", "--alpha", "inf"],
+        ["residual", "--patch", "cylinder", "--axis", "nan,0,0", "--alpha", "-1"],
+        ["curvature", "--patch", "sphere", "--r", "nan"],
+        ["curvature", "--patch", "cylinder", "--r", "inf"],
+        ["curvature", "--patch", "sphere", "--fd-h", "nan"],
+        ["curvature", "--patch", "sphere", "--fd-h", "inf"],
+        ["extrude", "--alpha", "1", "--smax", "0.5", "--v", "0,nan,0"],
+        ["extrude", "--alpha", "1", "--smax", "0.5", "--t-range=-inf,1"],
+    ],
+)
+def test_non_finite_surface_flag_is_usage_error(tmp_path, args):
+    out = tmp_path / "g"
+    assert exit_code([*args, "--nu", "5", "--nv", "5", "--out", str(out)]) == 2
+    assert not out.with_suffix(".json").exists()
+
+
+def test_expect_pass_fails_on_a_nan_residual(tmp_path, monkeypatch):
+    real = singmin.cli.grid_report
+    monkeypatch.setattr(
+        singmin.cli, "grid_report",
+        lambda *a: dataclasses.replace(real(*a), max_abs_residual=float("nan")),
+    )
+    args = ["residual", "--patch", "sphere", "--alpha", "-2", "--nu", "5", "--nv", "5"]
+    assert run([*args, "--expect-pass", "--out", str(tmp_path / "g")]) == 1
+
+
+@pytest.mark.parametrize("args", [["--patch", "sphere", "--fd-h", "10"],
+                                  ["--patch", "plane", "--nu", "2", "--nv", "2"]])
+def test_curvature_without_any_fitting_stencil_is_usage_error(tmp_path, capsys, args):
+    rc = run(["curvature", "--nu", "5", "--nv", "5", *args, "--out", str(tmp_path / "c")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "stencil" in err and err.count("\n") == 1
+    assert not (tmp_path / "c.json").exists()

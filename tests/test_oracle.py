@@ -1,0 +1,90 @@
+"""Differential oracle: the exact kernel against sympy's polynomials over ZZ.
+
+sympy is a test dependency only; the module is skipped where it is missing.
+"""
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from singmin.exact import Polynomial, RationalExpr, exact_div, poly_gcd
+from singmin.exact import poly as poly_module
+
+from conftest import SMALL_VARS, nonzero_polynomials, polynomials
+
+sympy = pytest.importorskip("sympy")
+
+VARS = SMALL_VARS[:3]
+GENS = sympy.symbols("x0:%d" % len(VARS))
+COMMON = dict(max_examples=80, deadline=None)
+SMALL = dict(variables=VARS, max_terms=3, max_degree=2, coeff_bound=6)
+# polynomials free of VARS[0], the variable the subresultant sequence eliminates
+REST = dict(variables=VARS[1:], max_terms=2, max_degree=1, coeff_bound=4)
+
+
+def to_sympy(p):
+    terms = {tuple(m[int(v)] for v in VARS): c for m, c in p.items()}
+    return sympy.Poly.from_dict(terms or {(0,) * len(GENS): 0}, *GENS, domain=sympy.ZZ)
+
+
+def same_up_to_sign(a, b):
+    return a == b or a == -b
+
+
+def check_gcd(a, b):
+    g = to_sympy(poly_gcd(a, b))
+    assert same_up_to_sign(g, sympy.gcd(to_sympy(a), to_sympy(b)))
+
+
+@given(polynomials(**SMALL), polynomials(**SMALL), polynomials(**SMALL))
+@settings(**COMMON)
+def test_gcd_matches_sympy(f, g, h):
+    check_gcd(f * g, f * h)
+    check_gcd(g, h)
+
+
+@st.composite
+def in_main_variable(draw):
+    """A polynomial of degree 1 or 2 in ``VARS[0]`` with coefficients in the
+    other variables."""
+    x = Polynomial.variable(VARS[0])
+    degree = draw(st.integers(1, 2))
+    lead = draw(nonzero_polynomials(**REST)) * x ** degree
+    return sum((draw(polynomials(**REST)) * x ** i for i in range(degree)), lead)
+
+
+@given(in_main_variable(), polynomials(**REST), in_main_variable(), in_main_variable())
+@settings(**COMMON)
+def test_subresultant_gcd_matches_sympy(f, c, g, h):
+    # the heuristic gcd succeeds on nearly every input, so without it the
+    # subresultant fallback would go untested; c is free of the main variable,
+    # so the gcd has a content part there too
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "_gcdheu", lambda f, g, depth=0: None)
+        check_gcd(f * c * g, f * c * h)
+        check_gcd(g, h)
+
+
+def check_div(a, b):
+    q, r = sympy.div(to_sympy(a), to_sympy(b), auto=False)
+    got = exact_div(a, b)
+    if r.is_zero:
+        assert got is not None and to_sympy(got) == q
+    else:
+        assert got is None
+
+
+@given(polynomials(**SMALL), nonzero_polynomials(**SMALL), polynomials(**SMALL),
+       st.integers(-3, 3))
+@settings(**COMMON)
+def test_exact_div_matches_sympy(a, b, q, k):
+    check_div(a, b)
+    check_div(b * q, b)
+    check_div(b * q, b * k if k else b)
+
+
+@given(polynomials(**SMALL), nonzero_polynomials(**SMALL), nonzero_polynomials(**SMALL))
+@settings(**COMMON)
+def test_normal_form_matches_sympy_cancel(num, den, f):
+    e = RationalExpr(num * f, den * f)
+    p, q = to_sympy(num * f).cancel(to_sympy(den * f), include=True)
+    got_num, got_den = to_sympy(e.num), to_sympy(e.den)
+    assert (got_num, got_den) in ((p, q), (-p, -q))

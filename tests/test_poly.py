@@ -73,10 +73,22 @@ def test_content_and_primitive():
     assert primitive(neg) == 3 * K ** 2 - 2 * C
 
 
+@pytest.mark.parametrize(
+    "p,c", [(6 * K ** 2 - 4 * C, 2), (-6 * K ** 2 + 4 * C, -2), (-K, -1), (Polynomial.zero(), 0)]
+)
+def test_content_is_a_signed_int(p, c):
+    assert type(content(p)) is int and content(p) == c
+
+
 def test_content_of_fractional_polynomial():
-    p = Polynomial({Monomial({Var.K1: 1}): Fraction(1, 2), Monomial({}): Fraction(1, 3)})
-    assert content(p) == Fraction(1, 6)
-    assert primitive(p) == 3 * K + 2
+    # coefficients live in Z: a Fraction is rejected even when it is integral
+    with pytest.raises(TypeError):
+        Polynomial({Monomial({Var.K1: 1}): Fraction(1, 2), Monomial({}): Fraction(1, 3)})
+    for coeff in (Fraction(1, 2), Fraction(2)):
+        with pytest.raises(TypeError):
+            Polynomial.const(coeff)
+        with pytest.raises(TypeError):
+            K * coeff
 
 
 def test_exact_division_roundtrip():
@@ -89,9 +101,7 @@ def test_exact_division_roundtrip():
 
 def test_exact_division_by_constant():
     assert exact_div(2 * K, Polynomial.const(2)) == K
-    assert exact_div(K, Polynomial.const(2)) == Polynomial(
-        {Monomial({Var.K1: 1}): Fraction(1, 2)}
-    )
+    assert exact_div(K, Polynomial.const(2)) is None
 
 
 def test_division_by_zero_polynomial():
