@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import ParameterError, SingularBoundaryError
+from ..surfaces.export import format_columns
 
 TERM_SMAX = "reached-smax"
 TERM_YMIN = "hit-y-min"
@@ -71,6 +72,13 @@ class Trajectory:
         """``(s, x, y, theta)`` of the states as float arrays, built once."""
         table = np.array([(st.s, st.x, st.y, st.theta) for st in self.states])
         return tuple(table.T.copy())
+
+    @cached_property
+    def text_columns(self) -> list[np.ndarray]:
+        """``fmt`` text of the ``s, x, y, theta, J`` columns, formatted once
+        for both the CSV and the JSON writer."""
+        j = [first_integral(st, self.alpha) for st in self.states]
+        return format_columns(np.column_stack(self.arrays + (j,)))
 
 
 def _require_finite(record) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .errors import ParameterError
 from .proofs import THEOREMS, reports_to_json, run_all
 from .surfaces import (
     builtin_patch,
+    curvature_csv,
     curvature_sample,
     default_residual_tol,
     fd_jet_oracle,
@@ -43,6 +45,9 @@ from .surfaces import (
 from .surfaces.export import fmt
 
 PATCH_KINDS = ("plane", "sphere", "cylinder")
+# how far, in steps, a loaded trajectory's node may lie from s0 + k*step;
+# files the catenary command writes are within about 1e-12
+UNIFORM_STEP_TOL = 1e-6
 
 
 def _finite(text: str) -> float:
@@ -55,6 +60,21 @@ def _finite(text: str) -> float:
 
 # argparse names the type in its "invalid float value" message
 _finite.__name__ = "float"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a value starting with a minus sign as a
+    value, so ``--t-range -2,2`` and ``--fd-h -1e-3`` parse as the ``=`` form.
+
+    argparse takes only plain negative numbers such as ``-2`` or ``-0.5`` for
+    values; any other token that starts with ``-`` is read as a flag.  No flag
+    of this CLI starts with a digit, a dot, ``inf`` or ``nan``.  Subcommand
+    parsers are built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _vec(text: str) -> tuple[float, float, float]:
@@ -75,7 +95,7 @@ def _pair(text: str) -> tuple[float, float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="singmin",
         description="Exact proof replay and numeric lab for "
         "alpha-singular minimal surfaces.",
@@ -163,7 +183,7 @@ def _load_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     Unknown keys and values the flag would not accept are rejected (exit 2
     via ParameterError); switches take ``true`` or ``false``.
     """
-    probe = argparse.ArgumentParser(add_help=False)
+    probe = _Parser(add_help=False)
     probe.add_argument("--config", type=Path, default=None)
     known, _ = probe.parse_known_args(argv)
     if known.config is None:
@@ -240,6 +260,8 @@ def cmd_residual(args: argparse.Namespace) -> int:
 def cmd_curvature(args: argparse.Namespace) -> int:
     patch = _make_patch(args)
     h = args.fd_h
+    if h <= 0.0:
+        raise ParameterError(f"finite-difference step must be positive, got {h}")
 
     def evaluate(u, v):
         sample = curvature_sample(patch.jet(u, v))
@@ -261,10 +283,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
         raise ParameterError(
             f"no sample's finite-difference stencil at h={fmt(h)} fits inside the patch domain"
         )
-    rows = np.column_stack((u, v, s.E, s.F, s.G, s.L, s.M, s.N, s.H, s.K, s.k1, s.k2))
-    lines = [",".join(("u", "v", "E", "F", "G", "L", "M", "N", "H", "K", "k1", "k2"))]
-    lines.extend(",".join(fmt(x) for x in row) for row in rows.tolist())
-    _write(args.out.with_suffix(".csv"), "\n".join(lines) + "\n")
+    _write(args.out.with_suffix(".csv"), curvature_csv(u, v, s))
     summary = {
         "schema_version": 1,
         "patch": patch.name,
@@ -320,7 +339,19 @@ def _load_trajectory(path: Path):
         raise ParameterError(
             f"trajectory file {path} needs a finite alpha and a finite positive step"
         )
-    return Trajectory(alpha=alpha, states=states, step=step, termination=termination)
+    traj = Trajectory(alpha=alpha, states=states, step=step, termination=termination)
+    # dense_state finds a node from the uniform step: node k must sit at s0 + k*step
+    s = traj.arrays[0]
+    if not (np.diff(s) > 0.0).all():
+        raise ParameterError(f"trajectory file {path} has s values that do not increase")
+    off_grid = ~(np.abs(s - (s[0] + np.arange(len(s)) * step)) <= UNIFORM_STEP_TOL * step)
+    if off_grid.any():
+        k = int(np.argmax(off_grid))
+        raise ParameterError(
+            f"trajectory file {path} is not sampled at its step {fmt(step)}: "
+            f"state {k} lies at s = {fmt(s[k])}"
+        )
+    return traj
 
 
 def cmd_extrude(args: argparse.Namespace) -> int:

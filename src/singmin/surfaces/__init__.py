@@ -1,5 +1,5 @@
 """Numeric differential geometry of parametric surface patches."""
-from .export import grid_csv, grid_json, obj_mesh
+from .export import CURVATURE_CSV_COLUMNS, curvature_csv, grid_csv, grid_json, obj_mesh
 from .fd import fd_jet_oracle, jet_deviation
 from .jets import (
     CurvatureSample,
@@ -30,6 +30,7 @@ from .residual import (
 )
 
 __all__ = [
+    "CURVATURE_CSV_COLUMNS",
     "CurvatureSample",
     "FundamentalForms",
     "GRID_CSV_COLUMNS",
@@ -39,6 +40,7 @@ __all__ = [
     "RESIDUAL_TOL_ODE",
     "SurfacePatch",
     "builtin_patch",
+    "curvature_csv",
     "curvature_sample",
     "cylinder_patch",
     "default_residual_tol",

@@ -126,10 +126,22 @@ def test_curvature_fd_deviation_scales_quadratically(tmp_path, monkeypatch):
 
 def test_outputs_are_byte_deterministic(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    run(["extrude", "--alpha", "1", "--smax", "0.5", "--out", "a", "--nu", "6", "--nv", "3"])
-    run(["extrude", "--alpha", "1", "--smax", "0.5", "--out", "b", "--nu", "6", "--nv", "3"])
-    for ext in (".obj", ".json", ".csv"):
-        assert (tmp_path / f"a{ext}").read_bytes() == (tmp_path / f"b{ext}").read_bytes()
+    assert run(["catenary", "--alpha", "1", "--smax", "0.5", "--step", "0.01", "--out", "t"]) == 0
+    cases = [
+        (["extrude", "--alpha", "1", "--smax", "0.5", "--nu", "6", "--nv", "3"],
+         (".obj", ".json", ".csv")),
+        (["residual", "--patch", "cylinder", "--alpha", "-1", "--nu", "9", "--nv", "7"],
+         (".json", ".csv")),
+        (["curvature", "--patch", "sphere", "--r", "1.5", "--nu", "9", "--nv", "7"],
+         (".json", ".csv")),
+        (["catenary", "--alpha", "-1.5", "--y0", "0.7", "--smax", "3"], (".json", ".csv")),
+        (["extrude", "--traj", "t.json", "--nu", "9", "--nv", "3"], (".obj", ".json", ".csv")),
+    ]
+    for n, (args, suffixes) in enumerate(cases):
+        assert run([*args, "--out", f"a{n}"]) == 0
+        assert run([*args, "--out", f"b{n}"]) == 0
+        for ext in suffixes:
+            assert (tmp_path / f"a{n}{ext}").read_bytes() == (tmp_path / f"b{n}{ext}").read_bytes()
 
 
 def test_prove_json_is_byte_deterministic(tmp_path):
@@ -264,3 +276,70 @@ def test_curvature_without_any_fitting_stencil_is_usage_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "stencil" in err and err.count("\n") == 1
     assert not (tmp_path / "c.json").exists()
+
+
+GRID = ["--nu", "6", "--nv", "3"]
+
+
+@pytest.mark.parametrize(
+    "args,flag,value,rc",
+    [
+        (["extrude", "--alpha", "1", "--smax", "0.5", *GRID], "--t-range", "-2,2", 0),
+        (["extrude", "--alpha", "1", "--smax", "0.5", *GRID], "--t-range", "-inf,1", 2),
+        (["extrude", "--smax", "0.5", *GRID], "--alpha", "-1e0", 0),
+        (["extrude", "--alpha", "1", "--smax", "0.5", *GRID], "--v", "-0,1,0", 0),
+        (["curvature", "--patch", "sphere", *GRID], "--fd-h", "-1e-3", 2),
+        (["curvature", "--patch", "sphere", *GRID], "--center", "-.5,0,0", 0),
+        (["residual", "--patch", "sphere", *GRID], "--alpha", "-2e0", 0),
+        (["residual", "--patch", "plane", "--alpha", "1", *GRID], "--a", "-0.6,0,0.8", 0),
+        (["catenary", "--alpha", "1", "--smax", "0.5"], "--theta0", "-1e-1", 0),
+    ],
+    ids=["extrude-t-range", "extrude-t-range-inf", "extrude-alpha", "extrude-v", "curvature-fd-h",
+         "curvature-center", "residual-alpha", "residual-a", "catenary-theta0"],
+)
+def test_negative_flag_value_parses_as_the_equals_form(tmp_path, capsys, args, flag, value, rc):
+    def outcome(tag, flag_args):
+        code = exit_code([*args, *flag_args, "--out", str(tmp_path / tag)])
+        captured = capsys.readouterr()
+        files = {p.suffix: p.read_bytes() for p in tmp_path.glob(f"{tag}.*")}
+        return code, captured.out, captured.err, files
+
+    spaced = outcome("a", [flag, value])
+    assert spaced[0] == rc
+    assert spaced == outcome("b", [f"{flag}={value}"])
+
+
+@pytest.mark.parametrize("h", ["-10", "0"])
+def test_curvature_non_positive_step_is_usage_error(tmp_path, capsys, h):
+    rc = run(["curvature", "--nu", "5", "--nv", "5", f"--fd-h={h}", "--out", str(tmp_path / "c")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: finite-difference step must be positive") and err.count("\n") == 1
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda pts: pts, None),
+        (lambda pts: pts[:20] + pts[21:], "is not sampled at its step"),
+        (lambda pts: pts[:20] + [pts[21], pts[20]] + pts[22:], "do not increase"),
+    ],
+    ids=["as-written", "gap-doubled", "rows-swapped"],
+)
+def test_extrude_trajectory_must_have_a_uniform_step(tmp_path, capsys, edit, message):
+    traj = tmp_path / "t"
+    assert run(["catenary", "--alpha", "1", "--smax", "0.5", "--step", "0.01", "--out", str(traj)]) == 0
+    doc = json.loads(traj.with_suffix(".json").read_text())
+    doc["points"] = edit(doc["points"])
+    traj.with_suffix(".json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run(["extrude", "--traj", str(traj.with_suffix(".json")), "--nu", "6", "--nv", "3",
+              "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    if message is None:
+        assert rc == 0 and err == ""
+    else:
+        assert rc == 2
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "e.json").exists()

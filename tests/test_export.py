@@ -1,0 +1,149 @@
+"""Table writers: every output equals the one built cell by cell with ``fmt``."""
+import json
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from singmin.catenary import (
+    TERM_SMAX,
+    TERM_YMIN,
+    TRAJECTORY_CSV_COLUMNS,
+    CatenaryParams,
+    CatenaryState,
+    first_integral,
+    integrate,
+    to_extrusion,
+    trajectory_csv,
+    trajectory_json,
+)
+from singmin.surfaces import (
+    CURVATURE_CSV_COLUMNS,
+    GRID_CSV_COLUMNS,
+    builtin_patch,
+    curvature_csv,
+    curvature_sample,
+    grid_csv,
+    grid_report,
+    obj_mesh,
+)
+from singmin.surfaces.export import ROW_BLOCK, fmt, format_columns, format_rows, table_csv
+
+SPECIAL = np.array(
+    [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0]
+).view(np.uint64).tolist() + [
+    0x7FF0000000000001,  # signalling NaN
+    0x7FF8000000000ABC,  # quiet NaN with a payload
+    0xFFF00000DEADBEEF,  # negative NaN with a payload
+]
+BITS = st.sampled_from(SPECIAL) | st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@st.composite
+def tables(draw):
+    """Float tables whose cells repeat a few values, built from raw bit patterns."""
+    rows = draw(st.integers(min_value=0, max_value=40))
+    cols = draw(st.integers(min_value=1, max_value=4))
+    pool = draw(st.lists(BITS, min_size=1, max_size=6))
+    cells = draw(st.lists(st.sampled_from(pool) | BITS, min_size=rows * cols,
+                          max_size=rows * cols))
+    return np.array(cells, dtype=np.uint64).view(np.float64).reshape(rows, cols)
+
+
+def cell_by_cell(table) -> list[list[str]]:
+    return [[fmt(x) for x in row] for row in table.tolist()]
+
+
+def lines(rows, sep=",", prefix="") -> str:
+    return "".join(prefix + sep.join(row) + "\n" for row in rows)
+
+
+@given(tables())
+@settings(max_examples=200, deadline=None)
+def test_format_columns_matches_fmt_per_cell(table):
+    columns = format_columns(table)
+    assert len(columns) == table.shape[1]
+    assert [list(row) for row in zip(*(c.tolist() for c in columns))] == cell_by_cell(table)
+    assert format_rows(columns, " ", "v ") == lines(cell_by_cell(table), " ", "v ")
+
+
+def test_rows_across_blocks():
+    table = np.arange(2 * (2 * ROW_BLOCK + 3), dtype=float).reshape(-1, 2) / 7.0
+    assert table_csv(("a", "b"), format_columns(table)) == "a,b\n" + lines(cell_by_cell(table))
+
+
+def test_zero_row_table_is_header_only():
+    assert table_csv(("a", "b"), format_columns(np.empty((0, 2)))) == "a,b\n"
+
+
+def reference_obj(patch, nu, nv) -> str:
+    out = [f"# {patch.name} {nu}x{nv}"]
+    for p in patch.position(*patch.grid(nu, nv)).tolist():
+        out.append(f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}")
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            q = i * nv + j + 1
+            out.append(f"f {q} {q + nv} {q + nv + 1}")
+            out.append(f"f {q} {q + nv + 1} {q + 1}")
+    return "\n".join(out) + "\n"
+
+
+def trajectory(alpha, y0, smax):
+    return integrate(
+        CatenaryState(s=0.0, x=0.0, y=y0, theta=0.0),
+        CatenaryParams(alpha=alpha, step=1e-2, smax=smax),
+    )
+
+
+SURFACES = {
+    "sphere": (lambda: builtin_patch("sphere", r=1.3, center=(0.2, -0.1, 0.0)), -2.0),
+    "cylinder": (lambda: builtin_patch("cylinder", r=0.8, axis=(0.6, 0.8, 0.0),
+                                       center=(0.0, 0.0, 0.3)), -1.0),
+    "extrusion-smax": (lambda: to_extrusion(trajectory(1.0, 1.0, 1.0)), 1.0),
+    "extrusion-ymin": (lambda: to_extrusion(trajectory(-1.5, 0.7, 10.0)), -1.5),
+}
+
+
+@pytest.mark.parametrize("name", list(SURFACES))
+def test_surface_writers_match_cell_by_cell(name):
+    make, alpha = SURFACES[name]
+    patch = make()
+    nu, nv = 13, 7
+    report = grid_report(patch, alpha, (0.0, 0.0, 1.0), nu, nv)
+    assert len(report.samples) > 0
+    assert grid_csv(report) == ",".join(GRID_CSV_COLUMNS) + "\n" + lines(
+        cell_by_cell(report.samples)
+    )
+    assert obj_mesh(patch, nu, nv) == reference_obj(patch, nu, nv)
+    u, v = patch.grid(nu, nv)
+    s = curvature_sample(patch.jet(u, v))
+    rows = [
+        [fmt(x) for x in row]
+        for row in zip(u.tolist(), v.tolist(), *(getattr(s, c).tolist()
+                                                 for c in CURVATURE_CSV_COLUMNS[2:]))
+    ]
+    assert curvature_csv(u, v, s) == ",".join(CURVATURE_CSV_COLUMNS) + "\n" + lines(rows)
+
+
+@pytest.mark.parametrize(
+    "alpha,y0,smax,termination",
+    [(1.0, 1.0, 1.0, TERM_SMAX), (-1.5, 0.7, 10.0, TERM_YMIN)],
+)
+def test_trajectory_writers_match_cell_by_cell(alpha, y0, smax, termination):
+    traj = trajectory(alpha, y0, smax)
+    assert traj.termination == termination
+    rows = [
+        [fmt(v) for v in (state.s, state.x, state.y, state.theta, first_integral(state, alpha))]
+        for state in traj.states
+    ]
+    assert trajectory_csv(traj) == ",".join(TRAJECTORY_CSV_COLUMNS) + "\n" + lines(rows)
+    doc = {
+        "schema_version": 1,
+        "alpha": fmt(alpha),
+        "step": fmt(traj.step),
+        "termination": traj.termination,
+        "columns": list(TRAJECTORY_CSV_COLUMNS),
+        "points": rows,
+    }
+    assert trajectory_json(traj) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
