@@ -1,5 +1,5 @@
 """Planar generating-curve integration and extrusion to cylindrical patches."""
-from .export import TRAJECTORY_CSV_COLUMNS, trajectory_csv, trajectory_json
+from .export import TRAJECTORY_CSV_COLUMNS, load_trajectory_json, trajectory_csv, trajectory_json
 from .extrude import dense_state, to_extrusion
 from .ode import (
     TERM_SMAX,
@@ -22,6 +22,7 @@ __all__ = [
     "dense_state",
     "first_integral",
     "integrate",
+    "load_trajectory_json",
     "rhs",
     "to_extrusion",
     "trajectory_csv",

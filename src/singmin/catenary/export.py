@@ -1,12 +1,21 @@
-"""Trajectory serialization (CSV and polyline JSON), byte-deterministic."""
+"""Trajectory CSV and polyline JSON, byte-deterministic, and the one JSON reader."""
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
-from ..surfaces.export import fmt, table_csv
-from .ode import Trajectory
+import numpy as np
+
+from ..errors import ParameterError
+from ..surfaces.export import fmt, format_rows, table_csv
+from ..surfaces.jets import reject_first
+from .ode import TERM_SMAX, TERM_YMIN, Trajectory
 
 TRAJECTORY_CSV_COLUMNS = ("s", "x", "y", "theta", "J")
+# how far, in steps, a loaded trajectory's node may lie from s0 + k*step;
+# files the catenary command writes are within about 1e-12
+UNIFORM_STEP_TOL = 1e-6
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -14,12 +23,66 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 
 def trajectory_json(traj: Trajectory) -> str:
+    """The ``json.dumps(doc, indent=2, sort_keys=True)`` text of the trajectory,
+    with the ``points`` rows written by ``format_rows``."""
     doc = {
         "schema_version": 1,
         "alpha": fmt(traj.alpha),
         "step": fmt(traj.step),
         "termination": traj.termination,
         "columns": list(TRAJECTORY_CSV_COLUMNS),
-        "points": list(map(list, zip(*(c.tolist() for c in traj.text_columns)))),
+        "points": None,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    head, tail = json.dumps(doc, indent=2, sort_keys=True).split('"points": null')
+    rows = format_rows(
+        traj.text_columns, sep='",\n      "', prefix='    [\n      "', end='"\n    ],\n'
+    )
+    # the last row closes with "]" and no comma
+    return head + '"points": [\n' + rows[:-2] + "\n  ]" + tail + "\n"
+
+
+def load_trajectory_json(path: Path) -> Trajectory:
+    """The trajectory a ``trajectory_json`` file holds; ParameterError on its first fault."""
+    if not path.exists():
+        raise ParameterError(f"trajectory file {path} does not exist")
+    try:
+        doc = json.loads(path.read_text())
+        points = np.array(doc["points"], dtype=float)
+        if len(points) and points.shape[1:] != (len(TRAJECTORY_CSV_COLUMNS),):
+            raise ValueError(f"'points' has shape {points.shape}, not (n, 5)")
+        alpha = float(doc["alpha"])
+        step = float(doc["step"])
+        termination = doc["termination"]
+    except KeyError as exc:
+        raise ParameterError(f"trajectory file {path} has no {exc} key") from None
+    except (ValueError, TypeError) as exc:
+        raise ParameterError(f"trajectory file {path} is malformed: {exc}") from None
+    if len(points) < 2:
+        raise ParameterError(f"trajectory file {path} has fewer than two states")
+    if not (math.isfinite(alpha) and math.isfinite(step) and step > 0.0):
+        raise ParameterError(
+            f"trajectory file {path} needs a finite alpha and a finite positive step"
+        )
+    states = np.ascontiguousarray(points[:, :4])
+    reject_first(
+        ~np.isfinite(states).all(axis=1),
+        lambda k: ParameterError(f"trajectory file {path} has a NaN or inf in state {k}"),
+    )
+    reject_first(
+        states[:, 2] <= 0.0,
+        lambda k: ParameterError(f"trajectory file {path} has y <= 0 in state {k}"),
+    )
+    if termination not in (TERM_SMAX, TERM_YMIN):
+        raise ParameterError(f"trajectory file {path} has unknown termination {termination!r}")
+    # dense_state finds a node from the uniform step: node k must sit at s0 + k*step
+    s = states[:, 0]
+    if not (np.diff(s) > 0.0).all():
+        raise ParameterError(f"trajectory file {path} has s values that do not increase")
+    reject_first(
+        ~(np.abs(s - (s[0] + np.arange(len(s)) * step)) <= UNIFORM_STEP_TOL * step),
+        lambda k: ParameterError(
+            f"trajectory file {path} is not sampled at its step {fmt(step)}: "
+            f"state {k} lies at s = {fmt(s[k])}"
+        ),
+    )
+    return Trajectory(alpha=alpha, states=states, step=step, termination=termination)

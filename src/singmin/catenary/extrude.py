@@ -31,7 +31,7 @@ def _hermite(p0, d0, p1, d1, h: float, t):
 def dense_state(traj: Trajectory, s):
     """Cubic-Hermite (x, y, theta) between stored states, with endpoint slopes
     taken from the vector field; ``s`` may be an array of arc lengths."""
-    nodes_s, nodes_x, nodes_y, nodes_th = traj.arrays
+    nodes_s, nodes_x, nodes_y, nodes_th = traj.states.T
     s = np.asarray(s, dtype=float)
     s0 = nodes_s[0]
     s1 = nodes_s[-1]

@@ -56,29 +56,27 @@ class CatenaryParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Integration output; states strictly increasing in s with uniform gaps."""
+    """Integration output: ``states`` rows are ``(s, x, y, theta)``, s rising by ``step``."""
 
     alpha: float
-    states: tuple[CatenaryState, ...]
+    states: np.ndarray
     step: float
     termination: str
 
+    def __post_init__(self):
+        # read-only: text_columns caches the text of the states
+        self.states.flags.writeable = False
+
     @property
     def s_range(self) -> tuple[float, float]:
-        return (self.states[0].s, self.states[-1].s)
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(s, x, y, theta)`` of the states as float arrays, built once."""
-        table = np.array([(st.s, st.x, st.y, st.theta) for st in self.states])
-        return tuple(table.T.copy())
+        return (float(self.states[0, 0]), float(self.states[-1, 0]))
 
     @cached_property
     def text_columns(self) -> list[np.ndarray]:
         """``fmt`` text of the ``s, x, y, theta, J`` columns, formatted once
         for both the CSV and the JSON writer."""
-        j = [first_integral(st, self.alpha) for st in self.states]
-        return format_columns(np.column_stack(self.arrays + (j,)))
+        j = [first_integral(y, theta, self.alpha) for y, theta in self.states[:, 2:].tolist()]
+        return format_columns(np.column_stack((self.states, j)))
 
 
 def _require_finite(record) -> None:
@@ -94,10 +92,10 @@ def rhs(state: CatenaryState, alpha: float) -> tuple[float, float, float]:
     return _f(state.x, state.y, state.theta, alpha)
 
 
-def first_integral(state: CatenaryState, alpha: float) -> float:
-    if state.y <= 0.0:
-        raise SingularBoundaryError(f"first integral needs y > 0, got {state.y:.6g}")
-    return state.y ** alpha * math.cos(state.theta)
+def first_integral(y: float, theta: float, alpha: float) -> float:
+    if y <= 0.0:
+        raise SingularBoundaryError(f"first integral needs y > 0, got {y:.6g}")
+    return y ** alpha * math.cos(theta)
 
 
 def _f(x: float, y: float, theta: float, alpha: float) -> tuple[float, float, float]:
@@ -120,9 +118,9 @@ def _rk4(x: float, y: float, th: float, h: float, alpha: float) -> tuple[float, 
 
 
 def _march(init: CatenaryState, params: CatenaryParams, sign: float):
-    """Fixed-step march in one direction; returns (states, hit_y_min)."""
+    """Fixed-step march in one direction; returns ((s, x, y, theta) rows, hit_y_min)."""
     n_steps = int(math.floor(params.smax / params.step + 1e-12))
-    out: list[CatenaryState] = []
+    out: list[tuple[float, float, float, float]] = []
     x, y, th = init.x, init.y, init.theta
     for i in range(1, n_steps + 1):
         try:
@@ -132,7 +130,7 @@ def _march(init: CatenaryState, params: CatenaryParams, sign: float):
         if y1 < params.y_min:
             return out, True
         x, y, th = x1, y1, th1
-        out.append(CatenaryState(s=init.s + sign * i * params.step, x=x, y=y, theta=th))
+        out.append((init.s + sign * i * params.step, x, y, th))
     return out, False
 
 
@@ -149,10 +147,10 @@ def integrate(init: CatenaryState, params: CatenaryParams) -> Trajectory:
         )
     fwd, hit_f = _march(init, params, +1.0)
     bwd, hit_b = _march(init, params, -1.0)
-    states = tuple(reversed(bwd)) + (init,) + tuple(fwd)
+    rows = bwd[::-1] + [(init.s, init.x, init.y, init.theta)] + fwd
     return Trajectory(
         alpha=params.alpha,
-        states=states,
+        states=np.array(rows, dtype=float),
         step=params.step,
         termination=TERM_YMIN if (hit_f or hit_b) else TERM_SMAX,
     )

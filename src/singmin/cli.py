@@ -17,12 +17,11 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .catenary import (
     CatenaryParams,
     CatenaryState,
     integrate,
+    load_trajectory_json,
     to_extrusion,
     trajectory_csv,
     trajectory_json,
@@ -45,9 +44,6 @@ from .surfaces import (
 from .surfaces.export import fmt
 
 PATCH_KINDS = ("plane", "sphere", "cylinder")
-# how far, in steps, a loaded trajectory's node may lie from s0 + k*step;
-# files the catenary command writes are within about 1e-12
-UNIFORM_STEP_TOL = 1e-6
 
 
 def _finite(text: str) -> float:
@@ -315,48 +311,9 @@ def cmd_catenary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_trajectory(path: Path):
-    from .catenary import CatenaryState, Trajectory
-
-    if not path.exists():
-        raise ParameterError(f"trajectory file {path} does not exist")
-    try:
-        doc = json.loads(path.read_text())
-        states = tuple(
-            CatenaryState(s=float(s), x=float(x), y=float(y), theta=float(th))
-            for s, x, y, th, _ in doc["points"]
-        )
-        alpha = float(doc["alpha"])
-        step = float(doc["step"])
-        termination = doc["termination"]
-    except KeyError as exc:
-        raise ParameterError(f"trajectory file {path} has no {exc} key") from None
-    except (ValueError, TypeError) as exc:
-        raise ParameterError(f"trajectory file {path} is malformed: {exc}") from None
-    if len(states) < 2:
-        raise ParameterError(f"trajectory file {path} has fewer than two states")
-    if not (math.isfinite(alpha) and math.isfinite(step) and step > 0.0):
-        raise ParameterError(
-            f"trajectory file {path} needs a finite alpha and a finite positive step"
-        )
-    traj = Trajectory(alpha=alpha, states=states, step=step, termination=termination)
-    # dense_state finds a node from the uniform step: node k must sit at s0 + k*step
-    s = traj.arrays[0]
-    if not (np.diff(s) > 0.0).all():
-        raise ParameterError(f"trajectory file {path} has s values that do not increase")
-    off_grid = ~(np.abs(s - (s[0] + np.arange(len(s)) * step)) <= UNIFORM_STEP_TOL * step)
-    if off_grid.any():
-        k = int(np.argmax(off_grid))
-        raise ParameterError(
-            f"trajectory file {path} is not sampled at its step {fmt(step)}: "
-            f"state {k} lies at s = {fmt(s[k])}"
-        )
-    return traj
-
-
 def cmd_extrude(args: argparse.Namespace) -> int:
     if args.traj is not None:
-        traj = _load_trajectory(args.traj)
+        traj = load_trajectory_json(args.traj)
         if args.alpha is None:
             args.alpha = traj.alpha
     else:

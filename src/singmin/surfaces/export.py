@@ -40,13 +40,15 @@ def format_columns(table) -> list[np.ndarray]:
     return columns
 
 
-def format_rows(columns: list[np.ndarray], sep: str = ",", prefix: str = "") -> str:
-    """One line per row: ``prefix``, then the row's cells joined by ``sep``."""
+def format_rows(
+    columns: list[np.ndarray], sep: str = ",", prefix: str = "", end: str = "\n"
+) -> str:
+    """Each row as ``prefix``, then its cells joined by ``sep``, then ``end``."""
     n = len(columns[0])
     blocks = []
     for start in range(0, n, ROW_BLOCK):
         rows = zip(*(c[start:start + ROW_BLOCK].tolist() for c in columns))
-        blocks.append("".join([prefix + sep.join(row) + "\n" for row in rows]))
+        blocks.append("".join([prefix + sep.join(row) + end for row in rows]))
     return "".join(blocks)
 
 

@@ -1,6 +1,7 @@
 """Generating-curve integration: closed forms, invariants, cutoffs."""
 import math
 
+import numpy as np
 import pytest
 
 from singmin.catenary import (
@@ -14,6 +15,12 @@ from singmin.catenary import (
     trajectory_csv,
 )
 from singmin.errors import ParameterError, SingularBoundaryError
+
+
+def first_integrals(traj, alpha):
+    """J of every state, by the one formula ``first_integral``."""
+    _, _, y, theta = traj.states.T.tolist()
+    return [first_integral(yk, tk, alpha) for yk, tk in zip(y, theta)]
 
 
 class TestVectorField:
@@ -81,33 +88,35 @@ class TestClosedForms:
             CatenaryState(0, 0, 1, 0), CatenaryParams(alpha=1.0, step=1e-3, smax=2.0)
         )
         assert traj.termination == TERM_SMAX
-        assert max(abs(st.y - math.cosh(st.x)) for st in traj.states) < 1e-8
+        _, x, y, _ = traj.states.T
+        assert np.max(np.abs(y - np.cosh(x))) < 1e-8
 
     def test_circle_stays_on_circle(self):
         traj = integrate(
             CatenaryState(0, 0, 1, 0), CatenaryParams(alpha=-1.0, step=1e-3, smax=2.0)
         )
-        assert max(abs(st.x ** 2 + st.y ** 2 - 1.0) for st in traj.states) < 1e-8
+        _, x, y, _ = traj.states.T
+        assert np.max(np.abs(x ** 2 + y ** 2 - 1.0)) < 1e-8
 
     def test_first_integral_on_catenary(self):
         traj = integrate(
             CatenaryState(0, 0, 1, 0), CatenaryParams(alpha=1.0, step=1e-3, smax=2.0)
         )
-        assert max(abs(first_integral(st, 1.0) - 1.0) for st in traj.states) < 1e-10
+        assert max(abs(j - 1.0) for j in first_integrals(traj, 1.0)) < 1e-10
 
     def test_first_integral_on_circle_away_from_plane(self):
         traj = integrate(
             CatenaryState(0, 0, 1, 0),
             CatenaryParams(alpha=-1.0, step=1e-3, smax=2.0, y_min=0.1),
         )
-        assert max(abs(first_integral(st, -1.0) - 1.0) for st in traj.states) < 1e-10
+        assert max(abs(j - 1.0) for j in first_integrals(traj, -1.0)) < 1e-10
 
     def test_vertical_line_first_integral_vanishes(self):
         traj = integrate(
             CatenaryState(0, 0, 1, math.pi / 2),
             CatenaryParams(alpha=1.0, step=1e-2, smax=1.0),
         )
-        assert max(abs(first_integral(st, 1.0)) for st in traj.states) < 1e-12
+        assert max(abs(j) for j in first_integrals(traj, 1.0)) < 1e-12
 
 
 class TestIntegratorStructure:
@@ -115,11 +124,20 @@ class TestIntegratorStructure:
         traj = integrate(
             CatenaryState(0, 0, 1, 0), CatenaryParams(alpha=1.0, step=1e-2, smax=0.5)
         )
-        ss = [st.s for st in traj.states]
-        assert ss == sorted(ss)
-        gaps = [b - a for a, b in zip(ss, ss[1:])]
-        assert all(abs(g - 1e-2) < 1e-12 for g in gaps)
+        gaps = np.diff(traj.states[:, 0])
+        assert (gaps >= 0.0).all()
+        assert (np.abs(gaps - 1e-2) < 1e-12).all()
         assert len(traj.states) == 101
+
+    def test_states_are_one_float_array(self):
+        traj = integrate(
+            CatenaryState(0, 0, 1, 0), CatenaryParams(alpha=1.0, step=1e-2, smax=0.5)
+        )
+        assert isinstance(traj.states, np.ndarray)
+        assert traj.states.shape == (101, 4) and traj.states.dtype == np.float64
+        assert traj.states.flags.c_contiguous and not traj.states.flags.writeable
+        assert traj.states[50].tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert traj.s_range == (-0.5, 0.5)
 
     def test_cutoff_at_y_min(self):
         traj = integrate(
@@ -127,7 +145,7 @@ class TestIntegratorStructure:
             CatenaryParams(alpha=-2.0, step=1e-3, smax=2.0, y_min=0.1),
         )
         assert traj.termination == TERM_YMIN
-        assert min(st.y for st in traj.states) >= 0.1
+        assert traj.states[:, 2].min() >= 0.1
 
     def test_step_halving_fourth_order(self):
         def err(alpha, step, closed):
@@ -135,11 +153,12 @@ class TestIntegratorStructure:
                 CatenaryState(0, 0, 1, 0),
                 CatenaryParams(alpha=alpha, step=step, smax=2.0, y_min=0.1),
             )
-            return max(abs(closed(st)) for st in traj.states)
+            _, x, y, _ = traj.states.T
+            return np.max(np.abs(closed(x, y)))
 
         for alpha, closed in (
-            (1.0, lambda st: st.y - math.cosh(st.x)),
-            (-1.0, lambda st: st.x ** 2 + st.y ** 2 - 1.0),
+            (1.0, lambda x, y: y - np.cosh(x)),
+            (-1.0, lambda x, y: x ** 2 + y ** 2 - 1.0),
         ):
             ratio = err(alpha, 0.04, closed) / err(alpha, 0.02, closed)
             assert 12.0 <= ratio <= 20.0
@@ -149,19 +168,20 @@ class TestIntegratorStructure:
             CatenaryState(0, 0, 1, 0), CatenaryParams(alpha=1.0, step=1e-3, smax=1.0)
         )
         mid = len(traj.states) // 2
-        assert traj.states[mid].x == 0.0
-        for i in range(1, mid + 1):
-            fwd, bwd = traj.states[mid + i], traj.states[mid - i]
-            assert abs(fwd.x + bwd.x) < 1e-12
-            assert abs(fwd.y - bwd.y) < 1e-12
-            assert abs(fwd.theta + bwd.theta) < 1e-12
+        _, x, y, theta = traj.states.T
+        assert x[mid] == 0.0
+        # fwd[i - 1] and bwd[i - 1] are the states i steps either side of mid
+        fwd, bwd = slice(mid + 1, None), slice(mid - 1, None, -1)
+        assert (np.abs(x[fwd] + x[bwd]) < 1e-12).all()
+        assert (np.abs(y[fwd] - y[bwd]) < 1e-12).all()
+        assert (np.abs(theta[fwd] + theta[bwd]) < 1e-12).all()
 
     def test_discrete_curvature_matches_field(self):
         step = 1e-3
         traj = integrate(
             CatenaryState(0, 0, 1, 0), CatenaryParams(alpha=1.0, step=step, smax=0.5)
         )
-        sts = traj.states
+        _, x, y, theta = traj.states.T.tolist()
 
         def circum_kappa(p0, p1, p2):
             ax, ay = p1[0] - p0[0], p1[1] - p0[1]
@@ -175,14 +195,10 @@ class TestIntegratorStructure:
 
         worst = max(
             abs(
-                circum_kappa(
-                    (sts[i - 1].x, sts[i - 1].y),
-                    (sts[i].x, sts[i].y),
-                    (sts[i + 1].x, sts[i + 1].y),
-                )
-                - abs(math.cos(sts[i].theta) / sts[i].y)
+                circum_kappa((x[i - 1], y[i - 1]), (x[i], y[i]), (x[i + 1], y[i + 1]))
+                - abs(math.cos(theta[i]) / y[i])
             )
-            for i in range(1, len(sts) - 1)
+            for i in range(1, len(x) - 1)
         )
         assert worst < 10.0 * step ** 2
 

@@ -213,6 +213,12 @@ def test_catenary_non_finite_input_is_usage_error(tmp_path, capsys, args):
     assert not (tmp_path / "t.json").exists()
 
 
+def _points(*rows, termination="reached-smax") -> str:
+    """A trajectory file whose states are ``rows`` of (s, x, y, theta), each with J = 1."""
+    return json.dumps({"alpha": "1", "step": "0.01", "termination": termination,
+                       "points": [[*row, "1"] for row in rows]})
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -224,8 +230,18 @@ def test_catenary_non_finite_input_is_usage_error(tmp_path, capsys, args):
          ' "termination": "reached-smax"}', "no 'step' key"),
         ('{"points": [[0, 0, 1, 0], [0.01, 0.01, 1, 0]], "alpha": "1", "step": "0.01",'
          ' "termination": "reached-smax"}', "is malformed"),
+        (_points(("0", "0", "1", "0"), ("0.01", "nan", "1", "0")), "NaN or inf in state 1"),
+        (_points(("0", "0", "1", "inf"), ("0.01", "0.01", "1", "0")), "NaN or inf in state 0"),
+        (_points(("0", "0", "1", "0"), ("0.01", None, "1", "0")), "NaN or inf in state 1"),
+        (_points(("0", "0", "1", "0"), ("0.01", "0.01", "-0.5", "0")), "y <= 0 in state 1"),
+        (_points(("0", "0", "0", "0"), ("0.01", "0.01", "1", "0")), "y <= 0 in state 0"),
+        (_points(("0", "0", "1", "0"), ("0.01", "0.01", "1", "0"), termination="gave-up"),
+         "unknown termination 'gave-up'"),
+        (_points(("0", "0", "1", "0"), ("0.01", "0.01", "1", "0"), termination=None),
+         "unknown termination None"),
     ],
-    ids=["bad-json", "no-points", "no-alpha", "no-step", "short-row"],
+    ids=["bad-json", "no-points", "no-alpha", "no-step", "short-row", "nan-x", "inf-theta",
+         "null-x", "negative-y", "zero-y", "unknown-termination", "null-termination"],
 )
 def test_extrude_malformed_trajectory_is_usage_error(tmp_path, capsys, text, message):
     traj = tmp_path / "t.json"
@@ -316,6 +332,29 @@ def test_curvature_non_positive_step_is_usage_error(tmp_path, capsys, h):
     err = capsys.readouterr().err
     assert err.startswith("error: finite-difference step must be positive") and err.count("\n") == 1
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize(
+    "curve,termination",
+    [
+        (["--alpha", "1.3", "--y0", "1", "--smax", "2"], "reached-smax"),
+        (["--alpha", "-1.5", "--y0", "0.7", "--smax", "10"], "hit-y-min"),
+    ],
+)
+def test_extrude_from_a_written_trajectory_matches_inline(tmp_path, monkeypatch, capsys,
+                                                          curve, termination):
+    monkeypatch.chdir(tmp_path)
+    curve = [*curve, "--step", "1e-3"]
+    grid = ["--nu", "40", "--nv", "5"]
+    assert run(["catenary", *curve, "--out", "t"]) == 0
+    capsys.readouterr()
+    assert run(["extrude", "--traj", "t.json", *grid, "--out", "a"]) == 0
+    from_file = capsys.readouterr()
+    assert run(["extrude", *curve, *grid, "--out", "b"]) == 0
+    assert capsys.readouterr() == from_file
+    assert from_file.out.endswith(f" {termination}\n") and from_file.err == ""
+    for ext in (".obj", ".csv", ".json"):
+        assert (tmp_path / f"a{ext}").read_bytes() == (tmp_path / f"b{ext}").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from singmin.catenary import (
     CatenaryState,
     first_integral,
     integrate,
+    load_trajectory_json,
     to_extrusion,
     trajectory_csv,
     trajectory_json,
@@ -89,10 +90,10 @@ def reference_obj(patch, nu, nv) -> str:
     return "\n".join(out) + "\n"
 
 
-def trajectory(alpha, y0, smax):
+def trajectory(alpha, y0, smax, step=1e-2):
     return integrate(
         CatenaryState(s=0.0, x=0.0, y=y0, theta=0.0),
-        CatenaryParams(alpha=alpha, step=1e-2, smax=smax),
+        CatenaryParams(alpha=alpha, step=step, smax=smax),
     )
 
 
@@ -127,15 +128,22 @@ def test_surface_writers_match_cell_by_cell(name):
 
 
 @pytest.mark.parametrize(
-    "alpha,y0,smax,termination",
-    [(1.0, 1.0, 1.0, TERM_SMAX), (-1.5, 0.7, 10.0, TERM_YMIN)],
+    "alpha,y0,smax,step,termination,n_states",
+    [
+        (1.0, 1.0, 1.0, 1e-2, TERM_SMAX, 201),
+        (-1.5, 0.7, 10.0, 1e-2, TERM_YMIN, 197),
+        (1.3, 1.0, 5e-3, 1e-2, TERM_SMAX, 1),  # smax below step
+        (1.0, 1.0, 3.0, 1e-3, TERM_SMAX, 6001),  # more than one ROW_BLOCK
+    ],
+    ids=["1.0-1.0-1.0-reached-smax", "-1.5-0.7-10.0-hit-y-min", "one-state", "rows-past-a-block"],
 )
-def test_trajectory_writers_match_cell_by_cell(alpha, y0, smax, termination):
-    traj = trajectory(alpha, y0, smax)
+def test_trajectory_writers_match_cell_by_cell(alpha, y0, smax, step, termination, n_states):
+    traj = trajectory(alpha, y0, smax, step)
     assert traj.termination == termination
+    assert len(traj.states) == n_states
     rows = [
-        [fmt(v) for v in (state.s, state.x, state.y, state.theta, first_integral(state, alpha))]
-        for state in traj.states
+        [fmt(v) for v in (s, x, y, theta, first_integral(y, theta, alpha))]
+        for s, x, y, theta in traj.states.tolist()
     ]
     assert trajectory_csv(traj) == ",".join(TRAJECTORY_CSV_COLUMNS) + "\n" + lines(rows)
     doc = {
@@ -147,3 +155,14 @@ def test_trajectory_writers_match_cell_by_cell(alpha, y0, smax, termination):
         "points": rows,
     }
     assert trajectory_json(traj) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("alpha,y0,smax", [(1.3, 1.0, 2.0), (-1.5, 0.7, 10.0)])
+def test_trajectory_json_reads_back_every_bit(tmp_path, alpha, y0, smax):
+    traj = trajectory(alpha, y0, smax, 1e-3)
+    path = tmp_path / "t.json"
+    path.write_text(trajectory_json(traj))
+    back = load_trajectory_json(path)
+    assert back.states.view(np.int64).tolist() == traj.states.view(np.int64).tolist()
+    assert (back.alpha, back.step, back.termination) == (alpha, traj.step, traj.termination)
+    assert back.states.flags.c_contiguous and not back.states.flags.writeable
