@@ -6,7 +6,9 @@ table plus finite-difference cross-check), ``catenary`` (integrate a
 generating curve), ``extrude`` (build and export a cylindrical surface).
 
 Exit codes: 0 success / all checks pass, 1 assertion failure, 2 usage or
-parameter error.  Outputs are byte-deterministic for fixed inputs.
+parameter error.  Grid commands skip and count rejected samples and judge
+the valid ones; a grid with no valid sample exits 2.  Outputs are
+byte-deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -31,15 +33,14 @@ from .proofs import THEOREMS, reports_to_json, run_all
 from .surfaces import (
     builtin_patch,
     curvature_csv,
-    curvature_sample,
     default_residual_tol,
     fd_jet_oracle,
     grid_csv,
     grid_json,
     grid_report,
-    in_sample_order,
     jet_deviation,
     obj_mesh,
+    valid_curvature,
 )
 from .surfaces.export import fmt
 
@@ -259,33 +260,29 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     if h <= 0.0:
         raise ParameterError(f"finite-difference step must be positive, got {h}")
 
-    def evaluate(u, v):
-        sample = curvature_sample(patch.jet(u, v))
-        fits = (
-            patch.contains(u - h, v - h)
-            & patch.contains(u + h, v + h)
-            & patch.contains(u + h, v - h)
-            & patch.contains(u - h, v + h)
-        )
-        max_dev = None
-        if fits.any():
-            u, v = u[fits], v[fits]
-            max_dev = jet_deviation(fd_jet_oracle(patch, u, v, h), patch.jet(u, v))
-        return sample, max_dev
-
     u, v = patch.grid(args.nu, args.nv)
-    s, max_dev = in_sample_order(evaluate, u, v)
-    if max_dev is None:
+    jet = patch.jet(u, v)
+    keep, s, _, rejected = valid_curvature(jet)
+    fits = (
+        keep
+        & patch.contains(u - h, v - h)
+        & patch.contains(u + h, v + h)
+        & patch.contains(u + h, v - h)
+        & patch.contains(u - h, v + h)
+    )
+    if not fits.any():
         raise ParameterError(
             f"no sample's finite-difference stencil at h={fmt(h)} fits inside the patch domain"
         )
-    _write(args.out.with_suffix(".csv"), curvature_csv(u, v, s))
+    max_dev = jet_deviation(fd_jet_oracle(patch, u[fits], v[fits], h), jet[fits])
+    _write(args.out.with_suffix(".csv"), curvature_csv(u[keep], v[keep], s))
     summary = {
         "schema_version": 1,
         "patch": patch.name,
         "fd_h": fmt(h),
         "fd_max_deviation": fmt(max_dev),
         "grid": [args.nu, args.nv],
+        "rejected_samples": rejected,
     }
     _write(args.out.with_suffix(".json"), json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"{patch.name}: fd max deviation {fmt(max_dev)} at h={fmt(h)}")

@@ -10,13 +10,5 @@ class HalfspaceViolation(ParameterError):
     """A point left the open halfspace above the singular plane."""
 
 
-class DegenerateMetricError(ParameterError):
-    """The first fundamental form degenerated (immersion condition failed)."""
-
-
-class CurvatureConsistencyError(ParameterError):
-    """H^2 - 4K fell below the numeric tolerance; the sample is inconsistent."""
-
-
 class SingularBoundaryError(ParameterError):
     """The generating curve reached the singular plane (y <= 0)."""

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CurvatureConsistencyError, DegenerateMetricError, ParameterError
+from ..errors import HalfspaceViolation, ParameterError
 
 METRIC_DEGENERACY_REL = 1e-14
 UMBILIC_CLAMP = -1e-10
+#: why a sample inside the halfspace is rejected, in the order of the checks
+REJECTION_REASONS = ("degenerate_metric", "inconsistent_curvature")
 
 
 def dot(a, b):
@@ -43,39 +45,19 @@ def reject_first(bad, error) -> None:
         raise error(int(np.argmax(flat)))
 
 
-def in_sample_order(evaluate, u, v):
-    """``evaluate(u, v)`` over flat sample arrays, failing as a row-major,
-    point-by-point loop would.
+class _Batch:
+    """Indexing with a batch index selects those samples from every field."""
 
-    The layers run each check over the whole batch before the next check,
-    so the sample a batch is rejected for can come after one that only a
-    later check rejects.  On failure a bisection finds the shortest failing
-    prefix: all its samples but the last pass, so its error is the one the
-    loop would have met first.  The checks are per sample, so a prefix fails
-    exactly when it holds a bad sample.
-    """
-    try:
-        return evaluate(u, v)
-    except ParameterError:
-        good, bad = 0, len(u)
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            try:
-                evaluate(u[:mid], v[:mid])
-                good = mid
-            except ParameterError:
-                bad = mid
-        evaluate(u[:bad], v[:bad])
-        raise
+    def __getitem__(self, index):
+        return type(self)(**{name: value[index] for name, value in vars(self).items()})
 
 
 @dataclass(frozen=True)
-class Jet2Vec3:
+class Jet2Vec3(_Batch):
     """Position and the first/second partials of an immersion, each a
     ``(..., 3)`` array over one batch shape.
 
     ``duv`` is the single mixed partial (smooth patches, symmetric seconds).
-    Indexing with a batch index selects samples.
     """
 
     value: np.ndarray
@@ -85,19 +67,9 @@ class Jet2Vec3:
     duv: np.ndarray
     dvv: np.ndarray
 
-    def __getitem__(self, index) -> "Jet2Vec3":
-        return Jet2Vec3(
-            self.value[index],
-            self.du[index],
-            self.dv[index],
-            self.duu[index],
-            self.duv[index],
-            self.dvv[index],
-        )
-
 
 @dataclass(frozen=True)
-class FundamentalForms:
+class FundamentalForms(_Batch):
     """First and second fundamental form coefficients plus the unit normal."""
 
     point: np.ndarray
@@ -120,28 +92,38 @@ class CurvatureSample(FundamentalForms):
     k2: np.ndarray
 
 
-def fundamental_forms(jet: Jet2Vec3) -> FundamentalForms:
+def degenerate_metric(jet: Jet2Vec3):
+    """Flags the samples where the patch is not immersed:
+    ``|du x dv|^2 <= METRIC_DEGENERACY_REL * (E + G)^2``.
+
+    The cross product is used rather than ``EG - F^2``, which loses a small
+    determinant to cancellation.
+    """
     du, dv = jet.du, jet.dv
-    E = dot(du, du)
-    F = dot(du, dv)
-    G = dot(dv, dv)
-    det = E * G - F * F
-    bound = METRIC_DEGENERACY_REL * (E + G) ** 2
-    reject_first(
-        det <= bound,
-        lambda i: DegenerateMetricError(
-            f"metric determinant {np.ravel(det)[i]:.3e} is degenerate "
-            f"(E+G={np.ravel(E + G)[i]:.3e})"
-        ),
-    )
+    cross = np.cross(du, dv)
+    scale = dot(du, du) + dot(dv, dv)
+    return dot(cross, cross) <= METRIC_DEGENERACY_REL * scale * scale
+
+
+def inconsistent_curvature(sample: CurvatureSample):
+    """Flags the samples whose ``H^2 - 4K`` is negative beyond the rounding
+    that ``shape_data`` clamps at umbilic points."""
+    H, K = sample.H, sample.K
+    scale = np.maximum(np.maximum(H * H, np.abs(4.0 * K)), 1.0)
+    return H * H - 4.0 * K < UMBILIC_CLAMP * scale
+
+
+def fundamental_forms(jet: Jet2Vec3) -> FundamentalForms:
+    """Forms of immersed samples; ``degenerate_metric`` flags the others."""
+    du, dv = jet.du, jet.dv
     cross = np.cross(du, dv)
     normal = cross / np.sqrt(dot(cross, cross))[..., None]
     return FundamentalForms(
         point=jet.value,
         normal=normal,
-        E=E,
-        F=F,
-        G=G,
+        E=dot(du, du),
+        F=dot(du, dv),
+        G=dot(dv, dv),
         L=dot(jet.duu, normal),
         M=dot(jet.duv, normal),
         N=dot(jet.dvv, normal),
@@ -150,19 +132,12 @@ def fundamental_forms(jet: Jet2Vec3) -> FundamentalForms:
 
 def shape_data(forms: FundamentalForms) -> CurvatureSample:
     """Curvatures from the fundamental forms; clamps the tiny negative
-    discriminants produced by umbilic points."""
+    discriminants produced by umbilic points (``inconsistent_curvature``
+    flags the larger ones)."""
     det = forms.E * forms.G - forms.F * forms.F
     K = (forms.L * forms.N - forms.M * forms.M) / det
     H = (forms.G * forms.L - 2.0 * forms.F * forms.M + forms.E * forms.N) / det
-    disc = H * H - 4.0 * K
-    scale = np.maximum(np.maximum(H * H, np.abs(4.0 * K)), 1.0)
-    reject_first(
-        disc < UMBILIC_CLAMP * scale,
-        lambda i: CurvatureConsistencyError(
-            f"H^2-4K = {np.ravel(disc)[i]:.3e} is negative beyond tolerance"
-        ),
-    )
-    root = np.sqrt(np.maximum(disc, 0.0))
+    root = np.sqrt(np.maximum(H * H - 4.0 * K, 0.0))
     k1 = 0.5 * (H + root)
     k2 = 0.5 * (H - root)
     return CurvatureSample(**vars(forms), H=H, K=K, k1=k1, k2=k2)
@@ -170,3 +145,32 @@ def shape_data(forms: FundamentalForms) -> CurvatureSample:
 
 def curvature_sample(jet: Jet2Vec3) -> CurvatureSample:
     return shape_data(fundamental_forms(jet))
+
+
+def valid_curvature(jet: Jet2Vec3, a=None):
+    """Curvature of the valid samples of a flat batch; the others are skipped
+    and counted, and nothing more is computed on them.
+
+    The checks run in order, each over the whole batch: with a direction
+    ``a``, a positive height ``<x, a>`` (a NaN height passes), then
+    ``degenerate_metric``, then ``inconsistent_curvature`` on the curvature.
+    Returns the mask of valid samples, their curvature, the number of
+    halfspace violations and the count for each of ``REJECTION_REASONS``.
+    When no sample is valid, raises with every count on one line, as a
+    ``HalfspaceViolation`` if all are outside the halfspace.
+    """
+    outside = np.zeros(len(jet.value), dtype=bool) if a is None else dot(jet.value, a) <= 0.0
+    degenerate = degenerate_metric(jet) & ~outside
+    keep = ~(outside | degenerate)
+    sample = curvature_sample(jet if keep.all() else jet[keep])
+    inconsistent = inconsistent_curvature(sample)
+    if inconsistent.any():
+        keep[keep] = ~inconsistent
+        sample = sample[~inconsistent]
+    counts = [int(np.count_nonzero(flags)) for flags in (outside, degenerate, inconsistent)]
+    if not keep.any():
+        error = HalfspaceViolation if counts[0] == len(keep) else ParameterError
+        names = ("halfspace_violations",) + REJECTION_REASONS
+        raise error(f"no valid sample among {len(keep)}: "
+                    + ", ".join(f"{name}={n}" for name, n in zip(names, counts)))
+    return keep, sample, counts[0], dict(zip(REJECTION_REASONS, counts[1:]))

@@ -6,8 +6,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import DegenerateMetricError, ParameterError
-from .jets import Jet2Vec3, dot, reject_first
+from ..errors import HalfspaceViolation, ParameterError
+from .jets import Jet2Vec3
 
 UNIT_TOL = 1e-9
 
@@ -52,8 +52,9 @@ class SurfacePatch:
     """A named parametric patch over a rectangle, producing exact jets.
 
     The evaluator takes broadcastable ``u, v`` arrays and returns a jet whose
-    fields have shape ``broadcast(u, v).shape + (3,)``.  It must describe an
-    immersion on its domain; degenerate points raise when the jet is taken.
+    fields have shape ``broadcast(u, v).shape + (3,)``.  It should describe an
+    immersion on its domain; ``jets.degenerate_metric`` flags the samples
+    where it does not, and grid evaluations skip them.
     """
 
     name: str
@@ -63,20 +64,7 @@ class SurfacePatch:
     metadata: dict = field(default_factory=dict)
 
     def jet(self, u, v) -> Jet2Vec3:
-        jet = self.evaluator(u, v)
-        du, dv = jet.du, jet.dv
-        cross = np.cross(du, dv)
-        n2 = dot(cross, cross)
-        ee = dot(du, du) + dot(dv, dv)
-        us, vs = broadcast_uv(u, v)
-        reject_first(
-            n2 <= 1e-14 * ee * ee,
-            lambda i: DegenerateMetricError(
-                f"patch {self.name!r} is not immersed at (u, v) = "
-                f"({us.flat[i]:.6g}, {vs.flat[i]:.6g})"
-            ),
-        )
-        return jet
+        return self.evaluator(u, v)
 
     def position(self, u, v) -> np.ndarray:
         return self.evaluator(u, v).value
@@ -92,6 +80,8 @@ class SurfacePatch:
     def grid(self, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat ``(u, v)`` arrays of the uniform (nu x nv) grid over the
         domain, row-major: u varies slowest."""
+        if nu < 2 or nv < 2:
+            raise HalfspaceViolation(f"grid dimensions must be >= 2, got {nu}x{nv}")
         us = np.linspace(self.u_range[0], self.u_range[1], nu)
         vs = np.linspace(self.v_range[0], self.v_range[1], nv)
         return np.repeat(us, nv), np.tile(vs, nu)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import HalfspaceViolation
-from .jets import CurvatureSample, curvature_sample, dot, in_sample_order, reject_first
+from .jets import CurvatureSample, dot, reject_first, valid_curvature
 from .patches import SurfacePatch, unit_vec
 
 #: default pass thresholds for max |residual|
@@ -55,6 +55,8 @@ class GridReport:
     min_H: float
     max_H: float
     halfspace_violations: int
+    #: rejected samples inside the halfspace, by ``jets.REJECTION_REASONS``
+    rejected_samples: dict[str, int]
     #: one row per valid sample, row-major, in ``GRID_CSV_COLUMNS`` order
     samples: np.ndarray = field(repr=False, compare=False)
 
@@ -72,6 +74,7 @@ class GridReport:
             "min_H": self.min_H,
             "max_H": self.max_H,
             "halfspace_violations": self.halfspace_violations,
+            "rejected_samples": dict(self.rejected_samples),
             "valid_samples": len(self.samples),
         }
 
@@ -81,30 +84,16 @@ def grid_report(
 ) -> GridReport:
     """Evaluate the residual on a uniform (nu x nv) grid over the domain.
 
-    Samples outside the halfspace are skipped and counted; statistics cover
-    valid samples only.  A degenerate sample aborts the grid with the error
-    a row-major, point-by-point traversal would meet first.
+    Samples that ``valid_curvature`` rejects are skipped and counted by
+    reason; statistics cover valid samples only.
     """
-    if nu < 2 or nv < 2:
-        raise HalfspaceViolation(f"grid dimensions must be >= 2, got {nu}x{nv}")
-    unit = unit_vec(a, "a")
-
-    def evaluate(u: np.ndarray, v: np.ndarray):
-        jet = patch.jet(u, v)
-        inside = ~(dot(jet.value, unit) <= 0.0)  # a NaN height is not skipped
-        sample = curvature_sample(jet[inside])
-        res = smr_residual(sample, sample.point, alpha, a)
-        return inside, sample, res
-
     u, v = patch.grid(nu, nv)
-    inside, sample, res = in_sample_order(evaluate, u, v)
-    if not inside.any():
-        raise HalfspaceViolation(
-            f"all {nu * nv} grid samples violate the halfspace assumption"
-        )
+    unit = unit_vec(a, "a")
+    keep, sample, violations, rejected = valid_curvature(patch.jet(u, v), unit)
+    res = smr_residual(sample, sample.point, alpha, a)
     abs_res = np.abs(res)
     rows = np.column_stack(
-        (u[inside], v[inside], sample.point, sample.H, sample.K, sample.k1, sample.k2, res)
+        (u[keep], v[keep], sample.point, sample.H, sample.K, sample.k1, sample.k2, res)
     )
     return GridReport(
         patch=patch.name,
@@ -118,6 +107,7 @@ def grid_report(
         max_K=float(sample.K.max()),
         min_H=float(sample.H.min()),
         max_H=float(sample.H.max()),
-        halfspace_violations=int(np.count_nonzero(~inside)),
+        halfspace_violations=violations,
+        rejected_samples=rejected,
         samples=rows,
     )

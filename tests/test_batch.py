@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from singmin.catenary import CatenaryParams, CatenaryState, integrate, to_extrusion
-from singmin.errors import DegenerateMetricError
+from singmin.errors import HalfspaceViolation, ParameterError
 from singmin.surfaces import (
     GRID_CSV_COLUMNS,
     Jet2Vec3,
     SurfacePatch,
     curvature_sample,
     cylinder_patch,
+    degenerate_metric,
+    dot,
     grid_report,
+    inconsistent_curvature,
     plane_patch,
     smr_residual,
     sphere_patch,
@@ -39,6 +42,17 @@ PATCHES = {
 }
 
 
+def _rows_of_single_points(patch, alpha, u, v):
+    """Grid rows computed one point at a time."""
+    rows = []
+    for uk, vk in zip(u, v):
+        one = curvature_sample(patch.jet(uk, vk))
+        expect = (uk, vk, *one.point, one.H, one.K, one.k1, one.k2,
+                  smr_residual(one, one.point, alpha, A))
+        rows.append([float(x) for x in expect])
+    return rows
+
+
 @pytest.mark.parametrize("kind", sorted(PATCHES))
 def test_batch_equals_loop_of_single_points(kind):
     patch = PATCHES[kind]()
@@ -60,51 +74,94 @@ def test_batch_equals_loop_of_single_points(kind):
 
     rows = grid_report(patch, alpha, A, 17, 9).samples
     assert rows.shape == (17 * 9, len(GRID_CSV_COLUMNS))
-    for k, row in enumerate(rows):
-        one = curvature_sample(patch.jet(u[k], v[k]))
-        expect = (u[k], v[k], *one.point, one.H, one.K, one.k1, one.k2,
-                  smr_residual(one, one.point, alpha, A))
-        assert row.tolist() == [float(x) for x in expect]
+    assert rows.tolist() == _rows_of_single_points(patch, alpha, u, v)
 
 
-def test_non_immersed_sample_aborts_the_grid():
+def test_non_immersed_samples_are_skipped_and_counted():
     # the last latitude row sits on the pole, where the chart degenerates
     patch = sphere_patch(r=1.0, lat_range=(0.5, np.pi / 2))
-    with pytest.raises(DegenerateMetricError) as exc:
-        grid_report(patch, -2.0, A, 5, 4)
-    assert str(exc.value) == "patch 'sphere' is not immersed at (u, v) = (1.5708, 0)"
+    u, v = patch.grid(5, 4)
+    assert degenerate_metric(patch.jet(u, v)).tolist() == [False] * 16 + [True] * 4
+    rep = grid_report(patch, -2.0, A, 5, 4)
+    assert rep.rejected_samples == {"degenerate_metric": 4, "inconsistent_curvature": 0}
+    assert rep.halfspace_violations == 0
+    assert rep.to_dict()["valid_samples"] == 16
+    assert rep.samples.tolist() == _rows_of_single_points(patch, -2.0, u[:16], v[:16])
 
 
-def _shear_patch():
-    """dv = (1, d, 0) against du = (1, 0, 0): row u = 0.5 is immersed but its
-    metric is numerically degenerate; row u = 1 is not immersed at all."""
+def _shear_patch(d_mid, lam=0.0):
+    """dv = (1, d, 0) against du = (1, 0, 0), with d = 1 on row u = 0,
+    ``d_mid`` on row u = 0.5 and 0 on row u = 1, where the patch is not
+    immersed.  The second fundamental form is ``lam`` times the first, so
+    every sample is umbilic."""
 
     def ev(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        d = np.where(u == 0.5, 2.0000005e-07, np.where(u == 1.0, 0.0, 1.0))
+        d = np.where(u == 0.5, d_mid, np.where(u == 1.0, 0.0, 1.0))
         one, zero = np.ones_like(d), np.zeros_like(d)
-        flat = np.stack([zero, zero, zero], axis=-1)
+        du = np.stack([one, zero, zero], axis=-1)
+        dv = np.stack([one, d, zero], axis=-1)
+
+        def normal_part(coef):
+            return np.stack([zero, zero, lam * coef], axis=-1)
+
         return Jet2Vec3(
             value=np.stack([u + v, d * v, one], axis=-1),
-            du=np.stack([one, zero, zero], axis=-1),
-            dv=np.stack([one, d, zero], axis=-1),
-            duu=flat,
-            duv=flat,
-            dvv=flat,
+            du=du,
+            dv=dv,
+            duu=normal_part(dot(du, du)),
+            duv=normal_part(dot(du, dv)),
+            dvv=normal_part(dot(dv, dv)),
         )
 
     return SurfacePatch("shear", (0.0, 1.0), (0.0, 1.0), ev)
 
 
-def test_first_bad_sample_in_row_major_order_wins():
-    # A single batch runs the immersion check on every sample before any
-    # metric check; the grid must still report the earlier sample's error.
-    patch = _shear_patch()
-    with pytest.raises(DegenerateMetricError, match="not immersed"):
-        curvature_sample(patch.jet(*patch.grid(3, 3)))
-    with pytest.raises(DegenerateMetricError) as exc:
+def test_one_immersion_check_keeps_a_near_degenerate_metric():
+    # Row u = 0.5 is immersed: |du x dv|^2 = d^2 clears the bound, though
+    # EG - F^2 = 3.997e-14 computed from the Gram entries would not.  Only
+    # the three samples on row u = 1 are rejected.
+    patch = _shear_patch(2.0000005e-07)
+    u, v = patch.grid(3, 3)
+    jet = patch.jet(u, v)
+    assert degenerate_metric(jet).tolist() == [False] * 6 + [True] * 3
+    s = curvature_sample(jet[:6])
+    assert (s.E * s.G - s.F * s.F)[3] == pytest.approx(3.997e-14, rel=1e-3)
+    rep = grid_report(patch, 1.0, A, 3, 3)
+    assert rep.rejected_samples == {"degenerate_metric": 3, "inconsistent_curvature": 0}
+    assert rep.samples.tolist() == _rows_of_single_points(patch, 1.0, u[:6], v[:6])
+
+
+def test_inconsistent_curvature_dropped_after_the_curvature_pass():
+    # On row u = 0.5 the metric is nearly degenerate and rounding drives the
+    # umbilic H^2 - 4K well below zero; row u = 0 is an exact umbilic.
+    patch = _shear_patch(1e-06, lam=10.0)
+    u, v = patch.grid(3, 3)
+    assert inconsistent_curvature(curvature_sample(patch.jet(u[:6], v[:6]))).tolist() == (
+        [False] * 3 + [True] * 3
+    )
+    rep = grid_report(patch, 1.0, A, 3, 3)
+    assert rep.rejected_samples == {"degenerate_metric": 3, "inconsistent_curvature": 3}
+    assert rep.to_dict()["valid_samples"] == 3
+    assert rep.samples.tolist() == _rows_of_single_points(patch, 1.0, u[:3], v[:3])
+
+
+def test_grid_with_no_valid_sample_reports_every_count():
+    # a latitude range of just the pole collapses every sample
+    patch = sphere_patch(r=1.0, lat_range=(np.pi / 2, np.pi / 2))
+    with pytest.raises(ParameterError) as exc:
         grid_report(patch, 1.0, A, 3, 3)
-    assert str(exc.value) == "metric determinant 3.997e-14 is degenerate (E+G=2.000e+00)"
+    assert not isinstance(exc.value, HalfspaceViolation)
+    assert str(exc.value) == (
+        "no valid sample among 9: halfspace_violations=0, "
+        "degenerate_metric=9, inconsistent_curvature=0"
+    )
+    with pytest.raises(HalfspaceViolation) as exc:
+        grid_report(patch, 1.0, (0.0, 0.0, -1.0), 3, 3)
+    assert str(exc.value) == (
+        "no valid sample among 9: halfspace_violations=9, "
+        "degenerate_metric=0, inconsistent_curvature=0"
+    )
 
 
 def test_halfspace_violations_counted_on_a_grid_crossing_the_plane():

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, outputs, determinism."""
 import dataclasses
 import json
+import math
 
 import pytest
 
 import singmin.cli
 from singmin.cli import main
+from singmin.surfaces import sphere_patch
 
 
 def run(args):
@@ -382,3 +384,46 @@ def test_extrude_trajectory_must_have_a_uniform_step(tmp_path, capsys, edit, mes
         assert rc == 2
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["curvature", "--nu", "-1", "--nv", "5"],
+        ["curvature", "--nu", "5", "--nv", "1"],
+        ["residual", "--alpha", "-2", "--nu", "-1", "--nv", "5"],
+        ["extrude", "--alpha", "1", "--smax", "0.5", "--nu", "6", "--nv", "-3"],
+    ],
+)
+def test_grid_size_below_two_is_usage_error(tmp_path, capsys, args):
+    rc = run([*args, "--out", str(tmp_path / "g")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid dimensions must be >= 2") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def _pole_patch(lat_lo):
+    """A sphere chart whose last latitude row is the pole, where it degenerates."""
+    return lambda args: sphere_patch(r=1.0, lat_range=(lat_lo, math.pi / 2))
+
+
+@pytest.mark.parametrize("command", [["residual", "--alpha", "-2", "--expect-pass"], ["curvature"]])
+def test_grid_with_degenerate_rows_succeeds_on_its_valid_samples(tmp_path, monkeypatch, capsys,
+                                                                 command):
+    monkeypatch.setattr(singmin.cli, "_make_patch", _pole_patch(0.5))
+    assert run([*command, "--nu", "5", "--nv", "4", "--out", str(tmp_path / "g")]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "g.json").read_text())
+    assert doc["rejected_samples"] == {"degenerate_metric": 4, "inconsistent_curvature": 0}
+    assert len((tmp_path / "g.csv").read_text().splitlines()) == 1 + 16
+
+
+@pytest.mark.parametrize("command", [["residual", "--alpha", "-2"], ["curvature"]])
+def test_grid_with_every_sample_rejected_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(singmin.cli, "_make_patch", _pole_patch(math.pi / 2))
+    assert run([*command, "--nu", "5", "--nv", "4", "--out", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no valid sample among 20: ") and err.count("\n") == 1
+    assert "degenerate_metric=20, inconsistent_curvature=0" in err
+    assert not list(tmp_path.iterdir())

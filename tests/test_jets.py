@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from singmin.errors import CurvatureConsistencyError, DegenerateMetricError
 from singmin.surfaces import (
     FundamentalForms,
     Jet2Vec3,
     curvature_sample,
     cylinder_patch,
+    degenerate_metric,
     fundamental_forms,
+    inconsistent_curvature,
     shape_data,
     sphere_patch,
 )
@@ -99,8 +100,8 @@ def test_degenerate_metric_rejected():
     d = np.array([1.0, 0.0, 0.0])
     jet = Jet2Vec3(value=np.zeros(3), du=d, dv=2 * d,
                    duu=np.zeros(3), duv=np.zeros(3), dvv=np.zeros(3))
-    with pytest.raises(DegenerateMetricError):
-        fundamental_forms(jet)
+    assert degenerate_metric(jet) == np.True_
+    assert degenerate_metric(sphere_patch().jet(0.6, 2.0)) == np.False_
 
 
 def test_inconsistent_discriminant_rejected():
@@ -109,8 +110,9 @@ def test_inconsistent_discriminant_rejected():
         point=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]),
         E=1.0, F=0.0, G=-1.0, L=1.0, M=np.sqrt(2.0), N=1.0,
     )
-    with pytest.raises(CurvatureConsistencyError):
-        shape_data(forms)
+    s = shape_data(forms)
+    assert inconsistent_curvature(s) == np.True_
+    assert s.k1 == s.k2 == 0.5 * s.H
 
 
 def test_umbilic_clamp():
@@ -120,5 +122,6 @@ def test_umbilic_clamp():
         E=1.0, F=0.0, G=1.0, L=1.0, M=0.0, N=1.0 + 1e-13,
     )
     s = shape_data(forms)
+    assert inconsistent_curvature(s) == np.False_
     assert s.k1 >= s.k2
     assert s.k1 == pytest.approx(1.0, rel=1e-6)
