@@ -6,9 +6,10 @@ table plus finite-difference cross-check), ``catenary`` (integrate a
 generating curve), ``extrude`` (build and export a cylindrical surface).
 
 Exit codes: 0 success / all checks pass, 1 assertion failure, 2 usage or
-parameter error.  Grid commands skip and count rejected samples and judge
-the valid ones; a grid with no valid sample exits 2.  Outputs are
-byte-deterministic for fixed inputs.
+parameter error, an input or output path that cannot be used included.
+Grid commands skip and count rejected samples and judge the valid ones; a
+grid with no valid sample exits 2.  Outputs are byte-deterministic for fixed
+inputs.
 """
 from __future__ import annotations
 
@@ -88,7 +89,10 @@ def _pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected lo,hi — got {text!r}")
-    return (_finite(parts[0]), _finite(parts[1]))
+    lo, hi = _finite(parts[0]), _finite(parts[1])
+    if not lo < hi:
+        raise argparse.ArgumentTypeError(f"expected lo < hi — got {text!r}")
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "alpha", 0.0) is None and args.command != "extrude":
             raise ParameterError("alpha is required (flag --alpha or config key)")
         return _COMMANDS[args.command](args)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

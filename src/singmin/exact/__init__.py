@@ -8,7 +8,7 @@ from .errors import (
     StrayMonomialError,
     SubstitutionDomainError,
 )
-from .poly import Monomial, Polynomial, content, divides, exact_div, poly_gcd, primitive
+from .poly import Polynomial, content, divides, exact_div, poly_gcd, primitive
 from .ratexpr import RationalExpr, collect_quadratic, solve_2x2, solve_linear
 from .symbols import NAME_TO_VAR, NVARS, VAR_NAMES, Var
 from .textio import parse, render, render_poly
@@ -17,7 +17,6 @@ __all__ = [
     "AlgebraError",
     "DegenerateSystemError",
     "ExprDivisionByZero",
-    "Monomial",
     "NAME_TO_VAR",
     "NVARS",
     "NonlinearEquationError",

@@ -1,11 +1,13 @@
 """Multivariate polynomials over the integers, Z[vars].
 
 Terms are kept in a dict keyed by dense exponent tuples over the registered
-indeterminates; coefficients are Python ``int``s, and any other coefficient
-type (floats and ``fractions.Fraction`` included) is a ``TypeError``.
+indeterminates; a monomial is its exponent tuple, with no wrapper type.
+Coefficients are Python ``int``s, and any other coefficient type (floats and
+``fractions.Fraction`` included) is a ``TypeError``.
 Division is in Z[vars] too: ``exact_div`` returns None unless the quotient
 has integer coefficients.  Rationals enter only through ``eval_rational``.
-The monomial order is graded lex with ``Var.ALPHA`` most significant.
+The monomial order is graded lex (``grlex_key``) with ``Var.ALPHA`` most
+significant.
 ``poly_gcd`` is a heuristic gcd by integer evaluation with a recursive
 content / primitive-part reduction over subresultant pseudo-remainder
 sequences as the fallback, sized for the handful of variables and moderate
@@ -17,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .symbols import NVARS, VAR_NAMES, Var
+from .symbols import NVARS, Var
 
 _ZERO_MONO = (0,) * NVARS
 
@@ -25,10 +27,6 @@ _ZERO_MONO = (0,) * NVARS
 # -- term-dict kernel -----------------------------------------------------------
 # A term dict maps dense exponent tuples to nonzero coefficients; these are the
 # hot inner loops of the exact engine.
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def mono_div(a, b):
     """Exponent-wise difference, or None when not divisible."""
@@ -129,64 +127,9 @@ def submul_shifted(r, cq, mq, b):
     return out
 
 
-class Monomial:
-    """Exponent vector over the registered indeterminates, graded-lex ordered."""
-
-    __slots__ = ("_e",)
-
-    def __init__(self, exponents: Union[Mapping[Var, int], tuple]):
-        if isinstance(exponents, tuple):
-            e = exponents
-        else:
-            vec = [0] * NVARS
-            for v, p in exponents.items():
-                if p < 0:
-                    raise ValueError("negative exponent")
-                vec[int(v)] = int(p)
-            e = tuple(vec)
-        if len(e) != NVARS:
-            raise ValueError("exponent tuple has wrong length")
-        self._e = e
-
-    @property
-    def exponents(self) -> dict[Var, int]:
-        """Sparse view; zero exponents are not present."""
-        return {Var(i): p for i, p in enumerate(self._e) if p}
-
-    def degree(self) -> int:
-        return sum(self._e)
-
-    def as_tuple(self) -> tuple:
-        return self._e
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(mono_mul(self._e, other._e))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._e == other._e
-
-    def __hash__(self) -> int:
-        return hash(self._e)
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return grlex_key(self._e) < grlex_key(other._e)
-
-    def __le__(self, other: "Monomial") -> bool:
-        return grlex_key(self._e) <= grlex_key(other._e)
-
-    def __gt__(self, other: "Monomial") -> bool:
-        return grlex_key(self._e) > grlex_key(other._e)
-
-    def __ge__(self, other: "Monomial") -> bool:
-        return grlex_key(self._e) >= grlex_key(other._e)
-
-    def __repr__(self) -> str:
-        parts = [f"{VAR_NAMES[v]}^{p}" for v, p in self.exponents.items()]
-        return "Monomial(" + ("*".join(parts) or "1") + ")"
-
-
 class Polynomial:
-    """Immutable sparse polynomial with integer coefficients."""
+    """Immutable sparse polynomial with integer coefficients, built from a
+    mapping of exponent tuples to ``int``s."""
 
     __slots__ = ("_t", "_hash")
 
@@ -194,11 +137,10 @@ class Polynomial:
         t: dict = {}
         if terms:
             for m, c in terms.items():
-                key = m.as_tuple() if isinstance(m, Monomial) else tuple(m)
                 if not isinstance(c, int):
                     raise TypeError(f"coefficients must be int, got {type(c).__name__}")
                 if c:
-                    t[key] = c
+                    t[tuple(m)] = c
         self._t = t
         self._hash = None
 
@@ -229,11 +171,6 @@ class Polynomial:
         return cls._raw({tuple(e): 1})
 
     # -- queries ------------------------------------------------------------
-    @property
-    def terms(self) -> dict[Monomial, int]:
-        """Public view keyed by Monomial; no zero coefficients stored."""
-        return {Monomial(m): c for m, c in self._t.items()}
-
     def items(self):
         return self._t.items()
 
@@ -254,11 +191,6 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._t)
 
-    def total_degree(self) -> int:
-        if not self._t:
-            return 0
-        return max(sum(m) for m in self._t)
-
     def degree_in(self, v: Var) -> int:
         i = int(v)
         if not self._t:
@@ -272,11 +204,6 @@ class Polynomial:
                 if e:
                     present[i] = True
         return tuple(Var(i) for i in range(NVARS) if present[i])
-
-    def leading_monomial(self) -> Monomial:
-        if not self._t:
-            raise ValueError("zero polynomial has no leading monomial")
-        return Monomial(lead_monomial(self._t))
 
     def leading_coeff(self) -> int:
         if not self._t:

@@ -5,8 +5,8 @@ A ``RationalExpr`` is a pair of polynomials in Z[vars] with
 leading coefficient on the denominator, and zero represented as 0/1.
 Equality is therefore plain structural comparison.  All operations are exact.
 Rational numbers cross the boundary only through ``from_number`` (which also
-takes the ``int`` and ``Fraction`` operands of the arithmetic operators),
-``as_fraction`` and ``eval_rational``; floats are rejected.
+takes the ``int`` and ``Fraction`` operands of the arithmetic operators) and
+``eval_rational``; floats are rejected.
 """
 from __future__ import annotations
 
@@ -81,11 +81,6 @@ class RationalExpr:
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("expression is not constant")
-        return Fraction(self.num.constant_value(), self.den.constant_value())
 
     def free_of(self, *vars: Var) -> bool:
         return all(
@@ -284,6 +279,34 @@ def _poly_subs(p: Polynomial, vals: Mapping[Var, RationalExpr]) -> RationalExpr:
 
 # -- spec-level operations ------------------------------------------------------
 
+def _split(
+    expr: RationalExpr, vars: tuple[Var, Var], sigs: tuple[tuple[int, int], ...]
+) -> dict[tuple[int, int], RationalExpr]:
+    """Coefficients of ``expr`` by exponent signature in ``vars = (x, y)``:
+    ``{(i, j): c}`` for each (i, j) in ``sigs``, in that order, with every c
+    free of (x, y) and ``expr == sum(c * x^i * y^j)``.
+
+    Any other monomial in (x, y), or a denominator involving them, is a
+    ``StrayMonomialError`` naming the offender.
+    """
+    x, y = vars
+    den = expr.den
+    if den.degree_in(x) or den.degree_in(y):
+        raise StrayMonomialError(f"denominator {den!r} involves {x.name} or {y.name}")
+    ix, iy = int(x), int(y)
+    buckets: dict[tuple[int, int], dict] = {sig: {} for sig in sigs}
+    for m, c in expr.num.items():
+        bucket = buckets.get((m[ix], m[iy]))
+        if bucket is None:
+            mono = {Var(i): e for i, e in enumerate(m) if e}
+            raise StrayMonomialError(f"unexpected monomial {mono} in ({x.name}, {y.name})")
+        key = list(m)
+        key[ix] = 0
+        key[iy] = 0
+        bucket[tuple(key)] = c
+    return {sig: RationalExpr(Polynomial._raw(t), den) for sig, t in buckets.items()}
+
+
 def collect_quadratic(
     expr: RationalExpr, vars: tuple[Var, Var] = (Var.U1, Var.U2)
 ) -> tuple[RationalExpr, RationalExpr, RationalExpr]:
@@ -292,30 +315,8 @@ def collect_quadratic(
     Any other monomial in (x, y), or a denominator involving them, is a
     structural error naming the offender.
     """
-    x, y = vars
-    if not (expr.den.degree_in(x) == 0 and expr.den.degree_in(y) == 0):
-        raise StrayMonomialError(
-            f"denominator {expr.den!r} involves {x.name} or {y.name}"
-        )
-    ix, iy = int(x), int(y)
-    buckets: dict[tuple[int, int], dict] = {(0, 0): {}, (2, 0): {}, (0, 2): {}}
-    for m, c in expr.num.items():
-        sig = (m[ix], m[iy])
-        if sig not in buckets:
-            mono = {Var(i): e for i, e in enumerate(m) if e}
-            raise StrayMonomialError(
-                f"unexpected monomial {mono} in ({x.name}, {y.name})"
-            )
-        key = list(m)
-        key[ix] = 0
-        key[iy] = 0
-        buckets[sig][tuple(key)] = c
-    den = expr.den
-
-    def part(sig: tuple[int, int]) -> RationalExpr:
-        return RationalExpr(Polynomial._raw(buckets[sig]), den)
-
-    return part((2, 0)), part((0, 2)), part((0, 0))
+    parts = _split(expr, vars, ((2, 0), (0, 2), (0, 0)))
+    return parts[2, 0], parts[0, 2], parts[0, 0]
 
 
 def solve_linear(eq: RationalExpr, unknown: Var) -> RationalExpr:
@@ -339,32 +340,8 @@ def solve_2x2(
     An identically zero determinant signals the degenerate branch via
     ``DegenerateSystemError``.
     """
-    x, y = unknowns
-    rows = []
-    for eq in (e1, e2):
-        if not (eq.den.degree_in(x) == 0 and eq.den.degree_in(y) == 0):
-            raise StrayMonomialError(
-                f"denominator {eq.den!r} involves {x.name} or {y.name}"
-            )
-        ix, iy = int(x), int(y)
-        coeffs = {(1, 0): {}, (0, 1): {}, (0, 0): {}}
-        for m, c in eq.num.items():
-            sig = (m[ix], m[iy])
-            if sig not in coeffs:
-                mono = {Var(i): e for i, e in enumerate(m) if e}
-                raise StrayMonomialError(f"equation not linear: monomial {mono}")
-            key = list(m)
-            key[ix] = 0
-            key[iy] = 0
-            coeffs[sig][tuple(key)] = c
-        den = eq.den
-        rows.append(
-            tuple(
-                RationalExpr(Polynomial._raw(coeffs[s]), den)
-                for s in ((1, 0), (0, 1), (0, 0))
-            )
-        )
-    (a1, b1, c1), (a2, b2, c2) = rows
+    sigs = ((1, 0), (0, 1), (0, 0))
+    (a1, b1, c1), (a2, b2, c2) = (_split(eq, unknowns, sigs).values() for eq in (e1, e2))
     det = a1 * b2 - a2 * b1
     if det.is_zero():
         raise DegenerateSystemError("coefficient determinant is identically zero")

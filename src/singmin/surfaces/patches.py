@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import HalfspaceViolation, ParameterError
+from ..errors import ParameterError
 from .jets import Jet2Vec3
 
 UNIT_TOL = 1e-9
@@ -81,7 +81,7 @@ class SurfacePatch:
         """Flat ``(u, v)`` arrays of the uniform (nu x nv) grid over the
         domain, row-major: u varies slowest."""
         if nu < 2 or nv < 2:
-            raise HalfspaceViolation(f"grid dimensions must be >= 2, got {nu}x{nv}")
+            raise ParameterError(f"grid dimensions must be >= 2, got {nu}x{nv}")
         us = np.linspace(self.u_range[0], self.u_range[1], nu)
         vs = np.linspace(self.v_range[0], self.v_range[1], nv)
         return np.repeat(us, nv), np.tile(vs, nu)

@@ -187,7 +187,8 @@ def test_config_switch_is_applied(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "line",
     ["expect_pass = yes", "nu = many", "patch = torus",
-     "r = nan", "alpha = inf", "threshold = nan", "fd_h = nan", "center = 0,inf,0"],
+     "r = nan", "alpha = inf", "threshold = nan", "fd_h = nan", "center = 0,inf,0",
+     "t_range = 1,1", "t_range = 1,-1"],
 )
 def test_config_bad_value_rejected(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
@@ -426,4 +427,32 @@ def test_grid_with_every_sample_rejected_is_usage_error(tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith("error: no valid sample among 20: ") and err.count("\n") == 1
     assert "degenerate_metric=20, inconsistent_curvature=0" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda d: ["prove", "--theorem", "3", "--json", str(d)],
+        lambda d: ["residual", "--alpha", "-2", "--nu", "5", "--nv", "5",
+                   "--out", str(d / "file" / "g")],
+        lambda d: ["extrude", "--traj", str(d), "--out", str(d / "e")],
+        lambda d: ["--config", str(d), "residual", "--alpha", "-2", "--out", str(d / "g")],
+    ],
+    ids=["prove-json-dir", "residual-out-under-file", "extrude-traj-dir", "config-dir"],
+)
+def test_unusable_path_is_usage_error(tmp_path, capsys, make_args):
+    (tmp_path / "file").write_text("")
+    assert run(make_args(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("t_range", ["1,1", "1,-1"])
+def test_extrude_t_range_must_increase(tmp_path, capsys, t_range):
+    out = tmp_path / "e"
+    args = ["extrude", "--alpha", "1", "--smax", "0.5", "--nu", "3", "--nv", "3",
+            "--t-range", t_range, "--out", str(out)]
+    assert exit_code(args) == 2
+    assert "expected lo < hi" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

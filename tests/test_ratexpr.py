@@ -134,8 +134,9 @@ class TestCollectQuadratic:
         assert (a * U1 ** 2 + b * U2 ** 2 + rest - expr).is_zero()
 
     def test_cross_term_rejected(self):
-        with pytest.raises(StrayMonomialError):
+        with pytest.raises(StrayMonomialError) as exc:
             collect_quadratic(U1 * U2 + 1)
+        assert str(exc.value) == f"unexpected monomial {({Var.U1: 1, Var.U2: 1})} in (U1, U2)"
 
     def test_odd_power_rejected(self):
         with pytest.raises(StrayMonomialError):
@@ -183,5 +184,7 @@ class TestSolve2x2:
             solve_2x2(U1 + U2 - 1, 2 * U1 + 2 * U2 - 2, (Var.U1, Var.U2))
 
     def test_nonlinear_rejected(self):
-        with pytest.raises(StrayMonomialError):
+        with pytest.raises(StrayMonomialError) as exc:
             solve_2x2(U1 ** 2 + U2 - 1, U1 - U2, (Var.U1, Var.U2))
+        assert str(exc.value) == f"unexpected monomial {({Var.U1: 2})} in (U1, U2)"
+

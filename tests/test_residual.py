@@ -86,8 +86,9 @@ def test_grid_all_invalid_raises():
 
 
 def test_grid_dims_validated():
-    with pytest.raises(HalfspaceViolation):
+    with pytest.raises(ParameterError) as exc:
         grid_report(sphere_patch(), -2.0, A, 1, 10)
+    assert not isinstance(exc.value, HalfspaceViolation)
 
 
 def test_parameter_validation():
