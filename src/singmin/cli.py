@@ -317,6 +317,11 @@ def cmd_extrude(args: argparse.Namespace) -> int:
         traj = load_trajectory_json(args.traj)
         if args.alpha is None:
             args.alpha = traj.alpha
+        elif args.alpha != traj.alpha:
+            raise ParameterError(
+                f"alpha {fmt(args.alpha)} does not match alpha {fmt(traj.alpha)} "
+                f"of trajectory file {args.traj}"
+            )
     else:
         if args.alpha is None:
             raise ParameterError("alpha is required (flag --alpha or config key)")

@@ -21,7 +21,7 @@ from .errors import (
     SubstitutionDomainError,
 )
 from .poly import Polynomial, exact_div, poly_gcd
-from .symbols import Var
+from .symbols import VAR_NAMES, Var
 
 Number = Union[int, Fraction]
 
@@ -292,14 +292,22 @@ def _split(
     x, y = vars
     den = expr.den
     if den.degree_in(x) or den.degree_in(y):
-        raise StrayMonomialError(f"denominator {den!r} involves {x.name} or {y.name}")
+        from .textio import render_poly
+
+        raise StrayMonomialError(
+            f"denominator {render_poly(den)} involves {VAR_NAMES[x]} or {VAR_NAMES[y]}"
+        )
     ix, iy = int(x), int(y)
     buckets: dict[tuple[int, int], dict] = {sig: {} for sig in sigs}
     for m, c in expr.num.items():
         bucket = buckets.get((m[ix], m[iy]))
         if bucket is None:
-            mono = {Var(i): e for i, e in enumerate(m) if e}
-            raise StrayMonomialError(f"unexpected monomial {mono} in ({x.name}, {y.name})")
+            from .textio import render_poly
+
+            mono = render_poly(Polynomial._raw({m: 1}))
+            raise StrayMonomialError(
+                f"unexpected monomial {mono} in ({VAR_NAMES[x]}, {VAR_NAMES[y]})"
+            )
         key = list(m)
         key[ix] = 0
         key[iy] = 0

@@ -2,7 +2,6 @@
 from .context import (
     OP_E1,
     OP_E2,
-    DerivationContext,
     MissingRuleError,
     apply_derivation,
     gauss_curvature_expr,
@@ -29,7 +28,6 @@ def run_all() -> list[ProofReport]:
 
 __all__ = [
     "Checkpoint",
-    "DerivationContext",
     "MUTABLE_RULES",
     "MODE_EQUAL",
     "MODE_FACTOR",

@@ -1,16 +1,14 @@
 """Formal derivation operators over the exact rational-function field.
 
-A ``DerivationContext`` carries the rewrite table for the two frame
-derivatives ``E1``, ``E2``: one rule per generator, applied through the chain
-rule.  Defined abbreviations (second principal curvature, mean curvature,
-connection coefficients, tangential components) live alongside.  The audits
-below check recorded factors and denominators against a theorem's registry of
-expressions the argument assumes nonvanishing.
+A chain's derivation context is its rule table, a plain
+``dict[(op, Var), RationalExpr]`` with one rule per generator for each of the
+two frame derivatives ``E1``, ``E2``, applied through the chain rule.
+``flip`` negates one rule; the mutation tests use it to show that every rule
+matters.  The generator expressions the chains share are defined here once.
+The audits below check recorded factors and denominators against a theorem's
+registry of expressions the argument assumes nonvanishing.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 from ..exact import RationalExpr, Var
 from ..exact.errors import AlgebraError
@@ -19,6 +17,27 @@ from ..exact.textio import render_poly
 
 OP_E1 = "E1"
 OP_E2 = "E2"
+
+Rules = dict[tuple[str, Var], RationalExpr]
+
+AL = RationalExpr.variable(Var.ALPHA)
+C = RationalExpr.variable(Var.C)
+K = RationalExpr.variable(Var.K1)
+U1 = RationalExpr.variable(Var.U1)
+U2 = RationalExpr.variable(Var.U2)
+W = RationalExpr.variable(Var.W)
+G = RationalExpr.variable(Var.G)
+M = RationalExpr.variable(Var.M)
+H0 = RationalExpr.variable(Var.H0)
+A1 = RationalExpr.variable(Var.A1)
+A2 = RationalExpr.variable(Var.A2)
+NA = RationalExpr.variable(Var.NA)
+D11 = RationalExpr.variable(Var.D11)
+D12 = RationalExpr.variable(Var.D12)
+D22 = RationalExpr.variable(Var.D22)
+
+#: symbols every frame derivative sends to zero
+CONSTANTS = frozenset({Var.ALPHA, Var.C, Var.H0})
 
 
 class MissingRuleError(AlgebraError):
@@ -30,52 +49,46 @@ class MissingRuleError(AlgebraError):
         self.var = var
 
 
-@dataclass(frozen=True)
-class DerivationContext:
-    name: str
-    rules: Mapping[tuple[str, Var], RationalExpr]
-    defined: Mapping[str, RationalExpr]
-    constants: frozenset[Var] = field(default_factory=lambda: frozenset({Var.ALPHA, Var.C}))
+def flip(rules: Rules, key: tuple[str, Var] | None) -> Rules:
+    """A copy of ``rules`` with the rule under ``key`` negated, if there is one.
 
-    def rule(self, op: str, var: Var) -> RationalExpr:
-        try:
-            return self.rules[(op, var)]
-        except KeyError:
-            raise MissingRuleError(op, var) from None
-
-    def with_rules(self, updates: Mapping[tuple[str, Var], RationalExpr]) -> "DerivationContext":
-        merged = dict(self.rules)
-        merged.update(updates)
-        return replace(self, rules=merged)
+    This is the mutation hook: ``key`` is a chain's ``flip_rule``, often None.
+    """
+    out = dict(rules)
+    if key in out:
+        out[key] = -out[key]
+    return out
 
 
-def apply_derivation(expr: RationalExpr, op: str, ctx: DerivationContext) -> RationalExpr:
-    """Chain rule: E(expr) = sum over occurring symbols of d(expr)/dv * rule(op, v).
+def apply_derivation(expr: RationalExpr, op: str, rules: Rules) -> RationalExpr:
+    """Chain rule: E(expr) = sum over occurring symbols of d(expr)/dv * rules[(op, v)].
 
-    Registered constants differentiate to zero; any other symbol without a
-    rule is an error naming (op, symbol).
+    The ``CONSTANTS`` differentiate to zero; any other symbol without a rule
+    is an error naming (op, symbol).
     """
     total = RationalExpr.zero()
     for v in expr.variables():
-        if v in ctx.constants:
+        if v in CONSTANTS:
             continue
         d = expr.partial(v)
         if d.is_zero():
             continue
-        total = total + d * ctx.rule(op, v)
+        try:
+            rule = rules[(op, v)]
+        except KeyError:
+            raise MissingRuleError(op, v) from None
+        total = total + d * rule
     return total
 
 
-def gauss_curvature_expr(ctx: DerivationContext) -> RationalExpr:
+def gauss_curvature_expr(rules: Rules, kappa2: RationalExpr) -> RationalExpr:
     """Gauss curvature of a lines-of-curvature frame from the two principal
-    curvatures and their frame derivatives (kappa2 comes from ctx.defined)."""
-    k1 = RationalExpr.variable(Var.K1)
-    kappa2 = ctx.defined["kappa2"]
-    gap = k1 - kappa2
-    e1_k2 = apply_derivation(kappa2, OP_E1, ctx)
-    e2_k1 = apply_derivation(k1, OP_E2, ctx)
-    t1 = apply_derivation(e1_k2 / gap, OP_E1, ctx)
-    t2 = apply_derivation(e2_k1 / gap, OP_E2, ctx)
+    curvatures k1 and ``kappa2`` and their frame derivatives."""
+    gap = K - kappa2
+    e1_k2 = apply_derivation(kappa2, OP_E1, rules)
+    e2_k1 = apply_derivation(K, OP_E2, rules)
+    t1 = apply_derivation(e1_k2 / gap, OP_E1, rules)
+    t2 = apply_derivation(e2_k1 / gap, OP_E2, rules)
     return -t1 + t2 - (e1_k2 ** 2 + e2_k1 ** 2) / gap ** 2
 
 

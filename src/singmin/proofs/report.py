@@ -10,11 +10,11 @@ runner the theorem chains share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..exact import RationalExpr, Var, render
-from ..exact.errors import AlgebraError, ExprDivisionByZero
+from ..exact.errors import AlgebraError
 from ..exact.poly import Polynomial
 from .context import audit_denominator, audit_factor
 
@@ -129,7 +129,6 @@ class Recorder:
         computed: RationalExpr,
         expected: RationalExpr,
         factor: Optional[RationalExpr] = None,
-        note: str = "",
     ) -> None:
         flags = audit_denominator(computed, self.registry) if self.registry else ()
         self._add(
@@ -141,7 +140,6 @@ class Recorder:
                 expected=expected,
                 factor=factor,
                 flags=flags,
-                note=note,
             )
         )
 
@@ -150,50 +148,31 @@ class Recorder:
         name: str,
         computed: RationalExpr,
         expected: RationalExpr,
-        note: str = "",
         extra_registry: tuple[Polynomial, ...] = (),
     ) -> None:
         """Pass iff computed == factor * expected with factor nonzero and free
         of the gradient/height symbols; the factor is recorded."""
+        factor, flags, note = None, (), ""
         if computed.is_zero():
-            self._add(
-                Checkpoint(
-                    name=name,
-                    mode=MODE_FACTOR,
-                    passed=False,
-                    computed=computed,
-                    expected=expected,
-                    note="computed expression is identically zero",
-                )
-            )
-            return
-        try:
+            note = "computed expression is identically zero"
+        elif expected.is_zero():
+            note = "expected expression is identically zero"
+        else:
             factor = computed / expected
-        except ExprDivisionByZero:
-            self._add(
-                Checkpoint(
-                    name=name,
-                    mode=MODE_FACTOR,
-                    passed=False,
-                    computed=computed,
-                    expected=expected,
-                    note="expected expression is identically zero",
-                )
-            )
-            return
-        ok = factor.free_of(*_FACTOR_FORBIDDEN)
-        registry = self.registry + extra_registry
-        flags = audit_factor(factor, registry) if registry else ()
+            registry = self.registry + extra_registry
+            flags = audit_factor(factor, registry) if registry else ()
+            if not factor.free_of(*_FACTOR_FORBIDDEN):
+                note = "factor involves gradient or height symbols"
         self._add(
             Checkpoint(
                 name=name,
                 mode=MODE_FACTOR,
-                passed=ok,
+                passed=not note,
                 computed=computed,
                 expected=expected,
                 factor=factor,
                 flags=flags,
-                note="" if ok else "factor involves gradient or height symbols",
+                note=note,
             )
         )
 

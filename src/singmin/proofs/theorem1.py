@@ -25,26 +25,9 @@ import functools
 from dataclasses import dataclass
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_2x2, solve_linear
-from .context import (
-    OP_E1,
-    OP_E2,
-    DerivationContext,
-    apply_derivation,
-    gauss_curvature_expr,
-)
+from .context import AL, C, D11, D12, D22, G, K, M, U1, U2, W
+from .context import OP_E1, OP_E2, Rules, apply_derivation, flip, gauss_curvature_expr
 from .report import ProofReport, Recorder, run_chain
-
-AL = RationalExpr.variable(Var.ALPHA)
-C = RationalExpr.variable(Var.C)
-K = RationalExpr.variable(Var.K1)
-U1 = RationalExpr.variable(Var.U1)
-U2 = RationalExpr.variable(Var.U2)
-W = RationalExpr.variable(Var.W)
-G = RationalExpr.variable(Var.G)
-M = RationalExpr.variable(Var.M)
-D11 = RationalExpr.variable(Var.D11)
-D12 = RationalExpr.variable(Var.D12)
-D22 = RationalExpr.variable(Var.D22)
 
 #: rule keys accepted by the mutation hook (sign flip of one rule)
 MUTABLE_RULES = (
@@ -234,21 +217,14 @@ def _registry_at(a0: int) -> tuple:
     return tuple(out)
 
 
-def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext:
+def build_context(flip_rule: tuple[str, Var] | None = None) -> Rules:
     """Derivation table under constant nonzero Gauss curvature.
 
     ``flip_rule`` is a test hook: the named rule is installed with its sign
     flipped so the suite can show the chain is not vacuous.  Flips of the
     second-derivative rules are applied at resolution time by the chain.
     """
-    a, c, k = AL, C, K
-    kappa2 = c / k
-    mean = (k ** 2 + c) / k
-    normal_height = mean * W / a
-    omega_e1 = k * U2 / (k ** 2 - c)
-    omega_e2 = -c * U1 / (k * (k ** 2 - c))
     tg = targets()
-
     rules = {
         (OP_E1, Var.K1): U1,
         (OP_E2, Var.K1): U2,
@@ -258,26 +234,7 @@ def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext
         (OP_E1, Var.U2): D12,
         (OP_E2, Var.U2): D22,
     }
-    if flip_rule is not None and flip_rule in rules:
-        rules[flip_rule] = -rules[flip_rule]
-
-    return DerivationContext(
-        name="constant-gauss-curvature",
-        rules=rules,
-        defined={
-            "kappa2": kappa2,
-            "mean_curvature": mean,
-            "normal_height": normal_height,
-            "omega_e1": omega_e1,
-            "omega_e2": omega_e2,
-            "gamma": tg.gamma,
-            "mu": tg.mu,
-        },
-    )
-
-
-def _maybe_flip(expr: RationalExpr, key: tuple[str, Var], flip_rule) -> RationalExpr:
-    return -expr if flip_rule == key else expr
+    return flip(rules, flip_rule)
 
 
 def run_theorem1(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
@@ -291,15 +248,16 @@ def run_theorem1(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
 def _chain(rec: Recorder, flip_rule) -> None:
     ctx = build_context(flip_rule)
     tg = targets()
-    kappa2 = ctx.defined["kappa2"]
-    nh = ctx.defined["normal_height"]
-    om1 = ctx.defined["omega_e1"]
-    om2 = ctx.defined["omega_e2"]
+    # second principal curvature, normal height and connection coefficients
+    kappa2 = C / K
+    nh = (K ** 2 + C) / K * W / AL
+    om1 = K * U2 / (K ** 2 - C)
+    om2 = -C * U1 / (K * (K ** 2 - C))
     gamma, mu = tg.gamma, tg.mu
 
     # tangential components from the height-flux equations of the frame system,
     # with gamma and mu treated as unknown symbols
-    ctx_unknown = ctx.with_rules({(OP_E1, Var.W): G, (OP_E2, Var.W): M})
+    ctx_unknown = {**ctx, (OP_E1, Var.W): G, (OP_E2, Var.W): M}
     flux_e1 = apply_derivation(nh, OP_E1, ctx_unknown)
     rec.exact_equal("height-flux-gradient-e1", flux_e1, tg.grad_height_e1)
     flux_e2 = apply_derivation(nh, OP_E2, ctx_unknown)
@@ -309,7 +267,7 @@ def _chain(rec: Recorder, flip_rule) -> None:
 
     # Gauss identity with unresolved second derivatives, cleared to the
     # quadratic-form shape
-    bb_raw = gauss_curvature_expr(ctx)
+    bb_raw = gauss_curvature_expr(ctx, kappa2)
     rec.exact_equal(
         "gauss-identity-quadratic-form",
         (bb_raw - C) * (K ** 2 - C) ** 2 / K ** 2,
@@ -340,19 +298,18 @@ def _chain(rec: Recorder, flip_rule) -> None:
     rec.exact_zero("mixed-cofactor-free-of-u1", cofactor.partial(Var.U1))
     rec.exact_zero("mixed-cofactor-free-of-u2", cofactor.partial(Var.U2))
 
-    ctx = ctx.with_rules(
-        {
-            (OP_E1, Var.U1): _maybe_flip(sol_e11, (OP_E1, Var.U1), flip_rule),
-            (OP_E1, Var.U2): _maybe_flip(sol_e12, (OP_E1, Var.U2), flip_rule),
-            (OP_E2, Var.U2): _maybe_flip(sol_e22, (OP_E2, Var.U2), flip_rule),
-        }
-    )
+    resolved = {
+        (OP_E1, Var.U1): sol_e11,
+        (OP_E1, Var.U2): sol_e12,
+        (OP_E2, Var.U2): sol_e22,
+    }
+    ctx = {**ctx, **flip(resolved, flip_rule)}
 
     # redundancy: all six frame-system equations vanish in the resolved
     # context; the second equation needs e2(u1), supplied by torsion-freeness
     # of the frame bracket
-    e2_u1 = ctx.rule(OP_E1, Var.U2) + om1 * U1 + om2 * U2
-    ctx_red = ctx.with_rules({(OP_E2, Var.U1): e2_u1})
+    e2_u1 = ctx[(OP_E1, Var.U2)] + om1 * U1 + om2 * U2
+    ctx_red = {**ctx, (OP_E2, Var.U1): e2_u1}
     frame_equations = (
         apply_derivation(gamma, OP_E1, ctx_red) - mu * om1 - nh * K,
         apply_derivation(gamma, OP_E2, ctx_red) - mu * om2,
@@ -366,7 +323,7 @@ def _chain(rec: Recorder, flip_rule) -> None:
 
     # quadratic constraint: substitute the resolved second derivatives into
     # the cleared Gauss identity and normalize away the overall unit
-    bb_resolved = gauss_curvature_expr(ctx)
+    bb_resolved = gauss_curvature_expr(ctx, kappa2)
     constraint = (bb_resolved - C) * (K ** 2 - C) ** 2 / K ** 2
     qa, qb, qr = collect_quadratic(constraint)
     rec.nonzero_factor("constraint-scalar-term", qr, tg.r1)
@@ -421,8 +378,9 @@ def _chain(rec: Recorder, flip_rule) -> None:
     )
     rec.exact_equal("solved-gradient-sq-e1", z1, tg.z1)
     rec.exact_equal("solved-gradient-sq-e2", z2, tg.z2)
-    rec.exact_zero("solution-residual-first", _quad_value(tg.p1, tg.q1, tg.r1, z1, z2))
-    rec.exact_zero("solution-residual-second", _quad_value(tg.p2, tg.q2, tg.r2, z1, z2))
+    # both constraints vanish at u1^2 = z1, u2^2 = z2
+    rec.exact_zero("solution-residual-first", tg.p1 * z1 + tg.q1 * z2 + tg.r1)
+    rec.exact_zero("solution-residual-second", tg.p2 * z1 + tg.q2 * z2 + tg.r2)
 
     # differentiate the first solved square along e1 once more; the resolved
     # e11 value must agree, forcing the final polynomial
@@ -443,9 +401,3 @@ def _chain(rec: Recorder, flip_rule) -> None:
         "flat-branch-polynomial", flat_diff - flat_frame, tg.flat_polynomial
     )
 
-
-def _quad_value(
-    p: RationalExpr, q: RationalExpr, r: RationalExpr, x: RationalExpr, y: RationalExpr
-) -> RationalExpr:
-    """Value of p*u1^2 + q*u2^2 + r at u1^2 = x, u2^2 = y."""
-    return p * x + q * y + r

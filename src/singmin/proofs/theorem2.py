@@ -14,24 +14,9 @@ import functools
 from dataclasses import dataclass
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_linear
-from .context import (
-    OP_E1,
-    OP_E2,
-    DerivationContext,
-    apply_derivation,
-    gauss_curvature_expr,
-)
+from .context import AL, C, D22, G, K, M, U1, U2, W
+from .context import OP_E1, OP_E2, Rules, apply_derivation, flip, gauss_curvature_expr
 from .report import ProofReport, Recorder, run_chain
-
-AL = RationalExpr.variable(Var.ALPHA)
-C = RationalExpr.variable(Var.C)
-K = RationalExpr.variable(Var.K1)
-U1 = RationalExpr.variable(Var.U1)
-U2 = RationalExpr.variable(Var.U2)
-W = RationalExpr.variable(Var.W)
-G = RationalExpr.variable(Var.G)
-M = RationalExpr.variable(Var.M)
-D22 = RationalExpr.variable(Var.D22)
 
 
 @dataclass(frozen=True)
@@ -98,8 +83,7 @@ REGISTRY = tuple(
 )
 
 
-def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext:
-    a, c, k = AL, C, K
+def build_context(flip_rule: tuple[str, Var] | None = None) -> Rules:
     tg = targets()
     rules = {
         (OP_E1, Var.K1): U1,
@@ -108,19 +92,7 @@ def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext
         (OP_E2, Var.W): tg.mu,
         (OP_E2, Var.U2): D22,
     }
-    if flip_rule is not None and flip_rule in rules:
-        rules[flip_rule] = -rules[flip_rule]
-    return DerivationContext(
-        name="constant-principal-curvature",
-        rules=rules,
-        defined={
-            "kappa2": c,
-            "mean_curvature": k + c,
-            "normal_height": (k + c) * W / a,
-            "omega_e1": U2 / (k - c),
-            "omega_e2": RationalExpr.zero(),
-        },
-    )
+    return flip(rules, flip_rule)
 
 
 def run_theorem2(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
@@ -134,11 +106,12 @@ def run_theorem2(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
 def _chain(rec: Recorder, flip_rule) -> None:
     ctx = build_context(flip_rule)
     tg = targets()
-    nh = ctx.defined["normal_height"]
-    kappa2 = ctx.defined["kappa2"]
+    # the second principal curvature is the constant c
+    kappa2 = C
+    nh = (K + C) * W / AL
 
     # tangential components from the height-flux equations
-    ctx_unknown = ctx.with_rules({(OP_E1, Var.W): G, (OP_E2, Var.W): M})
+    ctx_unknown = {**ctx, (OP_E1, Var.W): G, (OP_E2, Var.W): M}
     rec.exact_equal(
         "gamma-closed-form",
         solve_linear(apply_derivation(nh, OP_E1, ctx_unknown) + G * K, Var.G),
@@ -158,15 +131,13 @@ def _chain(rec: Recorder, flip_rule) -> None:
     rec.exact_equal("second-derivative-e2e2", sol_e22, tg.e22)
 
     # Gauss identity with the unresolved second derivative
-    bb_raw = gauss_curvature_expr(ctx)
+    bb_raw = gauss_curvature_expr(ctx, kappa2)
     rec.exact_equal("gauss-identity-display", bb_raw, tg.gauss_display)
 
-    ctx = ctx.with_rules(
-        {(OP_E2, Var.U2): -sol_e22 if flip_rule == (OP_E2, Var.U2) else sol_e22}
-    )
+    ctx = {**ctx, **flip({(OP_E2, Var.U2): sol_e22}, flip_rule)}
 
     # insert the resolved second derivative; one relation in u2^2 remains
-    reduced = gauss_curvature_expr(ctx) - C * K
+    reduced = gauss_curvature_expr(ctx, kappa2) - C * K
     rec.nonzero_factor("reduced-gauss-identity", reduced, tg.reduced_identity)
 
     # branch alpha = -2: the relation collapses to an explicit quadratic

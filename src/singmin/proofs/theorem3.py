@@ -7,25 +7,12 @@ using the Weingarten rules ``e_i(<N,a>) = -kappa_i <e_i,a>`` and
 """
 from __future__ import annotations
 
-from ..exact import RationalExpr, Var
-from .context import (
-    OP_E1,
-    OP_E2,
-    DerivationContext,
-    apply_derivation,
-)
+from ..exact import Var
+from .context import A1, A2, AL, H0, K, NA, OP_E1, OP_E2, W, Rules, apply_derivation, flip
 from .report import ProofReport, Recorder, run_chain
 
-AL = RationalExpr.variable(Var.ALPHA)
-K = RationalExpr.variable(Var.K1)
-W = RationalExpr.variable(Var.W)
-H0 = RationalExpr.variable(Var.H0)
-A1 = RationalExpr.variable(Var.A1)
-A2 = RationalExpr.variable(Var.A2)
-NA = RationalExpr.variable(Var.NA)
 
-
-def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext:
+def build_context(flip_rule: tuple[str, Var] | None = None) -> Rules:
     kappa2 = H0 - K
     rules = {
         (OP_E1, Var.W): A1,
@@ -33,14 +20,7 @@ def build_context(flip_rule: tuple[str, Var] | None = None) -> DerivationContext
         (OP_E1, Var.NA): -K * A1,
         (OP_E2, Var.NA): -kappa2 * A2,
     }
-    if flip_rule is not None and flip_rule in rules:
-        rules[flip_rule] = -rules[flip_rule]
-    return DerivationContext(
-        name="constant-mean-curvature",
-        rules=rules,
-        defined={"kappa2": kappa2},
-        constants=frozenset({Var.ALPHA, Var.C, Var.H0}),
-    )
+    return flip(rules, flip_rule)
 
 
 def run_theorem3(flip_rule: tuple[str, Var] | None = None) -> ProofReport:

@@ -456,3 +456,27 @@ def test_extrude_t_range_must_increase(tmp_path, capsys, t_range):
     assert exit_code(args) == 2
     assert "expected lo < hi" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("alpha,rc", [("-1", 2), ("1e0", 0), ("1.3", 2)])
+def test_extrude_traj_alpha_must_match_the_file(tmp_path, monkeypatch, capsys, alpha, rc):
+    monkeypatch.chdir(tmp_path)
+    assert run(["catenary", "--alpha", "1", "--y0", "1", "--smax", "0.5", "--out", "t"]) == 0
+    capsys.readouterr()
+    assert run(["extrude", "--traj", "t.json", "--alpha", alpha, "--nu", "6", "--nv", "3",
+                "--out", "e"]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        expected = f"alpha {float(alpha):.17g} does not match alpha 1 of trajectory file t.json"
+        assert err == f"error: {expected}\n"
+        assert not (tmp_path / "e.obj").exists()
+    else:
+        assert err == ""
+
+
+def test_extrude_traj_alpha_round_trips_through_the_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    curve = ["--alpha", "1.3", "--y0", "1", "--smax", "0.5"]
+    assert run(["catenary", *curve, "--out", "t"]) == 0
+    assert run(["extrude", "--traj", "t.json", "--alpha", "1.3", "--nu", "6", "--nv", "3",
+                "--out", "e"]) == 0

@@ -1,4 +1,4 @@
-"""Derivation contexts: rule dispatch, linearity, Leibniz, audits."""
+"""Derivation rule tables: rule dispatch, linearity, Leibniz, audits."""
 import pytest
 from hypothesis import given, settings
 
@@ -9,8 +9,8 @@ from singmin.proofs import (
     MissingRuleError,
     apply_derivation,
 )
-from singmin.proofs.context import audit_factor, strip_registered
-from singmin.proofs.theorem1 import REGISTRY, build_context
+from singmin.proofs.context import audit_factor, flip, strip_registered
+from singmin.proofs.theorem1 import REGISTRY, build_context, targets
 
 from conftest import rational_exprs
 
@@ -37,8 +37,8 @@ def test_constants_differentiate_to_zero():
 
 def test_tangential_component_of_height_gradient():
     # the height differentiates to the first tangential component
-    assert apply_derivation(W, OP_E1, CTX) == CTX.defined["gamma"]
-    assert apply_derivation(W, OP_E2, CTX) == CTX.defined["mu"]
+    assert apply_derivation(W, OP_E1, CTX) == targets().gamma
+    assert apply_derivation(W, OP_E2, CTX) == targets().mu
 
 
 def test_missing_rule_names_operator_and_symbol():
@@ -49,6 +49,26 @@ def test_missing_rule_names_operator_and_symbol():
     with pytest.raises(MissingRuleError):
         # no e2(u1) rule on the base context
         apply_derivation(U1, OP_E2, CTX)
+
+
+def test_missing_rule_on_an_empty_table():
+    with pytest.raises(MissingRuleError) as err:
+        apply_derivation(K ** 2 + C, OP_E2, {})
+    assert (err.value.op, err.value.var) == (OP_E2, Var.K1)
+    assert str(err.value) == "no rule for (E2, K1)"
+
+
+def test_flip_negates_one_rule_of_a_copy():
+    before = dict(CTX)
+    flipped = flip(CTX, (OP_E1, Var.W))
+    assert CTX == before
+    assert flipped[(OP_E1, Var.W)] == -CTX[(OP_E1, Var.W)]
+    assert {k: v for k, v in flipped.items() if k != (OP_E1, Var.W)} == {
+        k: v for k, v in CTX.items() if k != (OP_E1, Var.W)
+    }
+    for key in (None, (OP_E2, Var.U1)):
+        same = flip(CTX, key)
+        assert same == CTX and same is not CTX
 
 
 @given(rational_exprs(**T1_EXPRS), rational_exprs(**T1_EXPRS))

@@ -136,15 +136,16 @@ class TestCollectQuadratic:
     def test_cross_term_rejected(self):
         with pytest.raises(StrayMonomialError) as exc:
             collect_quadratic(U1 * U2 + 1)
-        assert str(exc.value) == f"unexpected monomial {({Var.U1: 1, Var.U2: 1})} in (U1, U2)"
+        assert str(exc.value) == "unexpected monomial u1*u2 in (u1, u2)"
 
     def test_odd_power_rejected(self):
         with pytest.raises(StrayMonomialError):
             collect_quadratic(U1 ** 2 + U2)
 
     def test_denominator_in_vars_rejected(self):
-        with pytest.raises(StrayMonomialError):
+        with pytest.raises(StrayMonomialError) as exc:
             collect_quadratic(K / U1)
+        assert str(exc.value) == "denominator u1 involves u1 or u2"
 
 
 class TestSolveLinear:
@@ -186,5 +187,5 @@ class TestSolve2x2:
     def test_nonlinear_rejected(self):
         with pytest.raises(StrayMonomialError) as exc:
             solve_2x2(U1 ** 2 + U2 - 1, U1 - U2, (Var.U1, Var.U2))
-        assert str(exc.value) == f"unexpected monomial {({Var.U1: 2})} in (U1, U2)"
+        assert str(exc.value) == "unexpected monomial u1^2 in (u1, u2)"
 
