@@ -468,6 +468,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
     ca = content(a)
     cb = content(b)
+    if a.is_constant() or b.is_constant():
+        return Polynomial.const(math.gcd(ca, cb))
     ma = _mono_content(a._t)
     mb = _mono_content(b._t)
     mg = tuple(min(x, y) for x, y in zip(ma, mb))

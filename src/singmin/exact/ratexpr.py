@@ -97,15 +97,18 @@ class RationalExpr:
         if other is NotImplemented:
             return NotImplemented
         a, b = self, other
-        if a.den == b.den:
-            return RationalExpr(a.num + b.num, a.den)
-        g = poly_gcd(a.den, b.den)
-        if g.is_constant():
-            return RationalExpr(a.num * b.den + b.num * a.den, a.den * b.den)
+        # Henrici: with g = gcd(den_a, den_b), only gcd(t, g) can cancel
+        g = a.den if a.den == b.den else poly_gcd(a.den, b.den)
+        if g.is_one():
+            return RationalExpr._wrap(a.num * b.den + b.num * a.den, a.den * b.den)
         da = exact_div(a.den, g)
-        db = exact_div(b.den, g)
-        num = a.num * db + b.num * da
-        return RationalExpr(num, da * b.den)
+        t = a.num * exact_div(b.den, g) + b.num * da
+        if t.is_zero():
+            return RationalExpr.zero()
+        d = poly_gcd(t, g)
+        if d.is_one():
+            return RationalExpr._wrap(t, da * b.den)
+        return RationalExpr._wrap(exact_div(t, d), da * exact_div(b.den, d))
 
     __radd__ = __add__
 
@@ -128,13 +131,17 @@ class RationalExpr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1.is_constant() else exact_div(self.num, g1)
-        d2 = other.den if g1.is_constant() else exact_div(other.den, g1)
-        n2 = other.num if g2.is_constant() else exact_div(other.num, g2)
-        d1 = self.den if g2.is_constant() else exact_div(self.den, g2)
-        return RationalExpr(n1 * n2, d1 * d2)
+        if self.is_zero() or other.is_zero():
+            return RationalExpr.zero()
+        # Henrici: dividing out the cross gcds leaves a canonical product
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        g1 = poly_gcd(n1, d2)
+        if not g1.is_one():
+            n1, d2 = exact_div(n1, g1), exact_div(d2, g1)
+        g2 = poly_gcd(n2, d1)
+        if not g2.is_one():
+            n2, d1 = exact_div(n2, g2), exact_div(d1, g2)
+        return RationalExpr._wrap(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -146,7 +153,7 @@ class RationalExpr:
             raise ExprDivisionByZero(
                 f"division of {self} by the zero expression {other}"
             )
-        return self * RationalExpr._wrap(*_normalize(other.den, other.num))
+        return self * other._inverse()
 
     def __rtruediv__(self, other) -> "RationalExpr":
         other = _coerce(other)
@@ -160,11 +167,17 @@ class RationalExpr:
         if n < 0:
             if self.is_zero():
                 raise ExprDivisionByZero(f"negative power of zero expression {self}")
-            base = RationalExpr._wrap(*_normalize(self.den, self.num))
+            base = self._inverse()
             n = -n
         else:
             base = self
         return RationalExpr._wrap(base.num ** n, base.den ** n)
+
+    def _inverse(self) -> "RationalExpr":
+        """den/num of a nonzero canonical pair: only the sign needs fixing."""
+        if self.num.leading_coeff() < 0:
+            return RationalExpr._wrap(-self.den, -self.num)
+        return RationalExpr._wrap(self.den, self.num)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

@@ -52,13 +52,6 @@ def fd_jet_oracle(patch: SurfacePatch, u, v, h: float) -> Jet2Vec3:
 
 def jet_deviation(a: Jet2Vec3, b: Jet2Vec3) -> float:
     """Max-norm distance between two jets over all derivative slots and all
-    samples of the batch."""
-    return float(
-        max(
-            np.max(np.abs(a.du - b.du)),
-            np.max(np.abs(a.dv - b.dv)),
-            np.max(np.abs(a.duu - b.duu)),
-            np.max(np.abs(a.duv - b.duv)),
-            np.max(np.abs(a.dvv - b.dvv)),
-        )
-    )
+    samples of the batch; a NaN in any slot gives NaN."""
+    slots = ("du", "dv", "duu", "duv", "dvv")
+    return float(np.max([np.max(np.abs(getattr(a, s) - getattr(b, s))) for s in slots]))

@@ -1,4 +1,8 @@
 """Finite-difference oracle vs analytic jets."""
+import math
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from singmin.errors import ParameterError
@@ -41,3 +45,13 @@ def test_stencil_outside_domain_rejected():
     patch = sphere_patch()
     with pytest.raises(ParameterError):
         fd_jet_oracle(patch, patch.u_range[0], 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("slot", ["du", "dv", "duu", "duv", "dvv"])
+def test_nan_in_any_slot_gives_nan_deviation(slot):
+    patch = sphere_patch()
+    exact = patch.jet(0.7, 1.3)
+    broken = np.array(getattr(exact, slot), dtype=float)
+    broken[1] = np.nan
+    assert math.isnan(jet_deviation(replace(exact, **{slot: broken}), exact))
+    assert math.isnan(jet_deviation(exact, replace(exact, **{slot: broken})))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from singmin.exact import Polynomial, RationalExpr, exact_div, poly_gcd
 from singmin.exact import poly as poly_module
 
-from conftest import SMALL_VARS, nonzero_polynomials, polynomials
+from conftest import SMALL_VARS, nonzero_polynomials, polynomials, rational_exprs
 
 sympy = pytest.importorskip("sympy")
 
@@ -34,11 +34,13 @@ def check_gcd(a, b):
     assert same_up_to_sign(g, sympy.gcd(to_sympy(a), to_sympy(b)))
 
 
-@given(polynomials(**SMALL), polynomials(**SMALL), polynomials(**SMALL))
+@given(polynomials(**SMALL), polynomials(**SMALL), polynomials(**SMALL), st.integers(-12, 12))
 @settings(**COMMON)
-def test_gcd_matches_sympy(f, g, h):
+def test_gcd_matches_sympy(f, g, h, k):
     check_gcd(f * g, f * h)
     check_gcd(g, h)
+    check_gcd(Polynomial.const(k), f * g)
+    check_gcd(f * g, Polynomial.const(k))
 
 
 @st.composite
@@ -88,3 +90,23 @@ def test_normal_form_matches_sympy_cancel(num, den, f):
     p, q = to_sympy(num * f).cancel(to_sympy(den * f), include=True)
     got_num, got_den = to_sympy(e.num), to_sympy(e.den)
     assert (got_num, got_den) in ((p, q), (-p, -q))
+
+
+def unreduced_pairs(a, b):
+    """Each fast-path result of a and b with its pair before any gcd."""
+    yield a + b, a.num * b.den + b.num * a.den, a.den * b.den
+    yield a - b, a.num * b.den - b.num * a.den, a.den * b.den
+    yield a * b, a.num * b.num, a.den * b.den
+    if not b.is_zero():
+        yield a / b, a.num * b.den, a.den * b.num
+        yield b ** -2, b.den ** 2, b.num ** 2
+
+
+@given(rational_exprs(**SMALL), rational_exprs(**SMALL))
+@settings(**COMMON)
+def test_fast_paths_match_full_normalization_and_sympy_cancel(a, b):
+    for got, num, den in unreduced_pairs(a, b):
+        full = RationalExpr(num, den)
+        assert (got.num, got.den) == (full.num, full.den)
+        p, q = to_sympy(num).cancel(to_sympy(den), include=True)
+        assert (to_sympy(got.num), to_sympy(got.den)) in ((p, q), (-p, -q))

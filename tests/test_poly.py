@@ -136,6 +136,21 @@ def test_gcd_cases(a, b, g):
     assert poly_gcd(b, a) == g
 
 
+@pytest.mark.parametrize(
+    "a,b,g",
+    [
+        (Polynomial.const(-6), 4 * K + 2, 2),
+        (Polynomial.const(5), K, 1),
+        (Polynomial.const(4), 6 * K ** 2, 2),
+        (Polynomial.zero(), Polynomial.const(-3), 3),
+    ],
+)
+def test_gcd_constant_argument(a, b, g):
+    for got in (poly_gcd(a, b), poly_gcd(b, a)):
+        assert got == Polynomial.const(g)
+        assert got.leading_coeff() > 0
+
+
 def test_gcd_multivariate_content():
     a = (AL * K ** 2 + C) * (K ** 2 - C) ** 2 * C
     b = (AL * K ** 2 + C) ** 2 * (K ** 2 - C) * C ** 3
@@ -152,3 +167,25 @@ def test_gcd_sign_normalization():
 def test_eval_rational():
     p = K ** 2 - C
     assert p.eval_rational({Var.K1: 3, Var.C: 2}) == Fraction(7)
+
+
+def test_gcd_work_per_cold_run_all_is_bounded(monkeypatch):
+    # a canonical sum or product is built without a second full gcd, and a
+    # constant argument never reaches _gcd_primitive; the count is exact and
+    # repeats from run to run (3,300 calls before either short-cut)
+    from singmin.exact import poly as poly_module
+    from singmin.proofs import run_all, theorem1, theorem2
+
+    calls = 0
+    inner = poly_module._gcd_primitive
+
+    def counted(f, g):
+        nonlocal calls
+        calls += 1
+        return inner(f, g)
+
+    theorem1.targets.cache_clear()
+    theorem2.targets.cache_clear()
+    monkeypatch.setattr(poly_module, "_gcd_primitive", counted)
+    run_all()
+    assert calls <= 600

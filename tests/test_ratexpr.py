@@ -78,6 +78,41 @@ class TestRingOps:
         assert K ** -2 == 1 / K ** 2
 
 
+class TestCanonicalResults:
+    """Sums, products and inverses are built canonical without a second
+    normalization; these are the cases where a short-cut could leave a common
+    factor, integer content or a sign behind."""
+
+    @staticmethod
+    def assert_pair(e, num, den):
+        assert (e.num, e.den) == (num.num, den.num)
+
+    def test_non_unit_constant_cross_gcd(self):
+        self.assert_pair((2 * K) / 3 * (3 / (2 * C)), K, C)
+
+    def test_denominators_sharing_only_integer_content(self):
+        self.assert_pair(K / 2 + C / 4, 2 * K + C, RationalExpr.from_number(4))
+        self.assert_pair(1 / (2 * K) + 1 / (2 * C), C + K, 2 * C * K)
+
+    def test_sum_cancelling_to_zero(self):
+        for e in (1 / (K - C) + 1 / (C - K), C / (K * (C - K)) - 1 / (C - K) - 1 / K):
+            self.assert_pair(e, RationalExpr.zero(), RationalExpr.one())
+
+    def test_zero_operands(self):
+        x = K / (C - K)
+        zero = RationalExpr.zero()
+        for e in (zero * x, x * zero, x * 0, 0 * x, zero / x, x - x):
+            self.assert_pair(e, zero, RationalExpr.one())
+        assert zero + x == x and x + zero == x
+
+    def test_inverse_of_negative_leading_numerator(self):
+        # k1 - c has leading term -c, so its inverse moves the sign up
+        self.assert_pair(1 / (K - C), RationalExpr.from_number(-1), C - K)
+        self.assert_pair(1 / (C - K), RationalExpr.one(), C - K)
+        self.assert_pair((K - C) / K ** 2 * (1 / ((K - C) / K)), RationalExpr.one(), K)
+        self.assert_pair((K - C) ** -2, RationalExpr.one(), (C - K) ** 2)
+
+
 class TestPartial:
     def test_power_rule(self):
         assert (K ** 3).partial(Var.K1) == 3 * K ** 2
