@@ -15,8 +15,10 @@ degrees this engine produces.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
+from operator import add, neg
 from typing import Mapping, Optional, Union
 
 from .symbols import NVARS, Var
@@ -97,7 +99,7 @@ def mul_terms(a, b):
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ma, mb))
+            key = tuple(map(add, ma, mb))
             v = out.get(key)
             if v is None:
                 out[key] = ca * cb
@@ -107,23 +109,6 @@ def mul_terms(a, b):
                     out[key] = v
                 else:
                     del out[key]
-    return out
-
-
-def submul_shifted(r, cq, mq, b):
-    """r - cq * x^mq * b, used by the exact-division loop."""
-    out = dict(r)
-    for m, c in b.items():
-        key = tuple(x + y for x, y in zip(m, mq))
-        v = out.get(key)
-        if v is None:
-            out[key] = -cq * c
-        else:
-            v = v - cq * c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
     return out
 
 
@@ -367,18 +352,40 @@ def exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
         return Polynomial._raw(q)
     lead_b = lead_monomial(bt)
     lc_b = bt[lead_b]
+    tail_b = [(m, c) for m, c in bt.items() if m != lead_b]
+    # The remainder r is one private copy updated in place; its monomials sit
+    # in a heap keyed by the negated grlex_key, and an entry whose monomial
+    # has cancelled since it was pushed is skipped when it surfaces.  A
+    # processed leading monomial never comes back: every term it spawns is
+    # smaller in grlex order.
     r = dict(a._t)
+    heap = [(-sum(m), tuple(map(neg, m)), m) for m in r]
+    heapq.heapify(heap)
     q = {}
-    while r:
-        lead_r = lead_monomial(r)
+    while heap:
+        lead_r = heapq.heappop(heap)[2]
+        c = r.pop(lead_r, None)
+        if c is None:
+            continue
         mq = mono_div(lead_r, lead_b)
         if mq is None:
             return None
-        cq, rem = divmod(r[lead_r], lc_b)
+        cq, rem = divmod(c, lc_b)
         if rem:
             return None
         q[mq] = cq
-        r = submul_shifted(r, cq, mq, bt)
+        for m, cb in tail_b:
+            key = tuple(map(add, m, mq))
+            v = r.get(key)
+            if v is None:
+                r[key] = -cq * cb
+                heapq.heappush(heap, (-sum(key), tuple(map(neg, key)), key))
+            else:
+                v -= cq * cb
+                if v:
+                    r[key] = v
+                else:
+                    del r[key]
     return Polynomial._raw(q)
 
 
@@ -576,13 +583,27 @@ def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial
     return None
 
 
+# (f, g) -> _gcd_primitive(f, g) for every pair past the trivial exits, kept
+# for the life of the process: the gcd of two primitive polynomials is unique
+# once its leading coefficient is positive, so a hit is exactly the value a
+# recomputation would give.  A cold run_all() leaves 186 pairs here.
+_GCD_MEMO: dict = {}
+
+
 def _gcd_primitive(f: Polynomial, g: Polynomial) -> Polynomial:
     """gcd of integer-primitive polynomials, primitive positive result."""
     if f._t == g._t:
         return f
     if f.is_constant() or g.is_constant():
         return Polynomial.one()
+    key = (f, g)
+    out = _GCD_MEMO.get(key)
+    if out is None:
+        out = _GCD_MEMO[key] = _gcd_primitive_work(f, g)
+    return out
 
+
+def _gcd_primitive_work(f: Polynomial, g: Polynomial) -> Polynomial:
     fv = f.variables()
     gv = g.variables()
     common = [v for v in fv if v in gv]

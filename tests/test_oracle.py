@@ -3,9 +3,9 @@
 sympy is a test dependency only; the module is skipped where it is missing.
 """
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from singmin.exact import Polynomial, RationalExpr, exact_div, poly_gcd
+from singmin.exact import NVARS, Polynomial, RationalExpr, exact_div, poly_gcd
 from singmin.exact import poly as poly_module
 
 from conftest import SMALL_VARS, nonzero_polynomials, polynomials, rational_exprs
@@ -61,6 +61,8 @@ def test_subresultant_gcd_matches_sympy(f, c, g, h):
     # so the gcd has a content part there too
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly_module, "_gcdheu", lambda f, g, depth=0: None)
+        # a pair the heuristic already solved must not come back from the memo
+        mp.setattr(poly_module, "_GCD_MEMO", {})
         check_gcd(f * c * g, f * c * h)
         check_gcd(g, h)
 
@@ -81,6 +83,59 @@ def test_exact_div_matches_sympy(a, b, q, k):
     check_div(a, b)
     check_div(b * q, b)
     check_div(b * q, b * k if k else b)
+
+
+def from_sympy(p):
+    out = {}
+    for exps, c in p.terms():
+        m = [0] * NVARS
+        for v, e in zip(VARS, exps):
+            m[int(v)] = e
+        out[tuple(m)] = int(c)
+    return Polynomial(out)
+
+
+def integral_quotient(a, b):
+    """a/b when b divides a in Z[VARS], else None, by sympy's division over
+    QQ: a single divisor is a Groebner basis, so a zero remainder means b
+    divides a over QQ, and the quotient must still have integer coefficients."""
+    q, r = sympy.div(to_sympy(a).set_domain(sympy.QQ), to_sympy(b).set_domain(sympy.QQ))
+    if not r.is_zero or any(c.q != 1 for c in q.coeffs()):
+        return None
+    return from_sympy(q)
+
+
+@st.composite
+def divisors(draw):
+    """A constant, a monomial or a polynomial of two or more terms."""
+    kind = draw(st.sampled_from(("constant", "monomial", "multi-term")))
+    if kind == "multi-term":
+        p = draw(polynomials(**SMALL))
+        assume(len(p) >= 2)
+        return p
+    m = [0] * NVARS
+    if kind == "monomial":
+        for v in VARS:
+            m[int(v)] = draw(st.integers(0, 2))
+    return Polynomial({tuple(m): draw(st.integers(-6, 6).filter(bool))})
+
+
+def divide_checked(a, b):
+    """exact_div(a, b), asserting that the dividend is left untouched."""
+    terms = a._t
+    before = dict(terms)
+    got = exact_div(a, b)
+    assert a._t is terms and terms == before
+    return got
+
+
+@given(polynomials(**SMALL), divisors(), polynomials(**SMALL))
+@settings(**COMMON)
+def test_exact_div_returns_the_cofactor(q, b, r):
+    assert divide_checked(q * b, b) == q
+    assert integral_quotient(q * b, b) == q
+    a = q * b + r
+    assert divide_checked(a, b) == integral_quotient(a, b)
 
 
 @given(polynomials(**SMALL), nonzero_polynomials(**SMALL), nonzero_polynomials(**SMALL))

@@ -169,12 +169,26 @@ def test_eval_rational():
     assert p.eval_rational({Var.K1: 3, Var.C: 2}) == Fraction(7)
 
 
-def test_gcd_work_per_cold_run_all_is_bounded(monkeypatch):
-    # a canonical sum or product is built without a second full gcd, and a
-    # constant argument never reaches _gcd_primitive; the count is exact and
-    # repeats from run to run (3,300 calls before either short-cut)
+def _cold_run_all(monkeypatch):
+    """run_all() with the targets caches cleared and an empty gcd memo; the
+    memo it fills is returned."""
     from singmin.exact import poly as poly_module
     from singmin.proofs import run_all, theorem1, theorem2
+
+    theorem1.targets.cache_clear()
+    theorem2.targets.cache_clear()
+    memo: dict = {}
+    monkeypatch.setattr(poly_module, "_GCD_MEMO", memo)
+    run_all()
+    return memo
+
+
+def test_gcd_work_per_cold_run_all_is_bounded(monkeypatch):
+    # a canonical sum or product is built without a second full gcd, and a
+    # constant argument never reaches _gcd_primitive; the counts are exact and
+    # repeat from run to run (3,300 calls before either short-cut).  Each memo
+    # miss adds one entry, so the memo's size is the number of gcds computed.
+    from singmin.exact import poly as poly_module
 
     calls = 0
     inner = poly_module._gcd_primitive
@@ -184,8 +198,18 @@ def test_gcd_work_per_cold_run_all_is_bounded(monkeypatch):
         calls += 1
         return inner(f, g)
 
-    theorem1.targets.cache_clear()
-    theorem2.targets.cache_clear()
     monkeypatch.setattr(poly_module, "_gcd_primitive", counted)
-    run_all()
+    memo = _cold_run_all(monkeypatch)
     assert calls <= 600
+    assert len(memo) == 186
+
+
+def test_gcd_memo_holds_what_a_recomputation_gives(monkeypatch):
+    from singmin.exact import poly as poly_module
+
+    cached = dict(_cold_run_all(monkeypatch))
+    assert cached
+    for (f, g), want in cached.items():
+        monkeypatch.setattr(poly_module, "_GCD_MEMO", {})
+        assert poly_module._gcd_primitive(f, g) == want
+        assert poly_gcd(f, g) == poly_gcd(g, f) == want
