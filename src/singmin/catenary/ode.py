@@ -50,6 +50,10 @@ class CatenaryParams:
             raise ParameterError(f"step must be positive, got {self.step}")
         if self.smax <= 0.0:
             raise ParameterError(f"smax must be positive, got {self.smax}")
+        if not math.isfinite(self.smax / self.step):
+            raise ParameterError(
+                f"smax / step overflows a float: smax={self.smax}, step={self.step}"
+            )
         if self.y_min <= 0.0:
             raise ParameterError(f"y_min must be positive, got {self.y_min}")
 

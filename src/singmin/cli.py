@@ -75,6 +75,14 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(?:\.?\d|inf|nan)", re.IGNORECASE)
 
 
+def _out_prefix(text: str) -> Path:
+    """An output path prefix; the output suffixes go on its final name."""
+    path = Path(text)
+    if not path.name:
+        raise argparse.ArgumentTypeError(f"expected a path prefix ending in a name, got {text!r}")
+    return path
+
+
 def _vec(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -121,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--a", type=_vec, default=(0.0, 0.0, 1.0), help="reference direction")
         q.add_argument("--nu", type=int, default=50)
         q.add_argument("--nv", type=int, default=50)
-        q.add_argument("--out", type=Path, default=Path("grid"), help="output path prefix")
+        q.add_argument("--out", type=_out_prefix, default=Path("grid"), help="output path prefix")
 
     q = sub.add_parser("residual", help="defining-identity residual on a grid")
     patch_flags(q)
@@ -143,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--step", type=float, default=1e-3)
     q.add_argument("--smax", type=float, default=10.0)
     q.add_argument("--ymin", type=float, default=1e-3)
-    q.add_argument("--out", type=Path, default=Path("trajectory"))
+    q.add_argument("--out", type=_out_prefix, default=Path("trajectory"))
 
     q = sub.add_parser("extrude", help="extrude a generating curve to a surface")
     q.add_argument("--alpha", type=_finite, default=None)
@@ -161,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t-range", type=_pair, default=(-1.0, 1.0))
     q.add_argument("--nu", type=int, default=50)
     q.add_argument("--nv", type=int, default=10)
-    q.add_argument("--out", type=Path, default=Path("extrusion"))
+    q.add_argument("--out", type=_out_prefix, default=Path("extrusion"))
 
     return parser
 

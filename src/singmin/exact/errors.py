@@ -24,7 +24,3 @@ class NonlinearEquationError(AlgebraError):
 
 class DegenerateSystemError(AlgebraError):
     """solve_2x2 hit an identically zero determinant."""
-
-
-class ParseError(AlgebraError):
-    """Malformed expression text."""

@@ -5,7 +5,7 @@ indeterminates; a monomial is its exponent tuple, with no wrapper type.
 Coefficients are Python ``int``s, and any other coefficient type (floats and
 ``fractions.Fraction`` included) is a ``TypeError``.
 Division is in Z[vars] too: ``exact_div`` returns None unless the quotient
-has integer coefficients.  Rationals enter only through ``eval_rational``.
+has integer coefficients.
 The monomial order is graded lex (``grlex_key``) with ``Var.ALPHA`` most
 significant.
 ``poly_gcd`` is a heuristic gcd by integer evaluation with a recursive
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 from operator import add, neg
 from typing import Mapping, Optional, Union
 
@@ -283,17 +282,6 @@ class Polynomial:
             key = m[:i] + (0,) + m[i + 1:]
             groups.setdefault(e, {})[key] = c
         return {e: Polynomial._raw(t) for e, t in groups.items()}
-
-    def eval_rational(self, values: Mapping[Var, Union[int, Fraction]]) -> Fraction:
-        """Evaluate at rational points; every occurring variable must be bound."""
-        total = Fraction(0)
-        for m, c in self._t.items():
-            term = Fraction(c)
-            for i, e in enumerate(m):
-                if e:
-                    term *= Fraction(values[Var(i)]) ** e
-            total += term
-        return total
 
 
 def _coerce(x) -> Union[Polynomial, type(NotImplemented)]:

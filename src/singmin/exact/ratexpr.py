@@ -5,8 +5,9 @@ A ``RationalExpr`` is a pair of polynomials in Z[vars] with
 leading coefficient on the denominator, and zero represented as 0/1.
 Equality is therefore plain structural comparison.  All operations are exact.
 Rational numbers cross the boundary only through ``from_number`` (which also
-takes the ``int`` and ``Fraction`` operands of the arithmetic operators) and
-``eval_rational``; floats are rejected.
+takes the ``int`` and ``Fraction`` operands of the arithmetic operators);
+floats are rejected.  ``substitute`` is the one evaluator: binding every
+variable to a number yields a constant expression.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .errors import (
 )
 from .poly import Polynomial, exact_div, poly_gcd
 from .symbols import VAR_NAMES, Var
+from .textio import render, render_poly
 
 Number = Union[int, Fraction]
 
@@ -193,8 +195,6 @@ class RationalExpr:
         return h
 
     def __str__(self) -> str:
-        from .textio import render
-
         return render(self)
 
     def __repr__(self) -> str:
@@ -222,13 +222,6 @@ class RationalExpr:
                 f"substitution sends denominator {self.den!r} to zero"
             )
         return num_v / den_v
-
-    def eval_rational(self, values: Mapping[Var, Number]) -> Fraction:
-        """Exact numeric evaluation at rational points."""
-        d = self.den.eval_rational(values)
-        if d == 0:
-            raise SubstitutionDomainError("evaluation point is a pole")
-        return self.num.eval_rational(values) / d
 
     def degree_in(self, v: Var) -> int:
         return max(self.num.degree_in(v), self.den.degree_in(v))
@@ -305,8 +298,6 @@ def _split(
     x, y = vars
     den = expr.den
     if den.degree_in(x) or den.degree_in(y):
-        from .textio import render_poly
-
         raise StrayMonomialError(
             f"denominator {render_poly(den)} involves {VAR_NAMES[x]} or {VAR_NAMES[y]}"
         )
@@ -315,8 +306,6 @@ def _split(
     for m, c in expr.num.items():
         bucket = buckets.get((m[ix], m[iy]))
         if bucket is None:
-            from .textio import render_poly
-
             mono = render_poly(Polynomial._raw({m: 1}))
             raise StrayMonomialError(
                 f"unexpected monomial {mono} in ({VAR_NAMES[x]}, {VAR_NAMES[y]})"

@@ -48,5 +48,3 @@ VAR_NAMES: dict[Var, str] = {
     Var.D12: "d12",
     Var.D22: "d22",
 }
-
-NAME_TO_VAR: dict[str, Var] = {name: var for var, name in VAR_NAMES.items()}

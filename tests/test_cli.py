@@ -216,6 +216,40 @@ def test_catenary_non_finite_input_is_usage_error(tmp_path, capsys, args):
     assert not (tmp_path / "t.json").exists()
 
 
+@pytest.mark.parametrize("command", ["catenary", "extrude"])
+def test_step_count_overflow_is_usage_error(tmp_path, capsys, command):
+    # smax / step is inf: there is no step count to march
+    args = [command, "--alpha", "1", "--smax", "1e300", "--step", "1e-300"]
+    rc = run([*args, "--out", str(tmp_path / "t")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "smax / step" in err and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["residual", "--alpha", "-2", "--out", ""], ["catenary", "--alpha", "1", "--out", "/"]],
+    ids=["residual-empty", "catenary-root"],
+)
+def test_out_prefix_without_a_name_is_usage_error(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(args) == 2
+    err = capsys.readouterr().err
+    last = err.splitlines()[-1]
+    assert last.endswith(f"argument --out: expected a path prefix ending in a name, got {args[-1]!r}")
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_out_without_a_name_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text("out =\n")
+    assert run(["--config", "c.cfg", "residual", "--alpha", "-2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad value for 'out'" in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
 def _points(*rows, termination="reached-smax") -> str:
     """A trajectory file whose states are ``rows`` of (s, x, y, theta), each with J = 1."""
     return json.dumps({"alpha": "1", "step": "0.01", "termination": termination,

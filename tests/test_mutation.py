@@ -1,31 +1,12 @@
 """Every derivation rule of every chain matters: flipping its sign fails the chain."""
 import pytest
 
-from singmin.exact import Var
-from singmin.proofs import MUTABLE_RULES, OP_E1, theorem1, theorem2, theorem3
+from singmin.proofs import MUTABLE_RULES, theorem1
 
-CHAINS = {
-    "theorem1": (theorem1.build_context, theorem1.run_theorem1),
-    "theorem2": (theorem2.build_context, theorem2.run_theorem2),
-    "theorem3": (theorem3.build_context, theorem3.run_theorem3),
-}
-
-# gamma, the (E1, W) rule of theorem 2, is never used after it is solved, so
-# flipping it passes all 11 checkpoints
-KNOWN_GAPS = {
-    ("theorem2", (OP_E1, Var.W)): "theorem 2 never uses gamma after solving it",
-}
+from conftest import CHAINS, sign_flip_cases
 
 
-def _cases():
-    for chain, (build_context, _) in CHAINS.items():
-        for rule in build_context():
-            gap = KNOWN_GAPS.get((chain, rule))
-            marks = [pytest.mark.xfail(strict=True, reason=gap)] if gap else []
-            yield pytest.param(chain, rule, marks=marks, id=f"{chain}-{rule[0]},{rule[1].name}")
-
-
-@pytest.mark.parametrize("chain,rule", list(_cases()))
+@pytest.mark.parametrize("chain,rule", list(sign_flip_cases()))
 def test_sign_flip_of_each_rule_fails_its_chain(chain, rule):
     _, run = CHAINS[chain]
     mutated = run(flip_rule=rule)

@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from singmin.exact import NVARS, Polynomial, Var, content, divides, exact_div, poly_gcd, primitive
+from singmin.exact import (
+    NVARS,
+    Polynomial,
+    RationalExpr,
+    Var,
+    content,
+    divides,
+    exact_div,
+    poly_gcd,
+    primitive,
+)
 from singmin.exact.poly import grlex_key, lead_monomial
 
 
@@ -164,9 +174,10 @@ def test_gcd_sign_normalization():
     assert Fraction(g.leading_coeff()) > 0
 
 
-def test_eval_rational():
-    p = K ** 2 - C
-    assert p.eval_rational({Var.K1: 3, Var.C: 2}) == Fraction(7)
+def test_substitute_numbers():
+    p = RationalExpr(K ** 2 - C)
+    n = RationalExpr.from_number
+    assert p.substitute({Var.K1: n(3), Var.C: n(2)}) == Fraction(7)
 
 
 def _cold_run_all(monkeypatch):

@@ -6,8 +6,6 @@ from singmin.exact import (
     SubstitutionDomainError,
     Var,
     collect_quadratic,
-    parse,
-    render,
 )
 from singmin.exact.poly import poly_gcd
 
@@ -93,9 +91,3 @@ def test_gcd_divides_products(p, q, r):
     assert divides(g, p * r)
     assert divides(g, q * r)
     assert divides(r, g)
-
-
-@given(rational_exprs())
-@settings(**COMMON)
-def test_render_parse_roundtrip(e):
-    assert parse(render(e)) == e
