@@ -98,11 +98,4 @@ def to_extrusion(
         u_range=trajectory.s_range,
         v_range=t_range,
         evaluator=ev,
-        metadata={
-            "kind": "extrusion",
-            "alpha": alpha,
-            "v": tuple(v),
-            "a": tuple(a),
-            "termination": trajectory.termination,
-        },
     )

@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import ParameterError, SingularBoundaryError
-from ..surfaces.export import format_columns
+from ..surfaces.export import fmt, format_columns
+from ..surfaces.jets import reject_first
 
 TERM_SMAX = "reached-smax"
 TERM_YMIN = "hit-y-min"
@@ -97,9 +98,14 @@ def rhs(state: CatenaryState, alpha: float) -> tuple[float, float, float]:
 
 
 def first_integral(y: float, theta: float, alpha: float) -> float:
+    """``y^alpha * cos(theta)``; infinite, with the sign of cos(theta), where
+    the power overflows a float."""
     if y <= 0.0:
         raise SingularBoundaryError(f"first integral needs y > 0, got {y:.6g}")
-    return y ** alpha * math.cos(theta)
+    try:
+        return y ** alpha * math.cos(theta)
+    except OverflowError:
+        return math.copysign(math.inf, math.cos(theta))
 
 
 def _f(x: float, y: float, theta: float, alpha: float) -> tuple[float, float, float]:
@@ -131,6 +137,11 @@ def _march(init: CatenaryState, params: CatenaryParams, sign: float):
             x1, y1, th1 = _rk4(x, y, th, sign * params.step, params.alpha)
         except SingularBoundaryError:
             return out, True
+        except ValueError:
+            # math.cos of an infinite angle: a stage left the floats
+            raise ParameterError(
+                f"integration diverged at s = {fmt(init.s + sign * i * params.step)}"
+            ) from None
         if y1 < params.y_min:
             return out, True
         x, y, th = x1, y1, th1
@@ -142,7 +153,8 @@ def integrate(init: CatenaryState, params: CatenaryParams) -> Trajectory:
     """Classical RK4 in both directions from ``init`` up to +-smax.
 
     Stops one step early whenever the next state would drop below ``y_min``
-    and records the cutoff; deterministic for fixed inputs.
+    and records the cutoff; deterministic for fixed inputs.  A march that
+    leaves the floats is a ParameterError naming the arc length.
     """
     _require_finite(init)
     if init.y <= params.y_min:
@@ -151,10 +163,14 @@ def integrate(init: CatenaryState, params: CatenaryParams) -> Trajectory:
         )
     fwd, hit_f = _march(init, params, +1.0)
     bwd, hit_b = _march(init, params, -1.0)
-    rows = bwd[::-1] + [(init.s, init.x, init.y, init.theta)] + fwd
+    states = np.array(bwd[::-1] + [(init.s, init.x, init.y, init.theta)] + fwd, dtype=float)
+    reject_first(
+        ~np.isfinite(states).all(axis=1),
+        lambda k: ParameterError(f"integration diverged at s = {fmt(states[k, 0])}"),
+    )
     return Trajectory(
         alpha=params.alpha,
-        states=np.array(rows, dtype=float),
+        states=states,
         step=params.step,
         termination=TERM_YMIN if (hit_f or hit_b) else TERM_SMAX,
     )

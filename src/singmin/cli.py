@@ -32,15 +32,17 @@ from .catenary import (
 from .errors import ParameterError
 from .proofs import THEOREMS, reports_to_json, run_all
 from .surfaces import (
-    builtin_patch,
+    RESIDUAL_TOL_ANALYTIC,
     curvature_csv,
-    default_residual_tol,
+    cylinder_patch,
     fd_jet_oracle,
     grid_csv,
     grid_json,
     grid_report,
     jet_deviation,
     obj_mesh,
+    plane_patch,
+    sphere_patch,
     valid_curvature,
 )
 from .surfaces.export import fmt
@@ -62,7 +64,9 @@ _finite.__name__ = "float"
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads a value starting with a minus sign as a
-    value, so ``--t-range -2,2`` and ``--fd-h -1e-3`` parse as the ``=`` form.
+    value, so ``--t-range -2,2`` and ``--fd-h -1e-3`` parse as the ``=`` form,
+    and that raises ParameterError where argparse would print its usage and
+    exit, so every rejected value is one ``error:`` line from ``main``.
 
     argparse takes only plain negative numbers such as ``-2`` or ``-0.5`` for
     values; any other token that starts with ``-`` is read as a flag.  No flag
@@ -73,6 +77,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message: str):
+        raise ParameterError(message)
 
 
 def _out_prefix(text: str) -> Path:
@@ -131,13 +138,21 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--nv", type=int, default=50)
         q.add_argument("--out", type=_out_prefix, default=Path("grid"), help="output path prefix")
 
+    def curve_flags(q: argparse.ArgumentParser, smax: float) -> None:
+        q.add_argument("--y0", type=float, default=1.0)
+        q.add_argument("--x0", type=float, default=0.0)
+        q.add_argument("--theta0", type=float, default=0.0)
+        q.add_argument("--step", type=float, default=1e-3)
+        q.add_argument("--smax", type=float, default=smax)
+        q.add_argument("--ymin", type=float, default=1e-3)
+
     q = sub.add_parser("residual", help="defining-identity residual on a grid")
     patch_flags(q)
     q.add_argument("--alpha", type=_finite, default=None)
     q.add_argument("--expect-pass", action="store_true",
                    help="exit 1 unless max |residual| is below the threshold")
-    q.add_argument("--threshold", type=_finite, default=None,
-                   help="override the per-patch default pass threshold")
+    q.add_argument("--threshold", type=_finite, default=RESIDUAL_TOL_ANALYTIC,
+                   help="pass threshold for max |residual|")
 
     q = sub.add_parser("curvature", help="curvature table and FD cross-check")
     patch_flags(q)
@@ -145,12 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("catenary", help="integrate a generating curve")
     q.add_argument("--alpha", type=float, default=None)
-    q.add_argument("--y0", type=float, default=1.0)
-    q.add_argument("--x0", type=float, default=0.0)
-    q.add_argument("--theta0", type=float, default=0.0)
-    q.add_argument("--step", type=float, default=1e-3)
-    q.add_argument("--smax", type=float, default=10.0)
-    q.add_argument("--ymin", type=float, default=1e-3)
+    curve_flags(q, smax=10.0)
     q.add_argument("--out", type=_out_prefix, default=Path("trajectory"))
 
     q = sub.add_parser("extrude", help="extrude a generating curve to a surface")
@@ -158,12 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--traj", type=Path, default=None,
                    help="polyline JSON from the catenary command instead of "
                         "inline integration")
-    q.add_argument("--y0", type=float, default=1.0)
-    q.add_argument("--x0", type=float, default=0.0)
-    q.add_argument("--theta0", type=float, default=0.0)
-    q.add_argument("--step", type=float, default=1e-3)
-    q.add_argument("--smax", type=float, default=2.0)
-    q.add_argument("--ymin", type=float, default=1e-3)
+    curve_flags(q, smax=2.0)
     q.add_argument("--v", type=_vec, default=(0.0, 1.0, 0.0), help="ruling direction")
     q.add_argument("--a", type=_vec, default=(0.0, 0.0, 1.0), help="reference direction")
     q.add_argument("--t-range", type=_pair, default=(-1.0, 1.0))
@@ -186,7 +191,7 @@ def _config_value(action: argparse.Action, text: str):
     return value
 
 
-def _load_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _load_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Apply a key = value config file as parser defaults; flags override.
 
     Unknown keys and values the flag would not accept are rejected (exit 2
@@ -196,7 +201,7 @@ def _load_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     probe.add_argument("--config", type=Path, default=None)
     known, _ = probe.parse_known_args(argv)
     if known.config is None:
-        return argv
+        return
     path = known.config
     if not path.exists():
         raise ParameterError(f"config file {path} does not exist")
@@ -221,15 +226,14 @@ def _load_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
             except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
                 raise ParameterError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
             action_parser.set_defaults(**{key: parsed})
-    return argv
 
 
 def _make_patch(args: argparse.Namespace):
     if args.patch == "plane":
-        return builtin_patch("plane", a=args.a)
+        return plane_patch(a=args.a)
     if args.patch == "sphere":
-        return builtin_patch("sphere", r=args.r, center=args.center)
-    return builtin_patch("cylinder", r=args.r, axis=args.axis, center=args.center)
+        return sphere_patch(r=args.r, center=args.center)
+    return cylinder_patch(r=args.r, axis=args.axis, center=args.center)
 
 
 def _write(path: Path, text: str) -> None:
@@ -254,13 +258,12 @@ def cmd_residual(args: argparse.Namespace) -> int:
     report = grid_report(patch, args.alpha, args.a, args.nu, args.nv)
     _write(args.out.with_suffix(".json"), grid_json(report))
     _write(args.out.with_suffix(".csv"), grid_csv(report))
-    threshold = args.threshold if args.threshold is not None else default_residual_tol(patch)
     print(
         f"{patch.name}: alpha={fmt(args.alpha)} max|residual|={fmt(report.max_abs_residual)} "
-        f"threshold={fmt(threshold)} violations={report.halfspace_violations}"
+        f"threshold={fmt(args.threshold)} violations={report.halfspace_violations}"
     )
     # written so that a NaN residual fails the expectation
-    if args.expect_pass and not report.max_abs_residual <= threshold:
+    if args.expect_pass and not report.max_abs_residual <= args.threshold:
         print("expectation failed: residual above threshold", file=sys.stderr)
         return 1
     return 0
@@ -331,8 +334,6 @@ def cmd_extrude(args: argparse.Namespace) -> int:
                 f"of trajectory file {args.traj}"
             )
     else:
-        if args.alpha is None:
-            raise ParameterError("alpha is required (flag --alpha or config key)")
         traj = _integrate_from_args(args)
     patch = to_extrusion(traj, v=args.v, a=args.a, t_range=args.t_range)
     report = grid_report(patch, args.alpha, args.a, args.nu, args.nv)
@@ -342,7 +343,7 @@ def cmd_extrude(args: argparse.Namespace) -> int:
     max_abs_k = max(abs(report.min_K), abs(report.max_K))
     print(
         f"extrusion: alpha={fmt(args.alpha)} max|residual|={fmt(report.max_abs_residual)} "
-        f"max|K|={fmt(max_abs_k)} {patch.metadata['termination']}"
+        f"max|K|={fmt(max_abs_k)} {traj.termination}"
     )
     return 0
 
@@ -362,7 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _load_config(parser, argv)
         args = parser.parse_args(argv)
-        if getattr(args, "alpha", 0.0) is None and args.command != "extrude":
+        # alpha is required unless extrude --traj reads it from the file
+        if getattr(args, "alpha", 0.0) is None and getattr(args, "traj", None) is None:
             raise ParameterError("alpha is required (flag --alpha or config key)")
         return _COMMANDS[args.command](args)
     except (ParameterError, OSError) as exc:

@@ -15,7 +15,6 @@ from .jets import (
 )
 from .patches import (
     SurfacePatch,
-    builtin_patch,
     cylinder_patch,
     plane_patch,
     sphere_patch,
@@ -24,9 +23,7 @@ from .patches import (
 from .residual import (
     GRID_CSV_COLUMNS,
     RESIDUAL_TOL_ANALYTIC,
-    RESIDUAL_TOL_ODE,
     GridReport,
-    default_residual_tol,
     grid_report,
     smr_residual,
 )
@@ -39,13 +36,10 @@ __all__ = [
     "GridReport",
     "Jet2Vec3",
     "RESIDUAL_TOL_ANALYTIC",
-    "RESIDUAL_TOL_ODE",
     "SurfacePatch",
-    "builtin_patch",
     "curvature_csv",
     "curvature_sample",
     "cylinder_patch",
-    "default_residual_tol",
     "degenerate_metric",
     "dot",
     "fd_jet_oracle",

@@ -1,7 +1,7 @@
 """Built-in surface patches with analytic jets."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,7 +49,7 @@ def _const(vec: np.ndarray, shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """A named parametric patch over a rectangle, producing exact jets.
+    """A name, a rectangular domain and an evaluator producing exact jets.
 
     The evaluator takes broadcastable ``u, v`` arrays and returns a jet whose
     fields have shape ``broadcast(u, v).shape + (3,)``.  It should describe an
@@ -61,7 +61,6 @@ class SurfacePatch:
     u_range: tuple[float, float]
     v_range: tuple[float, float]
     evaluator: Callable[[np.ndarray, np.ndarray], Jet2Vec3]
-    metadata: dict = field(default_factory=dict)
 
     def jet(self, u, v) -> Jet2Vec3:
         return self.evaluator(u, v)
@@ -106,7 +105,6 @@ def swap_parameters(patch: SurfacePatch) -> SurfacePatch:
         u_range=patch.v_range,
         v_range=patch.u_range,
         evaluator=ev,
-        metadata=dict(patch.metadata),
     )
 
 
@@ -142,7 +140,6 @@ def plane_patch(
         u_range=u_range,
         v_range=v_range,
         evaluator=ev,
-        metadata={"kind": "plane", "a": tuple(a)},
     )
 
 
@@ -185,7 +182,6 @@ def sphere_patch(
         u_range=lat_range,
         v_range=lon_range,
         evaluator=ev,
-        metadata={"kind": "sphere", "r": r, "center": tuple(center)},
     )
 
 
@@ -231,21 +227,4 @@ def cylinder_patch(
         u_range=angle_range,
         v_range=height_range,
         evaluator=ev,
-        metadata={"kind": "cylinder", "r": r, "axis": tuple(axis), "center": tuple(center)},
     )
-
-
-def builtin_patch(kind: str, **params) -> SurfacePatch:
-    """Factory over the built-in patches; ``extrusion`` wraps a generating
-    trajectory produced by the catenary integrator."""
-    if kind == "plane":
-        return plane_patch(**params)
-    if kind == "sphere":
-        return sphere_patch(**params)
-    if kind == "cylinder":
-        return cylinder_patch(**params)
-    if kind == "extrusion":
-        from ..catenary.extrude import to_extrusion
-
-        return to_extrusion(**params)
-    raise ParameterError(f"unknown patch kind {kind!r}")

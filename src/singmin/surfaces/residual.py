@@ -14,18 +14,11 @@ from ..errors import HalfspaceViolation
 from .jets import CurvatureSample, dot, reject_first, valid_curvature
 from .patches import SurfacePatch, unit_vec
 
-#: default pass thresholds for max |residual|
+#: default pass threshold for max |residual| on the analytic patches
 RESIDUAL_TOL_ANALYTIC = 1e-9
-RESIDUAL_TOL_ODE = 1e-6
 
 #: columns of ``GridReport.samples``, which is also the CSV row layout
 GRID_CSV_COLUMNS = ("u", "v", "x", "y", "z", "H", "K", "k1", "k2", "residual")
-
-
-def default_residual_tol(patch: SurfacePatch) -> float:
-    if patch.metadata.get("kind") == "extrusion":
-        return RESIDUAL_TOL_ODE
-    return RESIDUAL_TOL_ANALYTIC
 
 
 def smr_residual(sample: CurvatureSample, pos, alpha: float, a):

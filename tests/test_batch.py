@@ -27,9 +27,11 @@ A = (0.0, 0.0, 1.0)
 FIELDS = ("point", "normal", "E", "F", "G", "L", "M", "N", "H", "K", "k1", "k2")
 
 
-def _extrusion(alpha, **kw):
+def _extrusion(alpha, termination, **kw):
     params = CatenaryParams(alpha=alpha, step=1e-2, **kw)
-    return to_extrusion(integrate(CatenaryState(0.0, 0.0, 1.0, 0.0), params))
+    traj = integrate(CatenaryState(0.0, 0.0, 1.0, 0.0), params)
+    assert traj.termination == termination
+    return to_extrusion(traj)
 
 
 PATCHES = {
@@ -37,8 +39,8 @@ PATCHES = {
     "sphere": lambda: sphere_patch(r=1.7, center=(0.3, -0.2, 0.0)),
     "cylinder": lambda: cylinder_patch(r=0.8, axis=(0.6, 0.8, 0.0)),
     "sphere-swapped": lambda: swap_parameters(sphere_patch(r=1.3)),
-    "extrusion-smax": lambda: _extrusion(1.0, smax=1.5),
-    "extrusion-ymin": lambda: _extrusion(-2.0, smax=10.0, y_min=0.2),
+    "extrusion-smax": lambda: _extrusion(1.0, "reached-smax", smax=1.5),
+    "extrusion-ymin": lambda: _extrusion(-2.0, "hit-y-min", smax=10.0, y_min=0.2),
 }
 
 
@@ -56,10 +58,6 @@ def _rows_of_single_points(patch, alpha, u, v):
 @pytest.mark.parametrize("kind", sorted(PATCHES))
 def test_batch_equals_loop_of_single_points(kind):
     patch = PATCHES[kind]()
-    if kind == "extrusion-smax":
-        assert patch.metadata["termination"] == "reached-smax"
-    if kind == "extrusion-ymin":
-        assert patch.metadata["termination"] == "hit-y-min"
     alpha = -1.5
     u, v = patch.grid(17, 9)
     batch = curvature_sample(patch.jet(u, v))

@@ -118,6 +118,13 @@ class TestClosedForms:
         )
         assert max(abs(j) for j in first_integrals(traj, 1.0)) < 1e-12
 
+    def test_first_integral_is_infinite_where_the_power_overflows(self):
+        assert first_integral(2.0, 0.0, 1100.0) == math.inf
+        assert first_integral(2.0, math.pi, 1100.0) == -math.inf
+        assert first_integral(0.02, 0.0, -200.0) == math.inf
+        # where the power is finite, J is the plain product, bit for bit
+        assert first_integral(2.0, 0.3, 1000.0) == 2.0 ** 1000.0 * math.cos(0.3)
+
 
 class TestIntegratorStructure:
     def test_states_uniformly_spaced(self):
@@ -211,3 +218,16 @@ def test_csv_has_first_integral_column():
     header, first = text.splitlines()[:2]
     assert header == "s,x,y,theta,J"
     assert len(first.split(",")) == 5
+
+
+@pytest.mark.parametrize(
+    "smax,where",
+    # a stage's cos of an infinite angle raises inside the march; a last step
+    # that ends on an infinite angle is caught on the finished states
+    [(0.01, "s = 0.002"), (1e-3, "s = -0.001")],
+    ids=["stage-leaves-the-floats", "last-state-not-finite"],
+)
+def test_diverging_integration_is_a_parameter_error(smax, where):
+    params = CatenaryParams(alpha=1e308, step=1e-3, smax=smax)
+    with pytest.raises(ParameterError, match=f"integration diverged at {where}$"):
+        integrate(CatenaryState(0, 0, 1, 0), params)

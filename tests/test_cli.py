@@ -14,14 +14,6 @@ def run(args):
     return main(list(args))
 
 
-def exit_code(args):
-    """Exit code of a run, including argparse's SystemExit for a bad flag."""
-    try:
-        return run(args)
-    except SystemExit as exc:
-        return exc.code
-
-
 def test_prove_single_theorem_passes(tmp_path, capsys):
     rc = run(["prove", "--theorem", "3", "--json", str(tmp_path / "rep.json")])
     out = capsys.readouterr().out
@@ -41,10 +33,44 @@ def test_prove_filter_runs_one_chain(capsys):
     assert "theorem-2" in out and "theorem-1" not in out
 
 
-def test_prove_unknown_theorem_is_usage_error():
+def test_prove_unknown_theorem_is_usage_error(capsys):
+    assert run(["prove", "--theorem", "9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --theorem: invalid choice") and err.count("\n") == 1
+
+
+# the last flag of each command that takes a value
+VALUE_FLAG = {"prove": "--json", "residual": "--out", "curvature": "--out",
+              "catenary": "--out", "extrude": "--out"}
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda command: [command, "--patch", "torus"],
+        lambda command: [command, "--nu", "x"],
+        lambda command: [command, "--frobnicate"],
+        lambda command: [command, VALUE_FLAG[command]],
+        lambda command: [],
+    ],
+    ids=["bad-choice", "bad-int", "unknown-flag", "flag-without-value", "no-command"],
+)
+@pytest.mark.parametrize("command", list(VALUE_FLAG))
+def test_argparse_rejection_is_one_error_line(tmp_path, monkeypatch, capsys, command, make_args):
+    monkeypatch.chdir(tmp_path)
+    assert run(make_args(command)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        run(["prove", "--theorem", "9"])
-    assert exc.value.code == 2
+        run(["residual", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: singmin residual") and captured.err == ""
 
 
 @pytest.mark.parametrize(
@@ -228,16 +254,40 @@ def test_step_count_overflow_is_usage_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "curve",
+    [["--alpha", "1100", "--y0", "2", "--smax", "0.01"],
+     ["--alpha", "-200", "--y0", "0.02", "--step", "1e-4", "--smax", "0.001"]],
+    ids=["alpha-1100", "alpha-minus-200"],
+)
+def test_first_integral_overflow_is_written_as_inf(tmp_path, monkeypatch, capsys, curve):
+    monkeypatch.chdir(tmp_path)
+    assert run(["catenary", *curve, "--out", "t"]) == 0
+    rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[4] == "inf" for row in rows)
+    assert run(["extrude", "--traj", "t.json", "--nu", "6", "--nv", "3", "--out", "e"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["catenary", "extrude"])
+def test_diverging_integration_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert run([command, "--alpha", "1e308", "--smax", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: integration diverged at s = 0.002\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "args",
     [["residual", "--alpha", "-2", "--out", ""], ["catenary", "--alpha", "1", "--out", "/"]],
     ids=["residual-empty", "catenary-root"],
 )
 def test_out_prefix_without_a_name_is_usage_error(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)
-    assert exit_code(args) == 2
+    assert run(args) == 2
     err = capsys.readouterr().err
-    last = err.splitlines()[-1]
-    assert last.endswith(f"argument --out: expected a path prefix ending in a name, got {args[-1]!r}")
+    expected = f"argument --out: expected a path prefix ending in a name, got {args[-1]!r}"
+    assert err == f"error: {expected}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -307,7 +357,7 @@ def test_extrude_malformed_trajectory_is_usage_error(tmp_path, capsys, text, mes
 )
 def test_non_finite_surface_flag_is_usage_error(tmp_path, args):
     out = tmp_path / "g"
-    assert exit_code([*args, "--nu", "5", "--nv", "5", "--out", str(out)]) == 2
+    assert run([*args, "--nu", "5", "--nv", "5", "--out", str(out)]) == 2
     assert not out.with_suffix(".json").exists()
 
 
@@ -352,7 +402,7 @@ GRID = ["--nu", "6", "--nv", "3"]
 )
 def test_negative_flag_value_parses_as_the_equals_form(tmp_path, capsys, args, flag, value, rc):
     def outcome(tag, flag_args):
-        code = exit_code([*args, *flag_args, "--out", str(tmp_path / tag)])
+        code = run([*args, *flag_args, "--out", str(tmp_path / tag)])
         captured = capsys.readouterr()
         files = {p.suffix: p.read_bytes() for p in tmp_path.glob(f"{tag}.*")}
         return code, captured.out, captured.err, files
@@ -487,8 +537,9 @@ def test_extrude_t_range_must_increase(tmp_path, capsys, t_range):
     out = tmp_path / "e"
     args = ["extrude", "--alpha", "1", "--smax", "0.5", "--nu", "3", "--nv", "3",
             "--t-range", t_range, "--out", str(out)]
-    assert exit_code(args) == 2
-    assert "expected lo < hi" in capsys.readouterr().err
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected lo < hi" in err and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 

@@ -22,12 +22,13 @@ from singmin.catenary import (
 from singmin.surfaces import (
     CURVATURE_CSV_COLUMNS,
     GRID_CSV_COLUMNS,
-    builtin_patch,
     curvature_csv,
     curvature_sample,
+    cylinder_patch,
     grid_csv,
     grid_report,
     obj_mesh,
+    sphere_patch,
 )
 from singmin.surfaces.export import ROW_BLOCK, fmt, format_columns, format_rows, table_csv
 
@@ -98,9 +99,9 @@ def trajectory(alpha, y0, smax, step=1e-2):
 
 
 SURFACES = {
-    "sphere": (lambda: builtin_patch("sphere", r=1.3, center=(0.2, -0.1, 0.0)), -2.0),
-    "cylinder": (lambda: builtin_patch("cylinder", r=0.8, axis=(0.6, 0.8, 0.0),
-                                       center=(0.0, 0.0, 0.3)), -1.0),
+    "sphere": (lambda: sphere_patch(r=1.3, center=(0.2, -0.1, 0.0)), -2.0),
+    "cylinder": (lambda: cylinder_patch(r=0.8, axis=(0.6, 0.8, 0.0), center=(0.0, 0.0, 0.3)),
+                 -1.0),
     "extrusion-smax": (lambda: to_extrusion(trajectory(1.0, 1.0, 1.0)), 1.0),
     "extrusion-ymin": (lambda: to_extrusion(trajectory(-1.5, 0.7, 10.0)), -1.5),
 }

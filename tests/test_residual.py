@@ -4,7 +4,6 @@ import pytest
 
 from singmin.errors import HalfspaceViolation, ParameterError
 from singmin.surfaces import (
-    builtin_patch,
     curvature_sample,
     cylinder_patch,
     grid_report,
@@ -100,8 +99,6 @@ def test_parameter_validation():
         plane_patch(a=(0.0, 0.0, 2.0))
     with pytest.raises(ParameterError):
         cylinder_patch(axis=(1.0, 1.0, 0.0))
-    with pytest.raises(ParameterError):
-        builtin_patch("torus")
     with pytest.raises(ParameterError):
         plane_patch(u_range=(-0.5, 1.0))
 
