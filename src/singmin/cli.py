@@ -43,6 +43,7 @@ from .surfaces import (
     obj_mesh,
     plane_patch,
     sphere_patch,
+    stencil_fits,
     valid_curvature,
 )
 from .surfaces.export import fmt
@@ -139,12 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--out", type=_out_prefix, default=Path("grid"), help="output path prefix")
 
     def curve_flags(q: argparse.ArgumentParser, smax: float) -> None:
-        q.add_argument("--y0", type=float, default=1.0)
-        q.add_argument("--x0", type=float, default=0.0)
-        q.add_argument("--theta0", type=float, default=0.0)
-        q.add_argument("--step", type=float, default=1e-3)
-        q.add_argument("--smax", type=float, default=smax)
-        q.add_argument("--ymin", type=float, default=1e-3)
+        # a curve value that no flag or config key sets stays None, so
+        # extrude can reject one given with --traj; _integrate_from_args
+        # takes the others from curve_defaults
+        q.add_argument("--y0", type=float, default=None)
+        q.add_argument("--x0", type=float, default=None)
+        q.add_argument("--theta0", type=float, default=None)
+        q.add_argument("--step", type=float, default=None)
+        q.add_argument("--smax", type=float, default=None)
+        q.add_argument("--ymin", type=float, default=None)
+        q.set_defaults(curve_defaults={
+            "y0": 1.0, "x0": 0.0, "theta0": 0.0, "step": 1e-3, "smax": smax, "ymin": 1e-3,
+        })
 
     q = sub.add_parser("residual", help="defining-identity residual on a grid")
     patch_flags(q)
@@ -272,19 +279,11 @@ def cmd_residual(args: argparse.Namespace) -> int:
 def cmd_curvature(args: argparse.Namespace) -> int:
     patch = _make_patch(args)
     h = args.fd_h
-    if h <= 0.0:
-        raise ParameterError(f"finite-difference step must be positive, got {h}")
-
     u, v = patch.grid(args.nu, args.nv)
+    fits = stencil_fits(patch, u, v, h)
     jet = patch.jet(u, v)
     keep, s, _, rejected = valid_curvature(jet)
-    fits = (
-        keep
-        & patch.contains(u - h, v - h)
-        & patch.contains(u + h, v + h)
-        & patch.contains(u + h, v - h)
-        & patch.contains(u - h, v + h)
-    )
+    fits &= keep
     if not fits.any():
         raise ParameterError(
             f"no sample's finite-difference stencil at h={fmt(h)} fits inside the patch domain"
@@ -304,11 +303,19 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     return 0
 
 
+def _curve_values(args: argparse.Namespace) -> dict[str, float]:
+    """The curve values a flag or a config key set."""
+    return {
+        name: getattr(args, name)
+        for name in args.curve_defaults
+        if getattr(args, name) is not None
+    }
+
+
 def _integrate_from_args(args: argparse.Namespace):
-    params = CatenaryParams(
-        alpha=args.alpha, step=args.step, smax=args.smax, y_min=args.ymin
-    )
-    init = CatenaryState(s=0.0, x=args.x0, y=args.y0, theta=args.theta0)
+    c = {**args.curve_defaults, **_curve_values(args)}
+    params = CatenaryParams(alpha=args.alpha, step=c["step"], smax=c["smax"], y_min=c["ymin"])
+    init = CatenaryState(s=0.0, x=c["x0"], y=c["y0"], theta=c["theta0"])
     return integrate(init, params)
 
 
@@ -325,6 +332,13 @@ def cmd_catenary(args: argparse.Namespace) -> int:
 
 def cmd_extrude(args: argparse.Namespace) -> int:
     if args.traj is not None:
+        given = _curve_values(args)
+        if given:
+            name, value = next(iter(given.items()))
+            raise ParameterError(
+                f"curve value {name} = {fmt(value)} cannot be used with --traj: "
+                f"the trajectory file {args.traj} fixes the curve"
+            )
         traj = load_trajectory_json(args.traj)
         if args.alpha is None:
             args.alpha = traj.alpha

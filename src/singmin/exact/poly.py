@@ -25,9 +25,9 @@ from .symbols import NVARS, Var
 _ZERO_MONO = (0,) * NVARS
 
 
-# -- term-dict kernel -----------------------------------------------------------
-# A term dict maps dense exponent tuples to nonzero coefficients; these are the
-# hot inner loops of the exact engine.
+# -- monomials -----------------------------------------------------------------
+# A monomial is its dense exponent tuple; a term dict maps monomials to nonzero
+# coefficients.
 
 def mono_div(a, b):
     """Exponent-wise difference, or None when not divisible."""
@@ -54,61 +54,6 @@ def lead_monomial(terms):
             best_key = k
             best = m
     return best
-
-
-def add_terms(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m)
-        if s is None:
-            out[m] = c
-        else:
-            s = s + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
-
-
-def sub_terms(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m)
-        if s is None:
-            out[m] = -c
-        else:
-            s = s - c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
-
-
-def neg_terms(a):
-    return {m: -c for m, c in a.items()}
-
-
-def mul_terms(a, b):
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = tuple(map(add, ma, mb))
-            v = out.get(key)
-            if v is None:
-                out[key] = ca * cb
-            else:
-                v = v + ca * cb
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-    return out
 
 
 class Polynomial:
@@ -199,7 +144,18 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._raw(add_terms(self._t, other._t))
+        out = dict(self._t)
+        for m, c in other._t.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            else:
+                s = s + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return Polynomial._raw(out)
 
     __radd__ = __add__
 
@@ -207,24 +163,55 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._raw(sub_terms(self._t, other._t))
+        out = dict(self._t)
+        for m, c in other._t.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = -c
+            else:
+                s = s - c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return Polynomial._raw(out)
 
     def __rsub__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._raw(sub_terms(other._t, self._t))
+        return other - self
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(neg_terms(self._t))
+        return Polynomial._raw({m: -c for m, c in self._t.items()})
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
-            return Polynomial._raw(scale(self._t, other))
+            if not other:
+                return Polynomial._raw({})
+            return Polynomial._raw({m: c * other for m, c in self._t.items()})
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._raw(mul_terms(self._t, other._t))
+        a, b = self._t, other._t
+        if not a or not b:
+            return Polynomial._raw({})
+        if len(a) > len(b):
+            a, b = b, a
+        out = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                key = tuple(map(add, ma, mb))
+                v = out.get(key)
+                if v is None:
+                    out[key] = ca * cb
+                else:
+                    v = v + ca * cb
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+        return Polynomial._raw(out)
 
     __rmul__ = __mul__
 
@@ -290,12 +277,6 @@ def _coerce(x) -> Union[Polynomial, type(NotImplemented)]:
     if isinstance(x, int):
         return Polynomial.const(x)
     return NotImplemented
-
-
-def scale(t: dict, s: int) -> dict:
-    if not s:
-        return {}
-    return {m: c * s for m, c in t.items()}
 
 
 # -- content / primitive part -------------------------------------------------

@@ -16,13 +16,13 @@ derivatives and w for the height over the singular plane, the chain
   5. handles the u1 = 0 branch separately, ending in a quartic with constant
      coefficients.
 
-Every step is a named checkpoint compared against the frozen target
-expressions below.
+Every step is a named checkpoint compared against the target expressions
+below.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_2x2, solve_linear
 from .context import AL, C, D11, D12, D22, G, K, M, U1, U2, W
@@ -41,99 +41,12 @@ MUTABLE_RULES = (
 )
 
 
-@dataclass(frozen=True)
-class Targets:
-    """Frozen expected expressions for every checkpoint of this chain."""
-
-    gamma: RationalExpr
-    mu: RationalExpr
-    grad_height_e1: RationalExpr
-    grad_height_e2: RationalExpr
-    gauss_quadratic: RationalExpr
-    e11: RationalExpr
-    e12: RationalExpr
-    e22: RationalExpr
-    p1: RationalExpr
-    q1: RationalExpr
-    r1: RationalExpr
-    p2: RationalExpr
-    q2: RationalExpr
-    r2: RationalExpr
-    determinant: RationalExpr
-    branch_minus2: RationalExpr
-    branch_plus2: RationalExpr
-    m1: RationalExpr
-    m2: RationalExpr
-    z1: RationalExpr
-    z2: RationalExpr
-    final_polynomial: RationalExpr
-    flat_u2sq: RationalExpr
-    flat_e22_derivative: RationalExpr
-    flat_e22_frame: RationalExpr
-    flat_polynomial: RationalExpr
-
-
 @functools.cache
-def targets() -> Targets:
+def targets() -> SimpleNamespace:
+    """The expected expression of every checkpoint of this chain, by name."""
     a, c, k = AL, C, K
     A = (a + 1) * k ** 2 + c
     B = k ** 2 + (a + 1) * c
-
-    gamma = W * (c - k ** 2) * U1 / (k * A)
-    mu = W * (c - k ** 2) * U2 / (k * B)
-
-    grad_height_e1 = (k ** 2 - c) / (a * k ** 2) * W * U1 + G * (k ** 2 + c) / (a * k)
-    grad_height_e2 = (k ** 2 - c) / (a * k ** 2) * W * U2 + M * (k ** 2 + c) / (a * k)
-
-    gauss_quadratic = (
-        c * (k ** 2 - c) / k ** 3 * D11
-        + (k ** 2 - c) / k * D22
-        - 3 * c / k ** 2 * U1 ** 2
-        - (2 * k ** 2 + c) / k ** 2 * U2 ** 2
-        - c * (k ** 2 - c) ** 2 / k ** 2
-    )
-
-    e11 = (
-        (a + 2) * k * (k ** 2 - 3 * c) / ((k ** 2 - c) * A) * U1 ** 2
-        + k * A / ((k ** 2 - c) * B) * U2 ** 2
-        - k * (k ** 2 + c) * A / (a * (k ** 2 - c))
-    )
-    e12 = (
-        2 * k / B + 3 * k / (c - k ** 2) - 2 * c / (k * A) + 2 / k
-    ) * U1 * U2
-    e22 = (
-        c * B / (k * (k ** 2 - c) * A) * U1 ** 2
-        + (-2 * k ** 4 + (a + 6) * k ** 2 * c + a * c ** 2) / (k * (c - k ** 2) * B) * U2 ** 2
-        - c * (k ** 2 + c) * B / (a * k * (k ** 2 - c))
-    )
-
-    p1 = (a * k ** 2 + (a + 4) * c) / A
-    q1 = ((a + 4) * k ** 2 + a * c) / B
-    r1 = k ** 4 + (k ** 2 + c) ** 2 / a + c ** 2
-
-    p2 = (
-        2 * (a + 2) * k * (a * k ** 4 + (2 - 3 * a) * k ** 2 * c - 2 * (a + 5) * c ** 2)
-        / ((k ** 2 - c) * A ** 2)
-    )
-    q2 = (
-        2 * (a + 2) * k
-        * (
-            2 * (a + 1) * k ** 6
-            + (a ** 2 - 3 * a - 8) * k ** 4 * c
-            - (3 * a ** 2 + 12 * a + 10) * k ** 2 * c ** 2
-            - a * (2 * a + 3) * c ** 3
-        )
-        / ((k ** 2 - c) * B ** 2 * A)
-    )
-    r2 = (
-        2 * (a + 2) * k ** 5 - 8 * (a + 1) * k ** 3 * c - 2 * (a + 6) * c ** 2 * k
-    ) / (a * (k ** 2 - c))
-
-    determinant = (a ** 2 - 4) * k * (k ** 2 - c) ** 3
-
-    branch_minus2 = 8 * c * k
-    branch_plus2 = 8 * c * k * (-5 * k ** 4 + 6 * k ** 2 * c + 15 * c ** 2)
-
     m1 = (
         (a + 1) * (a ** 2 - 4) * k ** 8
         - (a * (a * (4 * a + 11) + 16) + 12) * k ** 6 * c
@@ -147,46 +60,63 @@ def targets() -> Targets:
         + (a * (a * (2 * a + 15) + 24) - 4) * c ** 2
     )
     denom = a ** 2 * (a ** 2 - 4) * (k ** 2 - c) ** 3
-    z1 = -m1 * A / denom
-    z2 = m2 * c * B ** 2 / denom
 
-    final_polynomial = k ** 2 * B * ((a + 4) * k ** 2 + a * c)
-
-    flat_u2sq = (k ** 2 + c) * B / a
-    flat_e22_derivative = (2 * k ** 3 + (2 + a) * c * k) / a
-    flat_e22_frame = (
-        (k ** 2 + c) * (2 * k ** 4 - (a + 7) * k ** 2 * c - (2 * a + 1) * c ** 2)
-        / (a * k * (k ** 2 - c))
-    )
-    flat_polynomial = (2 * a + 5) * k ** 4 + 2 * (a + 3) * k ** 2 * c + (2 * a + 1) * c ** 2
-
-    return Targets(
-        gamma=gamma,
-        mu=mu,
-        grad_height_e1=grad_height_e1,
-        grad_height_e2=grad_height_e2,
-        gauss_quadratic=gauss_quadratic,
-        e11=e11,
-        e12=e12,
-        e22=e22,
-        p1=p1,
-        q1=q1,
-        r1=r1,
-        p2=p2,
-        q2=q2,
-        r2=r2,
-        determinant=determinant,
-        branch_minus2=branch_minus2,
-        branch_plus2=branch_plus2,
-        m1=m1,
-        m2=m2,
-        z1=z1,
-        z2=z2,
-        final_polynomial=final_polynomial,
-        flat_u2sq=flat_u2sq,
-        flat_e22_derivative=flat_e22_derivative,
-        flat_e22_frame=flat_e22_frame,
-        flat_polynomial=flat_polynomial,
+    return SimpleNamespace(
+        gamma=W * (c - k ** 2) * U1 / (k * A),
+        mu=W * (c - k ** 2) * U2 / (k * B),
+        grad_height_e1=(k ** 2 - c) / (a * k ** 2) * W * U1 + G * (k ** 2 + c) / (a * k),
+        grad_height_e2=(k ** 2 - c) / (a * k ** 2) * W * U2 + M * (k ** 2 + c) / (a * k),
+        gauss_quadratic=(
+            c * (k ** 2 - c) / k ** 3 * D11
+            + (k ** 2 - c) / k * D22
+            - 3 * c / k ** 2 * U1 ** 2
+            - (2 * k ** 2 + c) / k ** 2 * U2 ** 2
+            - c * (k ** 2 - c) ** 2 / k ** 2
+        ),
+        e11=(
+            (a + 2) * k * (k ** 2 - 3 * c) / ((k ** 2 - c) * A) * U1 ** 2
+            + k * A / ((k ** 2 - c) * B) * U2 ** 2
+            - k * (k ** 2 + c) * A / (a * (k ** 2 - c))
+        ),
+        e12=(2 * k / B + 3 * k / (c - k ** 2) - 2 * c / (k * A) + 2 / k) * U1 * U2,
+        e22=(
+            c * B / (k * (k ** 2 - c) * A) * U1 ** 2
+            + (-2 * k ** 4 + (a + 6) * k ** 2 * c + a * c ** 2) / (k * (c - k ** 2) * B) * U2 ** 2
+            - c * (k ** 2 + c) * B / (a * k * (k ** 2 - c))
+        ),
+        p1=(a * k ** 2 + (a + 4) * c) / A,
+        q1=((a + 4) * k ** 2 + a * c) / B,
+        r1=k ** 4 + (k ** 2 + c) ** 2 / a + c ** 2,
+        p2=(
+            2 * (a + 2) * k * (a * k ** 4 + (2 - 3 * a) * k ** 2 * c - 2 * (a + 5) * c ** 2)
+            / ((k ** 2 - c) * A ** 2)
+        ),
+        q2=(
+            2 * (a + 2) * k
+            * (
+                2 * (a + 1) * k ** 6
+                + (a ** 2 - 3 * a - 8) * k ** 4 * c
+                - (3 * a ** 2 + 12 * a + 10) * k ** 2 * c ** 2
+                - a * (2 * a + 3) * c ** 3
+            )
+            / ((k ** 2 - c) * B ** 2 * A)
+        ),
+        r2=(
+            2 * (a + 2) * k ** 5 - 8 * (a + 1) * k ** 3 * c - 2 * (a + 6) * c ** 2 * k
+        ) / (a * (k ** 2 - c)),
+        determinant=(a ** 2 - 4) * k * (k ** 2 - c) ** 3,
+        branch_minus2=8 * c * k,
+        branch_plus2=8 * c * k * (-5 * k ** 4 + 6 * k ** 2 * c + 15 * c ** 2),
+        z1=-m1 * A / denom,
+        z2=m2 * c * B ** 2 / denom,
+        final_polynomial=k ** 2 * B * ((a + 4) * k ** 2 + a * c),
+        flat_u2sq=(k ** 2 + c) * B / a,
+        flat_e22_derivative=(2 * k ** 3 + (2 + a) * c * k) / a,
+        flat_e22_frame=(
+            (k ** 2 + c) * (2 * k ** 4 - (a + 7) * k ** 2 * c - (2 * a + 1) * c ** 2)
+            / (a * k * (k ** 2 - c))
+        ),
+        flat_polynomial=(2 * a + 5) * k ** 4 + 2 * (a + 3) * k ** 2 * c + (2 * a + 1) * c ** 2,
     )
 
 

@@ -11,7 +11,7 @@ coefficients.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_linear
 from .context import AL, C, D22, G, K, M, U1, U2, W
@@ -19,61 +19,33 @@ from .context import OP_E1, OP_E2, Rules, apply_derivation, flip, gauss_curvatur
 from .report import ProofReport, Recorder, run_chain
 
 
-@dataclass(frozen=True)
-class Targets:
-    gamma: RationalExpr
-    mu: RationalExpr
-    e2_mu_differentiated: RationalExpr
-    e22: RationalExpr
-    gauss_display: RationalExpr
-    reduced_identity: RationalExpr
-    branch_minus2: RationalExpr
-    u2sq: RationalExpr
-    u2sq_derivative: RationalExpr
-    final_polynomial: RationalExpr
-
-
 @functools.cache
-def targets() -> Targets:
+def targets() -> SimpleNamespace:
+    """The expected expression of every checkpoint of this chain, by name."""
     a, c, k = AL, C, K
     bc = (a + 1) * c + k
-
-    gamma = -U1 * W / (c + (1 + a) * k)
-    mu = -U2 * W / bc
-
-    e2_mu_differentiated = -W / bc * D22 + 2 * W / bc ** 2 * U2 ** 2
-    e22 = bc * (2 * U2 ** 2 / bc ** 2 - c * (c + k) / a)
-    gauss_display = D22 / (k - c) - 2 * U2 ** 2 / (k - c) ** 2
-
-    reduced_identity = (
-        (c - k) * (a * (c ** 2 + k ** 2) + (c + k) ** 2) / a
-        - 2 * (a + 2) * U2 ** 2 / bc
-    )
-    branch_minus2 = (c + k) ** 2 - 2 * (c ** 2 + k ** 2)
-
-    u2sq = (
-        (c - k) * bc * ((a + 1) * c ** 2 + 2 * c * k + (a + 1) * k ** 2)
-        / (2 * a * (a + 2))
-    )
-    u2sq_derivative = (
-        (-(a ** 2) + a + 2) * c ** 3
-        + 2 * (a - 1) * a * c ** 2 * k
-        - 3 * (a ** 2 + a + 2) * c * k ** 2
-        - 4 * (a + 1) * k ** 3
-    ) / (2 * a * (a + 2))
-    final_polynomial = -(a - 1) * k ** 2 + 2 * (a + 1) * c * k + (a + 1) * c ** 2
-
-    return Targets(
-        gamma=gamma,
-        mu=mu,
-        e2_mu_differentiated=e2_mu_differentiated,
-        e22=e22,
-        gauss_display=gauss_display,
-        reduced_identity=reduced_identity,
-        branch_minus2=branch_minus2,
-        u2sq=u2sq,
-        u2sq_derivative=u2sq_derivative,
-        final_polynomial=final_polynomial,
+    return SimpleNamespace(
+        gamma=-U1 * W / (c + (1 + a) * k),
+        mu=-U2 * W / bc,
+        e2_mu_differentiated=-W / bc * D22 + 2 * W / bc ** 2 * U2 ** 2,
+        e22=bc * (2 * U2 ** 2 / bc ** 2 - c * (c + k) / a),
+        gauss_display=D22 / (k - c) - 2 * U2 ** 2 / (k - c) ** 2,
+        reduced_identity=(
+            (c - k) * (a * (c ** 2 + k ** 2) + (c + k) ** 2) / a
+            - 2 * (a + 2) * U2 ** 2 / bc
+        ),
+        branch_minus2=(c + k) ** 2 - 2 * (c ** 2 + k ** 2),
+        u2sq=(
+            (c - k) * bc * ((a + 1) * c ** 2 + 2 * c * k + (a + 1) * k ** 2)
+            / (2 * a * (a + 2))
+        ),
+        u2sq_derivative=(
+            (-(a ** 2) + a + 2) * c ** 3
+            + 2 * (a - 1) * a * c ** 2 * k
+            - 3 * (a ** 2 + a + 2) * c * k ** 2
+            - 4 * (a + 1) * k ** 3
+        ) / (2 * a * (a + 2)),
+        final_polynomial=-(a - 1) * k ** 2 + 2 * (a + 1) * c * k + (a + 1) * c ** 2,
     )
 
 

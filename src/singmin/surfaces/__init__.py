@@ -1,6 +1,6 @@
 """Numeric differential geometry of parametric surface patches."""
 from .export import CURVATURE_CSV_COLUMNS, curvature_csv, grid_csv, grid_json, obj_mesh
-from .fd import fd_jet_oracle, jet_deviation
+from .fd import fd_jet_oracle, jet_deviation, stencil_fits
 from .jets import (
     CurvatureSample,
     FundamentalForms,
@@ -54,6 +54,7 @@ __all__ = [
     "shape_data",
     "smr_residual",
     "sphere_patch",
+    "stencil_fits",
     "swap_parameters",
     "valid_curvature",
 ]

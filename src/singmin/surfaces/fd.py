@@ -12,24 +12,27 @@ from .jets import Jet2Vec3, reject_first
 from .patches import SurfacePatch, broadcast_uv
 
 
-def fd_jet_oracle(patch: SurfacePatch, u, v, h: float) -> Jet2Vec3:
+def stencil_fits(patch: SurfacePatch, u, v, h: float):
+    """Mask of the samples whose whole finite-difference stencil at step h
+    lies in the patch domain; a step that is not positive is a ParameterError.
+
+    The domain is a rectangle, so the two opposite corners ``(u-h, v-h)`` and
+    ``(u+h, v+h)`` decide all nine stencil points.
+    """
     if h <= 0.0:
         raise ParameterError(f"finite-difference step must be positive, got {h}")
+    return patch.contains(u - h, v - h) & patch.contains(u + h, v + h)
+
+
+def fd_jet_oracle(patch: SurfacePatch, u, v, h: float) -> Jet2Vec3:
     u, v = broadcast_uv(u, v)
-    offsets = [(du, dv) for du in (-h, 0.0, h) for dv in (-h, 0.0, h)]
-    outside = np.stack(
-        [~patch.contains(u + du, v + dv) for du, dv in offsets], axis=-1
+    reject_first(
+        ~stencil_fits(patch, u, v, h),
+        lambda k: ParameterError(
+            f"finite-difference stencil at h={h} around sample "
+            f"({u.flat[k]:.6g}, {v.flat[k]:.6g}) leaves the patch domain"
+        ),
     )
-
-    def stencil_error(k: int) -> ParameterError:
-        du, dv = offsets[k % len(offsets)]
-        cu = u.flat[k // len(offsets)] + du
-        cv = v.flat[k // len(offsets)] + dv
-        return ParameterError(
-            f"stencil point ({cu:.6g}, {cv:.6g}) is outside the patch domain"
-        )
-
-    reject_first(outside, stencil_error)
     p = patch.position
     c = p(u, v)
     pu = p(u + h, v)

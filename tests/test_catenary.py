@@ -14,6 +14,7 @@ from singmin.catenary import (
     rhs,
     trajectory_csv,
 )
+from singmin.catenary.ode import MAX_STEPS
 from singmin.errors import ParameterError, SingularBoundaryError
 
 
@@ -69,6 +70,12 @@ class TestParams:
     def test_invalid_fields_rejected(self, kw):
         with pytest.raises(ParameterError):
             CatenaryParams(**{"alpha": 1.0, **kw})
+
+    def test_step_count_is_bounded(self):
+        # built only: a march this long is not run
+        CatenaryParams(alpha=1.0, step=1.0, smax=float(MAX_STEPS))
+        with pytest.raises(ParameterError, match="smax / step"):
+            CatenaryParams(alpha=1.0, step=1.0, smax=math.nextafter(MAX_STEPS, math.inf))
 
     @pytest.mark.parametrize("field", ["s", "x", "y", "theta"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -243,9 +243,16 @@ def test_catenary_non_finite_input_is_usage_error(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("command", ["catenary", "extrude"])
-def test_step_count_overflow_is_usage_error(tmp_path, capsys, command):
-    # smax / step is inf: there is no step count to march
-    args = [command, "--alpha", "1", "--smax", "1e300", "--step", "1e-300"]
+@pytest.mark.parametrize(
+    "smax,step",
+    # smax / step is inf; then finite, but a 300-digit step count
+    [("1e300", "1e-300"), ("1e200", "1e-100")],
+    ids=["inf", "finite"],
+)
+def test_step_count_overflow_is_usage_error(tmp_path, monkeypatch, capsys, command, smax, step):
+    # validation must stop the run: a march this long would fill the memory
+    monkeypatch.setattr(singmin.cli, "integrate", lambda *a: pytest.fail("integrate was called"))
+    args = [command, "--alpha", "1", "--smax", smax, "--step", step]
     rc = run([*args, "--out", str(tmp_path / "t")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -565,3 +572,39 @@ def test_extrude_traj_alpha_round_trips_through_the_file(tmp_path, monkeypatch):
     assert run(["catenary", *curve, "--out", "t"]) == 0
     assert run(["extrude", "--traj", "t.json", "--alpha", "1.3", "--nu", "6", "--nv", "3",
                 "--out", "e"]) == 0
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [["--y0", "5"], ["--x0", "1"], ["--theta0", "0.1"],
+     # the default value, given explicitly, is rejected too
+     ["--step", "1e-3"],
+     ["--smax", "99"], ["--ymin", "0.01"],
+     # an abbreviation argparse accepts for --smax
+     ["--sm", "99"]],
+    ids=["y0", "x0", "theta0", "step", "smax", "ymin", "smax-abbreviated"],
+)
+def test_extrude_traj_rejects_a_curve_flag(tmp_path, monkeypatch, capsys, curve):
+    monkeypatch.chdir(tmp_path)
+    assert run(["catenary", "--alpha", "1", "--smax", "0.5", "--out", "t"]) == 0
+    capsys.readouterr()
+    assert run(["extrude", "--traj", "t.json", *curve, "--nu", "6", "--nv", "3",
+                "--out", "e"]) == 2
+    err = capsys.readouterr().err
+    name = {"--sm": "smax"}.get(curve[0], curve[0][2:])
+    expected = (f"curve value {name} = {float(curve[1]):.17g} cannot be used with --traj: "
+                "the trajectory file t.json fixes the curve")
+    assert err == f"error: {expected}\n"
+    assert not list(tmp_path.glob("e.*"))
+
+
+def test_extrude_traj_rejects_a_curve_config_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["catenary", "--alpha", "1", "--smax", "0.5", "--out", "t"]) == 0
+    capsys.readouterr()
+    (tmp_path / "run.cfg").write_text("step = 7\n")
+    assert run(["--config", "run.cfg", "extrude", "--traj", "t.json", "--nu", "6", "--nv", "3",
+                "--out", "e"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: curve value step = 7 ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("e.*"))
