@@ -14,7 +14,6 @@ inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -46,7 +45,7 @@ from .surfaces import (
     stencil_fits,
     valid_curvature,
 )
-from .surfaces.export import fmt
+from .surfaces.export import fmt, summary_json
 
 PATCH_KINDS = ("plane", "sphere", "cylinder")
 
@@ -91,21 +90,24 @@ def _out_prefix(text: str) -> Path:
     return path
 
 
-def _vec(text: str) -> tuple[float, float, float]:
+def _floats(text: str, form: str) -> tuple[float, ...]:
+    """Comma-separated finite floats, as many as ``form`` (such as ``x,y,z``)
+    names; a bad float is a usage error that quotes it."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected x,y,z — got {text!r}")
+    if len(parts) != form.count(",") + 1:
+        raise argparse.ArgumentTypeError(f"expected {form} — got {text!r}")
     try:
-        return tuple(_finite(p) for p in parts)  # type: ignore[return-value]
+        return tuple(_finite(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _vec(text: str) -> tuple[float, float, float]:
+    return _floats(text, "x,y,z")  # type: ignore[return-value]
+
+
 def _pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected lo,hi — got {text!r}")
-    lo, hi = _finite(parts[0]), _finite(parts[1])
+    lo, hi = _floats(text, "lo,hi")
     if not lo < hi:
         raise argparse.ArgumentTypeError(f"expected lo < hi — got {text!r}")
     return lo, hi
@@ -293,12 +295,12 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     summary = {
         "schema_version": 1,
         "patch": patch.name,
-        "fd_h": fmt(h),
-        "fd_max_deviation": fmt(max_dev),
+        "fd_h": h,
+        "fd_max_deviation": max_dev,
         "grid": [args.nu, args.nv],
         "rejected_samples": rejected,
     }
-    _write(args.out.with_suffix(".json"), json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write(args.out.with_suffix(".json"), summary_json(summary))
     print(f"{patch.name}: fd max deviation {fmt(max_dev)} at h={fmt(h)}")
     return 0
 

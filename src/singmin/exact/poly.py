@@ -176,12 +176,6 @@ class Polynomial:
                     del out[m]
         return Polynomial._raw(out)
 
-    def __rsub__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw({m: -c for m, c in self._t.items()})
 

@@ -81,9 +81,6 @@ class RationalExpr:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
     def free_of(self, *vars: Var) -> bool:
         return all(
             self.num.degree_in(v) == 0 and self.den.degree_in(v) == 0 for v in vars
@@ -223,15 +220,10 @@ class RationalExpr:
             )
         return num_v / den_v
 
-    def degree_in(self, v: Var) -> int:
-        return max(self.num.degree_in(v), self.den.degree_in(v))
-
 
 def _coerce(x) -> Union[RationalExpr, type(NotImplemented)]:
     if isinstance(x, RationalExpr):
         return x
-    if isinstance(x, Polynomial):
-        return RationalExpr(x)
     try:
         return RationalExpr.from_number(x)
     except TypeError:

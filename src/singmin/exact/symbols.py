@@ -31,20 +31,4 @@ class Var(enum.IntEnum):
 
 NVARS = len(Var)
 
-VAR_NAMES: dict[Var, str] = {
-    Var.ALPHA: "alpha",
-    Var.C: "c",
-    Var.K1: "k1",
-    Var.U1: "u1",
-    Var.U2: "u2",
-    Var.W: "w",
-    Var.G: "g",
-    Var.M: "m",
-    Var.H0: "h0",
-    Var.A1: "a1",
-    Var.A2: "a2",
-    Var.NA: "na",
-    Var.D11: "d11",
-    Var.D12: "d12",
-    Var.D22: "d22",
-}
+VAR_NAMES: dict[Var, str] = {v: v.name.lower() for v in Var}

@@ -5,7 +5,7 @@ A chain's derivation context is its rule table, a plain
 two frame derivatives ``E1``, ``E2``, applied through the chain rule.
 ``flip`` negates one rule; the mutation tests use it to show that every rule
 matters.  The generator expressions the chains share are defined here once.
-The audits below check recorded factors and denominators against a theorem's
+``audit_factors`` checks recorded factors and denominators against a theorem's
 registry of expressions the argument assumes nonvanishing.
 """
 from __future__ import annotations
@@ -111,18 +111,14 @@ def strip_registered(p: Polynomial, registry: tuple[Polynomial, ...]) -> Polynom
     return rem
 
 
-def audit_factor(expr: RationalExpr, registry: tuple[Polynomial, ...]) -> tuple[str, ...]:
-    """Flags for factor parts whose nonvanishing the argument never assumed."""
+def audit_factors(registry: tuple[Polynomial, ...], **parts: Polynomial) -> tuple[str, ...]:
+    """Flags, in keyword order, for the factors of each labelled part whose
+    nonvanishing the argument never assumed; none without a registry."""
+    if not registry:
+        return ()
     flags = []
-    for label, part in (("numerator", expr.num), ("denominator", expr.den)):
+    for label, part in parts.items():
         rem = strip_registered(part, registry)
         if not rem.is_constant():
             flags.append(f"unregistered {label} factor: {render_poly(rem)}")
     return tuple(flags)
-
-
-def audit_denominator(expr: RationalExpr, registry: tuple[Polynomial, ...]) -> tuple[str, ...]:
-    rem = strip_registered(expr.den, registry)
-    if rem.is_constant():
-        return ()
-    return (f"unregistered denominator factor: {render_poly(rem)}",)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from ..exact import RationalExpr, Var, render
 from ..exact.errors import AlgebraError
 from ..exact.poly import Polynomial
-from .context import audit_denominator, audit_factor
+from .context import audit_factors
 
 MODE_ZERO = "exact-zero"
 MODE_EQUAL = "exact-equal"
@@ -130,7 +130,7 @@ class Recorder:
         expected: RationalExpr,
         factor: Optional[RationalExpr] = None,
     ) -> None:
-        flags = audit_denominator(computed, self.registry) if self.registry else ()
+        flags = audit_factors(self.registry, denominator=computed.den)
         self._add(
             Checkpoint(
                 name=name,
@@ -160,7 +160,7 @@ class Recorder:
         else:
             factor = computed / expected
             registry = self.registry + extra_registry
-            flags = audit_factor(factor, registry) if registry else ()
+            flags = audit_factors(registry, numerator=factor.num, denominator=factor.den)
             if not factor.free_of(*_FACTOR_FORBIDDEN):
                 note = "factor involves gradient or height symbols"
         self._add(

@@ -67,10 +67,15 @@ def curvature_csv(u, v, sample: CurvatureSample) -> str:
     return table_csv(CURVATURE_CSV_COLUMNS, format_columns(np.column_stack(cells)))
 
 
+def summary_json(doc: dict) -> str:
+    """A summary document as sorted, indented JSON; each top-level float is
+    written as its ``fmt`` text."""
+    doc = {k: (fmt(v) if isinstance(v, float) else v) for k, v in doc.items()}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def grid_json(report: GridReport) -> str:
-    doc = report.to_dict()
-    doc_fmt = {k: (fmt(v) if isinstance(v, float) else v) for k, v in doc.items()}
-    return json.dumps(doc_fmt, indent=2, sort_keys=True) + "\n"
+    return summary_json(report.to_dict())
 
 
 def obj_mesh(patch: SurfacePatch, nu: int, nv: int) -> str:

@@ -12,6 +12,8 @@ from .jets import Jet2Vec3
 UNIT_TOL = 1e-9
 
 _ZERO3 = np.zeros(3)
+#: the z direction; a cylinder's angle is measured from the plane orthogonal to it
+_UP = np.array([0.0, 0.0, 1.0])
 
 
 def as_vec(v, name: str = "vector") -> np.ndarray:
@@ -108,20 +110,15 @@ def swap_parameters(patch: SurfacePatch) -> SurfacePatch:
     )
 
 
-def plane_patch(
-    a=(0.0, 0.0, 1.0),
-    u_range: tuple[float, float] = (0.5, 1.5),
-    v_range: tuple[float, float] = (-1.0, 1.0),
-) -> SurfacePatch:
-    """Plane containing the direction a: Phi(u, v) = u*a + v*e with e _|_ a.
+def plane_patch(a=(0.0, 0.0, 1.0)) -> SurfacePatch:
+    """Plane containing the direction a: Phi(u, v) = u*a + v*e with e _|_ a,
+    over u in [0.5, 1.5] and v in [-1, 1].
 
-    The height over the singular plane is the u coordinate, so the default
-    domain stays inside the open halfspace.
+    The height over the singular plane is the u coordinate, so the domain
+    stays inside the open halfspace.
     """
     a = unit_vec(a, "a")
     e = perp_unit(a)
-    if u_range[0] <= 0:
-        raise ParameterError("plane patch u_range must stay at positive height")
 
     def ev(u, v) -> Jet2Vec3:
         u, v = broadcast_uv(u, v)
@@ -137,22 +134,18 @@ def plane_patch(
 
     return SurfacePatch(
         name="plane",
-        u_range=u_range,
-        v_range=v_range,
+        u_range=(0.5, 1.5),
+        v_range=(-1.0, 1.0),
         evaluator=ev,
     )
 
 
-def sphere_patch(
-    r: float = 1.0,
-    center=(0.0, 0.0, 0.0),
-    lat_range: tuple[float, float] = (0.1, 1.45),
-    lon_range: tuple[float, float] = (0.0, 2.0 * np.pi),
-) -> SurfacePatch:
-    """Sphere chart by latitude u (from the equator toward +z) and longitude v.
+def sphere_patch(r: float = 1.0, center=(0.0, 0.0, 0.0)) -> SurfacePatch:
+    """Sphere chart by latitude u in [0.1, 1.45] (from the equator toward +z)
+    and longitude v in [0, 2*pi].
 
-    The default latitude band covers the upper hemisphere while staying clear
-    of the pole (where the chart degenerates) and of the equator.
+    The latitude band covers the upper hemisphere while staying clear of the
+    pole (where the chart degenerates) and of the equator.
     """
     if r <= 0:
         raise ParameterError(f"sphere radius must be positive, got {r}")
@@ -179,31 +172,29 @@ def sphere_patch(
 
     return SurfacePatch(
         name="sphere",
-        u_range=lat_range,
-        v_range=lon_range,
+        u_range=(0.1, 1.45),
+        v_range=(0.0, 2.0 * np.pi),
         evaluator=ev,
     )
 
 
 def cylinder_patch(
-    r: float = 1.0,
-    axis=(1.0, 0.0, 0.0),
-    center=(0.0, 0.0, 0.0),
-    angle_range: tuple[float, float] = (0.1, np.pi - 0.1),
-    height_range: tuple[float, float] = (-1.0, 1.0),
-    up=(0.0, 0.0, 1.0),
+    r: float = 1.0, axis=(1.0, 0.0, 0.0), center=(0.0, 0.0, 0.0)
 ) -> SurfacePatch:
-    """Circular cylinder chart by angle u (measured from the plane orthogonal
-    to ``up``) and axial coordinate v."""
+    """Circular cylinder chart by angle u in [0.1, pi - 0.1], measured from
+    the plane z = const through the center toward +z, and axial coordinate v
+    in [-1, 1]; the axis must not be parallel to z."""
     if r <= 0:
         raise ParameterError(f"cylinder radius must be positive, got {r}")
     axis = unit_vec(axis, "axis")
     center = as_vec(center, "center")
-    up = as_vec(up, "up")
-    n2 = up - (up @ axis) * axis
+    n2 = _UP - (_UP @ axis) * axis
     norm = np.linalg.norm(n2)
     if norm < 1e-12:
-        raise ParameterError("up direction is parallel to the cylinder axis")
+        shown = ", ".join(f"{x:.6g}" for x in axis)
+        raise ParameterError(
+            f"cylinder axis ({shown}) is parallel to the fixed z direction (0, 0, 1)"
+        )
     n2 = n2 / norm
     n1 = np.cross(n2, axis)
 
@@ -224,7 +215,7 @@ def cylinder_patch(
 
     return SurfacePatch(
         name="cylinder",
-        u_range=angle_range,
-        v_range=height_range,
+        u_range=(0.1, np.pi - 0.1),
+        v_range=(-1.0, 1.0),
         evaluator=ev,
     )

@@ -6,7 +6,7 @@ and makes its absolute value invariant under flipping the chart orientation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,10 +21,11 @@ RESIDUAL_TOL_ANALYTIC = 1e-9
 GRID_CSV_COLUMNS = ("u", "v", "x", "y", "z", "H", "K", "k1", "k2", "residual")
 
 
-def smr_residual(sample: CurvatureSample, pos, alpha: float, a):
-    """H*<pos,a> - alpha*<N,a>; requires every point strictly above the plane."""
+def smr_residual(sample: CurvatureSample, alpha: float, a):
+    """H*<Phi,a> - alpha*<N,a> at the sample's points; requires every point
+    strictly above the plane."""
     a = unit_vec(a, "a")
-    height = dot(pos, a)
+    height = dot(sample.point, a)
     reject_first(
         height <= 0.0,
         lambda i: HalfspaceViolation(
@@ -39,8 +40,8 @@ class GridReport:
     patch: str
     alpha: float
     direction: tuple[float, float, float]
-    nu: int
-    nv: int
+    #: ``[nu, nv]``
+    grid: list[int]
     max_abs_residual: float
     mean_abs_residual: float
     min_K: float
@@ -54,22 +55,8 @@ class GridReport:
     samples: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "patch": self.patch,
-            "alpha": self.alpha,
-            "direction": list(self.direction),
-            "grid": [self.nu, self.nv],
-            "max_abs_residual": self.max_abs_residual,
-            "mean_abs_residual": self.mean_abs_residual,
-            "min_K": self.min_K,
-            "max_K": self.max_K,
-            "min_H": self.min_H,
-            "max_H": self.max_H,
-            "halfspace_violations": self.halfspace_violations,
-            "rejected_samples": dict(self.rejected_samples),
-            "valid_samples": len(self.samples),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "samples"}
+        return {"schema_version": 1, **doc, "valid_samples": len(self.samples)}
 
 
 def grid_report(
@@ -83,7 +70,7 @@ def grid_report(
     u, v = patch.grid(nu, nv)
     unit = unit_vec(a, "a")
     keep, sample, violations, rejected = valid_curvature(patch.jet(u, v), unit)
-    res = smr_residual(sample, sample.point, alpha, a)
+    res = smr_residual(sample, alpha, a)
     abs_res = np.abs(res)
     rows = np.column_stack(
         (u[keep], v[keep], sample.point, sample.H, sample.K, sample.k1, sample.k2, res)
@@ -92,8 +79,7 @@ def grid_report(
         patch=patch.name,
         alpha=float(alpha),
         direction=tuple(float(x) for x in unit),
-        nu=nu,
-        nv=nv,
+        grid=[nu, nv],
         max_abs_residual=float(abs_res.max()),
         mean_abs_residual=float(abs_res.mean()),
         min_K=float(sample.K.min()),

@@ -2,6 +2,8 @@
 
 Equality is exact (``==``), not approximate: batching must not move a bit.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def _rows_of_single_points(patch, alpha, u, v):
     for uk, vk in zip(u, v):
         one = curvature_sample(patch.jet(uk, vk))
         expect = (uk, vk, *one.point, one.H, one.K, one.k1, one.k2,
-                  smr_residual(one, one.point, alpha, A))
+                  smr_residual(one, alpha, A))
         rows.append([float(x) for x in expect])
     return rows
 
@@ -61,14 +63,14 @@ def test_batch_equals_loop_of_single_points(kind):
     alpha = -1.5
     u, v = patch.grid(17, 9)
     batch = curvature_sample(patch.jet(u, v))
-    res = smr_residual(batch, batch.point, alpha, A)
+    res = smr_residual(batch, alpha, A)
     assert batch.H.shape == (17 * 9,) and batch.point.shape == (17 * 9, 3)
     for k in range(len(u)):
         one = curvature_sample(patch.jet(u[k], v[k]))
         assert np.shape(one.H) == () and one.point.shape == (3,)
         for name in FIELDS:
             assert np.array_equal(getattr(batch, name)[k], getattr(one, name)), (name, k)
-        assert res[k] == smr_residual(one, one.point, alpha, A)
+        assert res[k] == smr_residual(one, alpha, A)
 
     rows = grid_report(patch, alpha, A, 17, 9).samples
     assert rows.shape == (17 * 9, len(GRID_CSV_COLUMNS))
@@ -77,7 +79,7 @@ def test_batch_equals_loop_of_single_points(kind):
 
 def test_non_immersed_samples_are_skipped_and_counted():
     # the last latitude row sits on the pole, where the chart degenerates
-    patch = sphere_patch(r=1.0, lat_range=(0.5, np.pi / 2))
+    patch = replace(sphere_patch(r=1.0), u_range=(0.5, np.pi / 2))
     u, v = patch.grid(5, 4)
     assert degenerate_metric(patch.jet(u, v)).tolist() == [False] * 16 + [True] * 4
     rep = grid_report(patch, -2.0, A, 5, 4)
@@ -146,7 +148,7 @@ def test_inconsistent_curvature_dropped_after_the_curvature_pass():
 
 def test_grid_with_no_valid_sample_reports_every_count():
     # a latitude range of just the pole collapses every sample
-    patch = sphere_patch(r=1.0, lat_range=(np.pi / 2, np.pi / 2))
+    patch = replace(sphere_patch(r=1.0), u_range=(np.pi / 2, np.pi / 2))
     with pytest.raises(ParameterError) as exc:
         grid_report(patch, 1.0, A, 3, 3)
     assert not isinstance(exc.value, HalfspaceViolation)
@@ -163,7 +165,7 @@ def test_grid_with_no_valid_sample_reports_every_count():
 
 
 def test_halfspace_violations_counted_on_a_grid_crossing_the_plane():
-    patch = sphere_patch(r=1.0, lat_range=(0.05, 1.45))
+    patch = replace(sphere_patch(r=1.0), u_range=(0.05, 1.45))
     rep = grid_report(patch, -2.0, (1.0, 0.0, 0.0), 30, 30)
     assert rep.halfspace_violations == 420
     assert len(rep.samples) == rep.to_dict()["valid_samples"] == 900 - 420

@@ -2,6 +2,8 @@
 import dataclasses
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -181,7 +183,7 @@ def test_prove_json_is_byte_deterministic(tmp_path):
 def test_config_file_defaults_and_flag_override(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = -2\nnu = 7\nnv = 7\n")
+    cfg.write_text("# a sphere run\n\nalpha = -2\nnu = 7\nnv = 7\n")
     rc = run(["--config", str(cfg), "residual", "--patch", "sphere", "--expect-pass", "--out", "g"])
     assert rc == 0
     doc = json.loads((tmp_path / "g.json").read_text())
@@ -197,6 +199,28 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text("frobnicate = 1\n")
     assert run(["--config", str(cfg), "prove", "--theorem", "3"]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("nu 7", "expected key = value"),
+        ("t_range = 1,x", "bad value for 't_range': could not convert string to float: 'x'"),
+        ("center = 1,2,x", "bad value for 'center': could not convert string to float: 'x'"),
+    ],
+)
+def test_config_malformed_line_is_one_error_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert run(["--config", str(cfg), "residual", "--alpha", "-2", "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["residual", "catenary", "extrude"])
+def test_missing_alpha_is_usage_error(tmp_path, capsys, command):
+    assert run([command, "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err == "error: alpha is required (flag --alpha or config key)\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_switch_is_applied(tmp_path, monkeypatch, capsys):
@@ -333,9 +357,15 @@ def _points(*rows, termination="reached-smax") -> str:
          "unknown termination 'gave-up'"),
         (_points(("0", "0", "1", "0"), ("0.01", "0.01", "1", "0"), termination=None),
          "unknown termination None"),
+        (_points(("0", "0", "1", "0")), "has fewer than two states"),
+        (_points(), "has fewer than two states"),
+        (_points(("0", "0", "1", "0"), ("0.01", "0.01", "1", "0")).replace('"alpha": "1"',
+                                                                          '"alpha": "nan"'),
+         "needs a finite alpha and a finite positive step"),
     ],
     ids=["bad-json", "no-points", "no-alpha", "no-step", "short-row", "nan-x", "inf-theta",
-         "null-x", "negative-y", "zero-y", "unknown-termination", "null-termination"],
+         "null-x", "negative-y", "zero-y", "unknown-termination", "null-termination",
+         "one-state", "no-state", "nan-alpha"],
 )
 def test_extrude_malformed_trajectory_is_usage_error(tmp_path, capsys, text, message):
     traj = tmp_path / "t.json"
@@ -497,7 +527,7 @@ def test_grid_size_below_two_is_usage_error(tmp_path, capsys, args):
 
 def _pole_patch(lat_lo):
     """A sphere chart whose last latitude row is the pole, where it degenerates."""
-    return lambda args: sphere_patch(r=1.0, lat_range=(lat_lo, math.pi / 2))
+    return lambda args: dataclasses.replace(sphere_patch(r=1.0), u_range=(lat_lo, math.pi / 2))
 
 
 @pytest.mark.parametrize("command", [["residual", "--alpha", "-2", "--expect-pass"], ["curvature"]])
@@ -529,8 +559,12 @@ def test_grid_with_every_sample_rejected_is_usage_error(tmp_path, monkeypatch, c
                    "--out", str(d / "file" / "g")],
         lambda d: ["extrude", "--traj", str(d), "--out", str(d / "e")],
         lambda d: ["--config", str(d), "residual", "--alpha", "-2", "--out", str(d / "g")],
+        lambda d: ["extrude", "--traj", str(d / "missing.json"), "--out", str(d / "e")],
+        lambda d: ["--config", str(d / "missing.cfg"), "residual", "--alpha", "-2",
+                   "--out", str(d / "g")],
     ],
-    ids=["prove-json-dir", "residual-out-under-file", "extrude-traj-dir", "config-dir"],
+    ids=["prove-json-dir", "residual-out-under-file", "extrude-traj-dir", "config-dir",
+         "extrude-traj-missing", "config-missing"],
 )
 def test_unusable_path_is_usage_error(tmp_path, capsys, make_args):
     (tmp_path / "file").write_text("")
@@ -547,6 +581,34 @@ def test_extrude_t_range_must_increase(tmp_path, capsys, t_range):
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "expected lo < hi" in err and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["extrude", "--alpha", "1", "--t-range", "1,x"],
+         "argument --t-range: could not convert string to float: 'x'"),
+        (["residual", "--alpha", "1", "--center", "1,2,x"],
+         "argument --center: could not convert string to float: 'x'"),
+        (["extrude", "--alpha", "1", "--t-range", "1"], "argument --t-range: expected lo,hi — got '1'"),
+        (["residual", "--alpha", "1", "--center", "1,2"],
+         "argument --center: expected x,y,z — got '1,2'"),
+    ],
+    ids=["t-range-bad-float", "center-bad-float", "t-range-one-value", "center-two-values"],
+)
+def test_malformed_comma_separated_flag_is_one_error_line(tmp_path, capsys, args, message):
+    assert run([*args, "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_cylinder_axis_along_z_is_usage_error(tmp_path, capsys):
+    args = ["residual", "--patch", "cylinder", "--axis", "0,0,1", "--alpha", "-1"]
+    assert run([*args, "--out", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cylinder axis (0, 0, 1) ") and err.count("\n") == 1
+    assert "up" not in err
     assert not list(tmp_path.iterdir())
 
 
@@ -608,3 +670,23 @@ def test_extrude_traj_rejects_a_curve_config_key(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: curve value step = 7 ") and err.count("\n") == 1
     assert not list(tmp_path.glob("e.*"))
+
+
+def _readme_cli_examples() -> list[str]:
+    """The ``singmin`` lines of the sh block under README's ``## CLI``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("singmin ")]
+
+
+def test_readme_lists_cli_examples():
+    # an empty list would skip every case below instead of failing
+    assert _readme_cli_examples()
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples(),
+                         ids=lambda line: line.split("#")[0].strip())
+def test_readme_cli_example_runs(tmp_path, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    assert run(shlex.split(line, comments=True)[1:]) == 0

@@ -9,7 +9,7 @@ from singmin.proofs import (
     MissingRuleError,
     apply_derivation,
 )
-from singmin.proofs.context import audit_factor, flip, strip_registered
+from singmin.proofs.context import audit_factors, flip, strip_registered
 from singmin.proofs.theorem1 import REGISTRY, build_context, targets
 
 from conftest import rational_exprs
@@ -97,7 +97,11 @@ def test_strip_registered_explains_products():
 
 def test_audit_factor_flags_unregistered():
     ok = 2 * C / K ** 2
-    assert audit_factor(ok, REGISTRY) == ()
+    assert audit_factors(REGISTRY, numerator=ok.num, denominator=ok.den) == ()
     bad = (2 * AL + 3) * C
-    flags = audit_factor(bad, REGISTRY)
-    assert len(flags) == 1 and "2*alpha + 3" in flags[0]
+    flags = audit_factors(REGISTRY, numerator=bad.num, denominator=bad.den)
+    assert flags == ("unregistered numerator factor: 2*alpha + 3",)
+    assert audit_factors(REGISTRY, denominator=bad.num) == (
+        "unregistered denominator factor: 2*alpha + 3",
+    )
+    assert audit_factors((), numerator=bad.num) == ()

@@ -46,7 +46,7 @@ def test_circle_extrusion_matches_analytic_cylinder():
     x, y, th = dense_state(traj, s)
     # the generating curve is the unit circle through (0, 1)
     assert x ** 2 + y ** 2 == pytest.approx(1.0, abs=1e-10)
-    analytic = cylinder_patch(r=1.0, axis=(0.0, 1.0, 0.0), up=(0.0, 0.0, 1.0))
+    analytic = cylinder_patch(r=1.0, axis=(0.0, 1.0, 0.0))
     rep_a = grid_report(analytic, -1.0, A, 20, 5)
     rep_x = grid_report(patch, -1.0, A, 20, 5)
     assert rep_x.max_abs_residual < 1e-6 and rep_a.max_abs_residual < 1e-9

@@ -1,4 +1,6 @@
 """Residual of the defining identity on the built-in patch catalog."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,7 @@ def test_sphere_residual_matches_closed_form():
     patch = sphere_patch(r=1.0)
     u, v = 0.8, 0.3
     s = curvature_sample(patch.jet(u, v))
-    res = smr_residual(s, s.point, -1.0, A)
+    res = smr_residual(s, -1.0, A)
     assert res == pytest.approx((2.0 - 1.0) * np.sin(u), rel=1e-12)
 
 
@@ -57,8 +59,8 @@ def test_orientation_flip_invariance():
         s2 = curvature_sample(swapped.jet(v, u))
         assert s2.K == pytest.approx(s1.K, rel=1e-12, abs=1e-12)
         assert s2.H == pytest.approx(-s1.H, rel=1e-12, abs=1e-12)
-        r1 = smr_residual(s1, s1.point, 0.7, A)
-        r2 = smr_residual(s2, s2.point, 0.7, A)
+        r1 = smr_residual(s1, 0.7, A)
+        r2 = smr_residual(s2, 0.7, A)
         assert abs(r1) == pytest.approx(abs(r2), rel=1e-12, abs=1e-14)
         assert r1 == pytest.approx(-r2, rel=1e-12, abs=1e-14)
 
@@ -67,12 +69,12 @@ def test_halfspace_violation_raises():
     patch = sphere_patch(r=1.0)
     s = curvature_sample(patch.jet(0.5, 0.5))
     with pytest.raises(HalfspaceViolation):
-        smr_residual(s, s.point, -2.0, (0.0, 0.0, -1.0))
+        smr_residual(s, -2.0, (0.0, 0.0, -1.0))
 
 
 def test_grid_counts_violations():
     # direction tilted so part of the sphere band drops below the plane
-    patch = sphere_patch(r=1.0, lat_range=(0.05, 1.45))
+    patch = replace(sphere_patch(r=1.0), u_range=(0.05, 1.45))
     rep = grid_report(patch, -2.0, (1.0, 0.0, 0.0), 30, 30)
     assert rep.halfspace_violations > 0
     assert rep.max_abs_residual < 1e-9  # spheres are exact at alpha = -2
@@ -99,8 +101,6 @@ def test_parameter_validation():
         plane_patch(a=(0.0, 0.0, 2.0))
     with pytest.raises(ParameterError):
         cylinder_patch(axis=(1.0, 1.0, 0.0))
-    with pytest.raises(ParameterError):
-        plane_patch(u_range=(-0.5, 1.0))
 
 
 def test_report_dict_schema():
