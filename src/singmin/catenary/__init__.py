@@ -9,7 +9,6 @@ from .ode import (
     Trajectory,
     first_integral,
     integrate,
-    rhs,
 )
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "first_integral",
     "integrate",
     "load_trajectory_json",
-    "rhs",
     "to_extrusion",
     "trajectory_csv",
     "trajectory_json",

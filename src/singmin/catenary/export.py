@@ -63,6 +63,8 @@ def load_trajectory_json(path: Path) -> Trajectory:
         raise ParameterError(
             f"trajectory file {path} needs a finite alpha and a finite positive step"
         )
+    if alpha == 0.0:
+        raise ParameterError(f"trajectory file {path} has alpha = 0, which is excluded")
     states = np.ascontiguousarray(points[:, :4])
     reject_first(
         ~np.isfinite(states).all(axis=1),

@@ -97,11 +97,6 @@ def _require_finite(record) -> None:
             raise ParameterError(f"{f.name} must be finite, got {value}")
 
 
-def rhs(state: CatenaryState, alpha: float) -> tuple[float, float, float]:
-    """(x', y', theta') of the tangent-angle system."""
-    return _f(state.x, state.y, state.theta, alpha)
-
-
 def first_integral(y: float, theta: float, alpha: float) -> float:
     """``y^alpha * cos(theta)``; infinite, with the sign of cos(theta), where
     the power overflows a float."""

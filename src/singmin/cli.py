@@ -219,7 +219,11 @@ def _load_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         for action in action_parser._actions:
             if not isinstance(action, argparse._HelpAction):
                 actions.setdefault(action.dest, []).append((action_parser, action))
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config file {path} is not UTF-8 text: {exc}") from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -70,16 +70,9 @@ class RationalExpr:
     def zero(cls) -> "RationalExpr":
         return cls._wrap(Polynomial.zero(), Polynomial.one())
 
-    @classmethod
-    def one(cls) -> "RationalExpr":
-        return cls._wrap(Polynomial.one(), Polynomial.one())
-
     # -- predicates -----------------------------------------------------------
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
 
     def free_of(self, *vars: Var) -> bool:
         return all(

@@ -3,23 +3,14 @@ from .export import CURVATURE_CSV_COLUMNS, curvature_csv, grid_csv, grid_json, o
 from .fd import fd_jet_oracle, jet_deviation, stencil_fits
 from .jets import (
     CurvatureSample,
-    FundamentalForms,
     Jet2Vec3,
     curvature_sample,
     degenerate_metric,
     dot,
-    fundamental_forms,
     inconsistent_curvature,
-    shape_data,
     valid_curvature,
 )
-from .patches import (
-    SurfacePatch,
-    cylinder_patch,
-    plane_patch,
-    sphere_patch,
-    swap_parameters,
-)
+from .patches import SurfacePatch, cylinder_patch, plane_patch, sphere_patch
 from .residual import (
     GRID_CSV_COLUMNS,
     RESIDUAL_TOL_ANALYTIC,
@@ -31,7 +22,6 @@ from .residual import (
 __all__ = [
     "CURVATURE_CSV_COLUMNS",
     "CurvatureSample",
-    "FundamentalForms",
     "GRID_CSV_COLUMNS",
     "GridReport",
     "Jet2Vec3",
@@ -43,7 +33,6 @@ __all__ = [
     "degenerate_metric",
     "dot",
     "fd_jet_oracle",
-    "fundamental_forms",
     "grid_csv",
     "grid_json",
     "grid_report",
@@ -51,10 +40,8 @@ __all__ = [
     "jet_deviation",
     "obj_mesh",
     "plane_patch",
-    "shape_data",
     "smr_residual",
     "sphere_patch",
     "stencil_fits",
-    "swap_parameters",
     "valid_curvature",
 ]

@@ -69,8 +69,9 @@ class Jet2Vec3(_Batch):
 
 
 @dataclass(frozen=True)
-class FundamentalForms(_Batch):
-    """First and second fundamental form coefficients plus the unit normal."""
+class CurvatureSample(_Batch):
+    """The unit normal, the first and second fundamental form coefficients
+    and the curvatures at surface points; k1 >= k2 and H = k1 + k2 (sum)."""
 
     point: np.ndarray
     normal: np.ndarray
@@ -80,12 +81,6 @@ class FundamentalForms(_Batch):
     L: np.ndarray
     M: np.ndarray
     N: np.ndarray
-
-
-@dataclass(frozen=True)
-class CurvatureSample(FundamentalForms):
-    """Curvatures at surface points; k1 >= k2 and H = k1 + k2 (sum)."""
-
     H: np.ndarray
     K: np.ndarray
     k1: np.ndarray
@@ -107,44 +102,27 @@ def degenerate_metric(jet: Jet2Vec3):
 
 def inconsistent_curvature(sample: CurvatureSample):
     """Flags the samples whose ``H^2 - 4K`` is negative beyond the rounding
-    that ``shape_data`` clamps at umbilic points."""
+    that ``curvature_sample`` clamps at umbilic points."""
     H, K = sample.H, sample.K
     scale = np.maximum(np.maximum(H * H, np.abs(4.0 * K)), 1.0)
     return H * H - 4.0 * K < UMBILIC_CLAMP * scale
 
 
-def fundamental_forms(jet: Jet2Vec3) -> FundamentalForms:
-    """Forms of immersed samples; ``degenerate_metric`` flags the others."""
+def curvature_sample(jet: Jet2Vec3) -> CurvatureSample:
+    """Forms and curvatures of immersed samples (``degenerate_metric`` flags
+    the others); clamps the tiny negative discriminants produced by umbilic
+    points (``inconsistent_curvature`` flags the larger ones)."""
     du, dv = jet.du, jet.dv
     cross = np.cross(du, dv)
     normal = cross / np.sqrt(dot(cross, cross))[..., None]
-    return FundamentalForms(
-        point=jet.value,
-        normal=normal,
-        E=dot(du, du),
-        F=dot(du, dv),
-        G=dot(dv, dv),
-        L=dot(jet.duu, normal),
-        M=dot(jet.duv, normal),
-        N=dot(jet.dvv, normal),
-    )
-
-
-def shape_data(forms: FundamentalForms) -> CurvatureSample:
-    """Curvatures from the fundamental forms; clamps the tiny negative
-    discriminants produced by umbilic points (``inconsistent_curvature``
-    flags the larger ones)."""
-    det = forms.E * forms.G - forms.F * forms.F
-    K = (forms.L * forms.N - forms.M * forms.M) / det
-    H = (forms.G * forms.L - 2.0 * forms.F * forms.M + forms.E * forms.N) / det
+    E, F, G = dot(du, du), dot(du, dv), dot(dv, dv)
+    L, M, N = dot(jet.duu, normal), dot(jet.duv, normal), dot(jet.dvv, normal)
+    det = E * G - F * F
+    K = (L * N - M * M) / det
+    H = (G * L - 2.0 * F * M + E * N) / det
     root = np.sqrt(np.maximum(H * H - 4.0 * K, 0.0))
-    k1 = 0.5 * (H + root)
-    k2 = 0.5 * (H - root)
-    return CurvatureSample(**vars(forms), H=H, K=K, k1=k1, k2=k2)
-
-
-def curvature_sample(jet: Jet2Vec3) -> CurvatureSample:
-    return shape_data(fundamental_forms(jet))
+    return CurvatureSample(point=jet.value, normal=normal, E=E, F=F, G=G, L=L, M=M, N=N,
+                           H=H, K=K, k1=0.5 * (H + root), k2=0.5 * (H - root))
 
 
 def valid_curvature(jet: Jet2Vec3, a=None):

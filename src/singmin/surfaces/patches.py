@@ -1,6 +1,7 @@
 """Built-in surface patches with analytic jets."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,13 +21,15 @@ def as_vec(v, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ParameterError(f"{name} must be a 3-vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ParameterError(f"{name} must be finite, got {arr.tolist()}")
     return arr
 
 
 def unit_vec(v, name: str = "direction") -> np.ndarray:
     arr = as_vec(v, name)
     n = np.linalg.norm(arr)
-    if abs(n - 1.0) > UNIT_TOL:
+    if not abs(n - 1.0) <= UNIT_TOL:
         raise ParameterError(f"{name} must be a unit vector (|{name}| = {n:.12g})")
     return arr / n
 
@@ -88,28 +91,6 @@ class SurfacePatch:
         return np.repeat(us, nv), np.tile(vs, nu)
 
 
-def swap_parameters(patch: SurfacePatch) -> SurfacePatch:
-    """The same surface with (u, v) exchanged; flips the chart orientation."""
-
-    def ev(u, v) -> Jet2Vec3:
-        jet = patch.evaluator(v, u)
-        return Jet2Vec3(
-            value=jet.value,
-            du=jet.dv,
-            dv=jet.du,
-            duu=jet.dvv,
-            duv=jet.duv,
-            dvv=jet.duu,
-        )
-
-    return SurfacePatch(
-        name=patch.name + "-swapped",
-        u_range=patch.v_range,
-        v_range=patch.u_range,
-        evaluator=ev,
-    )
-
-
 def plane_patch(a=(0.0, 0.0, 1.0)) -> SurfacePatch:
     """Plane containing the direction a: Phi(u, v) = u*a + v*e with e _|_ a,
     over u in [0.5, 1.5] and v in [-1, 1].
@@ -147,8 +128,8 @@ def sphere_patch(r: float = 1.0, center=(0.0, 0.0, 0.0)) -> SurfacePatch:
     The latitude band covers the upper hemisphere while staying clear of the
     pole (where the chart degenerates) and of the equator.
     """
-    if r <= 0:
-        raise ParameterError(f"sphere radius must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ParameterError(f"sphere radius must be positive and finite, got {r}")
     center = as_vec(center, "center")
 
     def ev(u, v) -> Jet2Vec3:
@@ -184,8 +165,8 @@ def cylinder_patch(
     """Circular cylinder chart by angle u in [0.1, pi - 0.1], measured from
     the plane z = const through the center toward +z, and axial coordinate v
     in [-1, 1]; the axis must not be parallel to z."""
-    if r <= 0:
-        raise ParameterError(f"cylinder radius must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ParameterError(f"cylinder radius must be positive and finite, got {r}")
     axis = unit_vec(axis, "axis")
     center = as_vec(center, "center")
     n2 = _UP - (_UP @ axis) * axis

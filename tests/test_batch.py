@@ -22,7 +22,6 @@ from singmin.surfaces import (
     plane_patch,
     smr_residual,
     sphere_patch,
-    swap_parameters,
 )
 
 A = (0.0, 0.0, 1.0)
@@ -40,7 +39,6 @@ PATCHES = {
     "plane": lambda: plane_patch(a=(0.6, 0.0, 0.8)),
     "sphere": lambda: sphere_patch(r=1.7, center=(0.3, -0.2, 0.0)),
     "cylinder": lambda: cylinder_patch(r=0.8, axis=(0.6, 0.8, 0.0)),
-    "sphere-swapped": lambda: swap_parameters(sphere_patch(r=1.3)),
     "extrusion-smax": lambda: _extrusion(1.0, "reached-smax", smax=1.5),
     "extrusion-ymin": lambda: _extrusion(-2.0, "hit-y-min", smax=10.0, y_min=0.2),
 }

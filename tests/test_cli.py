@@ -362,10 +362,13 @@ def _points(*rows, termination="reached-smax") -> str:
         (_points(("0", "0", "1", "0"), ("0.01", "0.01", "1", "0")).replace('"alpha": "1"',
                                                                           '"alpha": "nan"'),
          "needs a finite alpha and a finite positive step"),
+        (_points(("0", "0", "1", "0"), ("0.01", "0.01", "1", "0")).replace('"alpha": "1"',
+                                                                          '"alpha": "0"'),
+         "has alpha = 0, which is excluded"),
     ],
     ids=["bad-json", "no-points", "no-alpha", "no-step", "short-row", "nan-x", "inf-theta",
          "null-x", "negative-y", "zero-y", "unknown-termination", "null-termination",
-         "one-state", "no-state", "nan-alpha"],
+         "one-state", "no-state", "nan-alpha", "zero-alpha"],
 )
 def test_extrude_malformed_trajectory_is_usage_error(tmp_path, capsys, text, message):
     traj = tmp_path / "t.json"
@@ -562,15 +565,18 @@ def test_grid_with_every_sample_rejected_is_usage_error(tmp_path, monkeypatch, c
         lambda d: ["extrude", "--traj", str(d / "missing.json"), "--out", str(d / "e")],
         lambda d: ["--config", str(d / "missing.cfg"), "residual", "--alpha", "-2",
                    "--out", str(d / "g")],
+        lambda d: ["--config", str(d / "utf16.cfg"), "prove", "--theorem", "3"],
     ],
     ids=["prove-json-dir", "residual-out-under-file", "extrude-traj-dir", "config-dir",
-         "extrude-traj-missing", "config-missing"],
+         "extrude-traj-missing", "config-missing", "config-not-utf8"],
 )
 def test_unusable_path_is_usage_error(tmp_path, capsys, make_args):
     (tmp_path / "file").write_text("")
+    (tmp_path / "utf16.cfg").write_bytes(b"\xff\xfenu = 3\n")
     assert run(make_args(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
 
 
 @pytest.mark.parametrize("t_range", ["1,1", "1,-1"])

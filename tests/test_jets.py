@@ -1,16 +1,15 @@
 """Fundamental forms and curvature samples on analytic patches."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from singmin.surfaces import (
-    FundamentalForms,
     Jet2Vec3,
     curvature_sample,
     cylinder_patch,
     degenerate_metric,
-    fundamental_forms,
     inconsistent_curvature,
-    shape_data,
     sphere_patch,
 )
 
@@ -22,14 +21,14 @@ def test_plane_forms():
         value=np.zeros(3), du=d1, dv=d2,
         duu=np.zeros(3), duv=np.zeros(3), dvv=np.zeros(3),
     )
-    f = fundamental_forms(jet)
+    f = curvature_sample(jet)
     assert (f.E, f.F, f.G, f.L, f.M, f.N) == (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     assert np.allclose(f.normal, np.cross(d1, d2))
 
 
 def test_unit_sphere_equator_chart():
     patch = sphere_patch(r=1.0)
-    f = fundamental_forms(patch.evaluator(0.0, 0.0))
+    f = curvature_sample(patch.evaluator(0.0, 0.0))
     assert f.E == pytest.approx(1.0)
     assert f.G == pytest.approx(1.0)
     assert f.F == pytest.approx(0.0, abs=1e-15)
@@ -41,7 +40,7 @@ def test_unit_sphere_equator_chart():
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_cylinder_standard_chart(r):
     patch = cylinder_patch(r=r)
-    f = fundamental_forms(patch.jet(0.8, 0.3))
+    f = curvature_sample(patch.jet(0.8, 0.3))
     assert f.E == pytest.approx(r * r)
     assert f.G == pytest.approx(1.0)
     assert f.F == pytest.approx(0.0, abs=1e-15)
@@ -105,23 +104,19 @@ def test_degenerate_metric_rejected():
 
 
 def test_inconsistent_discriminant_rejected():
-    # synthetic forms with an indefinite first form drive H^2 - 4K below zero
-    forms = FundamentalForms(
-        point=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]),
-        E=1.0, F=0.0, G=-1.0, L=1.0, M=np.sqrt(2.0), N=1.0,
-    )
-    s = shape_data(forms)
+    # H^2 - 4K below zero, which no real immersion produces
+    s = curvature_sample(sphere_patch().jet(0.6, 2.0))
+    s = replace(s, H=np.float64(0.0), K=np.float64(1.0))
     assert inconsistent_curvature(s) == np.True_
-    assert s.k1 == s.k2 == 0.5 * s.H
 
 
 def test_umbilic_clamp():
     # tiny negative discriminant from rounding is clamped to zero
-    forms = FundamentalForms(
-        point=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]),
-        E=1.0, F=0.0, G=1.0, L=1.0, M=0.0, N=1.0 + 1e-13,
-    )
-    s = shape_data(forms)
+    e1, e2, e3 = np.eye(3)
+    jet = Jet2Vec3(value=np.zeros(3), du=e1, dv=e2,
+                   duu=e3, duv=np.zeros(3), dvv=(1.0 + 2e-13) * e3)
+    s = curvature_sample(jet)
+    assert s.H * s.H - 4.0 * s.K < 0.0
     assert inconsistent_curvature(s) == np.False_
-    assert s.k1 >= s.k2
+    assert s.k1 == s.k2
     assert s.k1 == pytest.approx(1.0, rel=1e-6)

@@ -12,7 +12,6 @@ from singmin.surfaces import (
     plane_patch,
     smr_residual,
     sphere_patch,
-    swap_parameters,
 )
 
 A = (0.0, 0.0, 1.0)
@@ -52,7 +51,12 @@ def test_sphere_residual_matches_closed_form():
 
 def test_orientation_flip_invariance():
     for patch in (plane_patch(), sphere_patch(r=1.3), cylinder_patch(r=0.7)):
-        swapped = swap_parameters(patch)
+        # the same surface with (u, v) exchanged, which flips the chart orientation
+        def ev(u, v, patch=patch):
+            jet = patch.jet(v, u)
+            return replace(jet, du=jet.dv, dv=jet.du, duu=jet.dvv, dvv=jet.duu)
+
+        swapped = replace(patch, u_range=patch.v_range, v_range=patch.u_range, evaluator=ev)
         u = 0.5 * (patch.u_range[0] + patch.u_range[1])
         v = 0.5 * (patch.v_range[0] + patch.v_range[1])
         s1 = curvature_sample(patch.jet(u, v))
@@ -92,15 +96,29 @@ def test_grid_dims_validated():
     assert not isinstance(exc.value, HalfspaceViolation)
 
 
-def test_parameter_validation():
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sphere_patch(r=-1.0),
+        lambda: cylinder_patch(r=0.0),
+        lambda: plane_patch(a=(0.0, 0.0, 2.0)),
+        lambda: cylinder_patch(axis=(1.0, 1.0, 0.0)),
+        lambda: sphere_patch(r=np.nan),
+        lambda: sphere_patch(r=np.inf),
+        lambda: cylinder_patch(r=np.nan),
+        lambda: cylinder_patch(r=np.inf),
+        lambda: plane_patch(a=(np.nan, 0.0, 1.0)),
+        lambda: cylinder_patch(axis=(np.inf, 0.0, 0.0)),
+        lambda: sphere_patch(center=(0.0, 0.0, np.inf)),
+        lambda: cylinder_patch(center=(np.nan, 0.0, 0.0)),
+    ],
+    ids=["sphere-r-negative", "cylinder-r-zero", "plane-a-not-unit", "cylinder-axis-not-unit",
+         "sphere-r-nan", "sphere-r-inf", "cylinder-r-nan", "cylinder-r-inf", "plane-a-nan",
+         "cylinder-axis-inf", "sphere-center-inf", "cylinder-center-nan"],
+)
+def test_parameter_validation(make):
     with pytest.raises(ParameterError):
-        sphere_patch(r=-1.0)
-    with pytest.raises(ParameterError):
-        cylinder_patch(r=0.0)
-    with pytest.raises(ParameterError):
-        plane_patch(a=(0.0, 0.0, 2.0))
-    with pytest.raises(ParameterError):
-        cylinder_patch(axis=(1.0, 1.0, 0.0))
+        make()
 
 
 def test_report_dict_schema():

@@ -37,7 +37,7 @@ def test_render_fractional_coefficient_is_faithful():
 # hand-written text and the same value built with constructors
 CASES = {
     "0": RationalExpr.zero(),
-    "1": RationalExpr.one(),
+    "1": RationalExpr.from_number(1),
     "-7": RationalExpr.from_number(-7),
     "k1": K,
     "(k1^2 - c)/(alpha*k1 + 1)": (K ** 2 - C) / (AL * K + 1),
