@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from ..surfaces.jets import Jet2Vec3, reject_first
+from ..surfaces.jets import Jet2Vec3, dot, reject_first
 from ..surfaces.patches import SurfacePatch, broadcast_uv, unit_vec
 from .ode import Trajectory
 
@@ -67,7 +67,7 @@ def to_extrusion(
     """Cylindrical patch over the trajectory; requires <v, a> = 0."""
     v = unit_vec(v, "v")
     a = unit_vec(a, "a")
-    tilt = float(v @ a)
+    tilt = float(dot(v, a))
     if abs(tilt) > EXTRUSION_TILT_TOL:
         raise ParameterError(
             f"ruling direction must be orthogonal to a (<v,a> = {tilt:.3e})"

@@ -83,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_prefix(text: str) -> Path:
-    """An output path prefix; the output suffixes go on its final name."""
+    """An output path prefix; each output suffix is appended to its final name."""
     path = Path(text)
     if not path.name:
         raise argparse.ArgumentTypeError(f"expected a path prefix ending in a name, got {text!r}")
@@ -249,7 +249,9 @@ def _make_patch(args: argparse.Namespace):
     return cylinder_patch(r=args.r, axis=args.axis, center=args.center)
 
 
-def _write(path: Path, text: str) -> None:
+def _write(prefix: Path, suffix: str, text: str) -> None:
+    """Write ``text`` to ``prefix`` with ``suffix`` appended to its name."""
+    path = Path(f"{prefix}{suffix}")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
 
@@ -262,15 +264,15 @@ def cmd_prove(args: argparse.Namespace) -> int:
     for rep in reports:
         print(rep.to_text())
     if args.json is not None:
-        _write(args.json, reports_to_json(reports) + "\n")
+        _write(args.json, "", reports_to_json(reports) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_residual(args: argparse.Namespace) -> int:
     patch = _make_patch(args)
     report = grid_report(patch, args.alpha, args.a, args.nu, args.nv)
-    _write(args.out.with_suffix(".json"), grid_json(report))
-    _write(args.out.with_suffix(".csv"), grid_csv(report))
+    _write(args.out, ".json", grid_json(report))
+    _write(args.out, ".csv", grid_csv(report))
     print(
         f"{patch.name}: alpha={fmt(args.alpha)} max|residual|={fmt(report.max_abs_residual)} "
         f"threshold={fmt(args.threshold)} violations={report.halfspace_violations}"
@@ -295,7 +297,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
             f"no sample's finite-difference stencil at h={fmt(h)} fits inside the patch domain"
         )
     max_dev = jet_deviation(fd_jet_oracle(patch, u[fits], v[fits], h), jet[fits])
-    _write(args.out.with_suffix(".csv"), curvature_csv(u[keep], v[keep], s))
+    _write(args.out, ".csv", curvature_csv(u[keep], v[keep], s))
     summary = {
         "schema_version": 1,
         "patch": patch.name,
@@ -304,7 +306,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
         "grid": [args.nu, args.nv],
         "rejected_samples": rejected,
     }
-    _write(args.out.with_suffix(".json"), summary_json(summary))
+    _write(args.out, ".json", summary_json(summary))
     print(f"{patch.name}: fd max deviation {fmt(max_dev)} at h={fmt(h)}")
     return 0
 
@@ -327,8 +329,8 @@ def _integrate_from_args(args: argparse.Namespace):
 
 def cmd_catenary(args: argparse.Namespace) -> int:
     traj = _integrate_from_args(args)
-    _write(args.out.with_suffix(".csv"), trajectory_csv(traj))
-    _write(args.out.with_suffix(".json"), trajectory_json(traj))
+    _write(args.out, ".csv", trajectory_csv(traj))
+    _write(args.out, ".json", trajectory_json(traj))
     print(
         f"alpha={fmt(args.alpha)}: {len(traj.states)} states, "
         f"s in [{fmt(traj.s_range[0])}, {fmt(traj.s_range[1])}], {traj.termination}"
@@ -357,9 +359,9 @@ def cmd_extrude(args: argparse.Namespace) -> int:
         traj = _integrate_from_args(args)
     patch = to_extrusion(traj, v=args.v, a=args.a, t_range=args.t_range)
     report = grid_report(patch, args.alpha, args.a, args.nu, args.nv)
-    _write(args.out.with_suffix(".obj"), obj_mesh(patch, args.nu, args.nv))
-    _write(args.out.with_suffix(".json"), grid_json(report))
-    _write(args.out.with_suffix(".csv"), grid_csv(report))
+    _write(args.out, ".obj", obj_mesh(patch, args.nu, args.nv))
+    _write(args.out, ".json", grid_json(report))
+    _write(args.out, ".csv", grid_csv(report))
     max_abs_k = max(abs(report.min_K), abs(report.max_K))
     print(
         f"extrusion: alpha={fmt(args.alpha)} max|residual|={fmt(report.max_abs_residual)} "

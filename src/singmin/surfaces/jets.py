@@ -24,17 +24,14 @@ REJECTION_REASONS = ("degenerate_metric", "inconsistent_curvature")
 
 
 def dot(a, b):
-    """<a, b> over the last axis of two broadcastable ``(..., 3)`` arrays.
-
-    Each product is a (1x3)(3x1) matmul, which numpy hands to the BLAS
-    ``ddot`` that ``a @ b`` and ``np.linalg.norm`` use for single 3-vectors.
-    That keeps batched results bit-identical to point-by-point ones;
-    ``einsum``, ``(a * b).sum(-1)`` and ``norm(axis=-1)`` round differently
-    in the last place on a sizeable share of samples.
-    """
+    """<a, b> over the last axis of two broadcastable ``(..., 3)`` arrays: the
+    fixed-order sum ``a0*b0 + a1*b1 + a2*b2``, each step one numpy ufunc
+    rounded on its own, with no BLAS kernel and no fused multiply-add.  So the
+    bytes do not depend on the host, and a batch equals a loop of single
+    points bit for bit.  The one inner product of the numeric lab."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0][()]
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2])[()]
 
 
 def reject_first(bad, error) -> None:

@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ParameterError
-from .jets import Jet2Vec3
+from .jets import Jet2Vec3, dot
 
 UNIT_TOL = 1e-9
 
@@ -28,7 +28,7 @@ def as_vec(v, name: str = "vector") -> np.ndarray:
 
 def unit_vec(v, name: str = "direction") -> np.ndarray:
     arr = as_vec(v, name)
-    n = np.linalg.norm(arr)
+    n = np.sqrt(dot(arr, arr))
     if not abs(n - 1.0) <= UNIT_TOL:
         raise ParameterError(f"{name} must be a unit vector (|{name}| = {n:.12g})")
     return arr / n
@@ -37,9 +37,9 @@ def unit_vec(v, name: str = "direction") -> np.ndarray:
 def perp_unit(a: np.ndarray) -> np.ndarray:
     """Deterministic unit vector orthogonal to a."""
     basis = np.eye(3)
-    idx = int(np.argmin(np.abs(basis @ a)))
-    e = basis[idx] - (basis[idx] @ a) * a
-    return e / np.linalg.norm(e)
+    idx = int(np.argmin(np.abs(dot(basis, a))))
+    e = basis[idx] - dot(basis[idx], a) * a
+    return e / np.sqrt(dot(e, e))
 
 
 def broadcast_uv(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +169,8 @@ def cylinder_patch(
         raise ParameterError(f"cylinder radius must be positive and finite, got {r}")
     axis = unit_vec(axis, "axis")
     center = as_vec(center, "center")
-    n2 = _UP - (_UP @ axis) * axis
-    norm = np.linalg.norm(n2)
+    n2 = _UP - dot(_UP, axis) * axis
+    norm = np.sqrt(dot(n2, n2))
     if norm < 1e-12:
         shown = ", ".join(f"{x:.6g}" for x in axis)
         raise ParameterError(

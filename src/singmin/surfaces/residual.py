@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..errors import HalfspaceViolation
+from ..errors import HalfspaceViolation, ParameterError
 from .jets import CurvatureSample, dot, reject_first, valid_curvature
 from .patches import SurfacePatch, unit_vec
 
@@ -22,8 +22,10 @@ GRID_CSV_COLUMNS = ("u", "v", "x", "y", "z", "H", "K", "k1", "k2", "residual")
 
 
 def smr_residual(sample: CurvatureSample, alpha: float, a):
-    """H*<Phi,a> - alpha*<N,a> at the sample's points; requires every point
-    strictly above the plane."""
+    """H*<Phi,a> - alpha*<N,a> at the sample's points; requires a finite
+    alpha and every point strictly above the plane."""
+    if not np.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite, got {alpha}")
     a = unit_vec(a, "a")
     height = dot(sample.point, a)
     reject_first(

@@ -322,6 +322,27 @@ def test_out_prefix_without_a_name_is_usage_error(tmp_path, monkeypatch, capsys,
     assert not list(tmp_path.iterdir())
 
 
+# a short run of each writing command, and the suffixes of what it writes
+WRITES = {
+    "residual": (["residual", "--alpha", "-2", "--nu", "5", "--nv", "5"], (".csv", ".json")),
+    "curvature": (["curvature", "--nu", "5", "--nv", "5"], (".csv", ".json")),
+    "catenary": (["catenary", "--alpha", "1", "--smax", "0.1"], (".csv", ".json")),
+    "extrude": (["extrude", "--alpha", "-1", "--smax", "0.5", "--nu", "5", "--nv", "3"],
+                (".csv", ".json", ".obj")),
+}
+
+
+@pytest.mark.parametrize("command", list(WRITES))
+def test_dotted_out_prefix_keeps_every_part(tmp_path, monkeypatch, command):
+    # each suffix is appended to the prefix, so sweep.1 and sweep.2 write apart
+    args, suffixes = WRITES[command]
+    monkeypatch.chdir(tmp_path)
+    for prefix in ("sweep.1", "sweep.2"):
+        assert run([*args, "--out", prefix]) == 0
+    names = sorted(prefix + suffix for prefix in ("sweep.1", "sweep.2") for suffix in suffixes)
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
 def test_config_out_without_a_name_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.cfg").write_text("out =\n")

@@ -76,6 +76,16 @@ def test_halfspace_violation_raises():
         smr_residual(s, -2.0, (0.0, 0.0, -1.0))
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_non_finite_alpha_is_rejected(alpha):
+    # a NaN alpha would make every residual NaN and an infinite one inf
+    s = curvature_sample(sphere_patch(r=1.0).jet(0.5, 0.5))
+    with pytest.raises(ParameterError, match="alpha must be finite"):
+        smr_residual(s, alpha, A)
+    with pytest.raises(ParameterError, match="alpha must be finite"):
+        grid_report(sphere_patch(), alpha, A, 5, 5)
+
+
 def test_grid_counts_violations():
     # direction tilted so part of the sphere band drops below the plane
     patch = replace(sphere_patch(r=1.0), u_range=(0.05, 1.45))
