@@ -1,13 +1,15 @@
 """Multivariate polynomials over the integers, Z[vars].
 
-Terms are kept in a dict keyed by dense exponent tuples over the registered
-indeterminates; a monomial is its exponent tuple, with no wrapper type.
+Terms are kept in a dict keyed by packed monomials, one ``int`` each (the
+packed exponent vector of Monagan and Pearce, CASC 2007).  Dense exponent
+tuples over the registered indeterminates appear only at the boundary: the
+constructor packs them and ``items`` unpacks them.
 Coefficients are Python ``int``s, and any other coefficient type (floats and
 ``fractions.Fraction`` included) is a ``TypeError``.
 Division is in Z[vars] too: ``exact_div`` returns None unless the quotient
 has integer coefficients.
-The monomial order is graded lex (``grlex_key``) with ``Var.ALPHA`` most
-significant.
+The monomial order is graded lex with ``Var.ALPHA`` most significant, which
+is plain integer order on packed monomials.
 ``poly_gcd`` is a heuristic gcd by integer evaluation with a recursive
 content / primitive-part reduction over subresultant pseudo-remainder
 sequences as the fallback, sized for the handful of variables and moderate
@@ -17,43 +19,62 @@ from __future__ import annotations
 
 import heapq
 import math
-from operator import add, neg
+import struct
+from functools import reduce
+from operator import or_
 from typing import Mapping, Optional, Union
 
 from .symbols import NVARS, Var
 
-_ZERO_MONO = (0,) * NVARS
-
-
 # -- monomials -----------------------------------------------------------------
-# A monomial is its dense exponent tuple; a term dict maps monomials to nonzero
-# coefficients.
+# A monomial is one int: a 16-bit exponent field per Var, ALPHA most
+# significant, under a top field holding the total degree, so integer order is
+# graded lex order.  The top bit of every field is a guard bit that stays
+# clear, which caps the total degree at MAX_DEGREE.  A product is ma + mb, and
+# b divides a exactly when a - b sets no guard bit: the lowest field that
+# would go negative borrows into its own guard bit.  A term dict maps
+# monomials to nonzero coefficients.
 
-def mono_div(a, b):
-    """Exponent-wise difference, or None when not divisible."""
-    out = []
-    for x, y in zip(a, b):
-        d = x - y
-        if d < 0:
-            return None
-        out.append(d)
-    return tuple(out)
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+MAX_DEGREE = (1 << (_FIELD - 1)) - 1
+_DEG_SHIFT = _FIELD * NVARS
+_SHIFT = tuple(_FIELD * (NVARS - 1 - i) for i in range(NVARS))
+_UNIT = tuple(1 << _DEG_SHIFT | 1 << s for s in _SHIFT)
+_EXPS = (1 << _DEG_SHIFT) - 1
+_GUARD = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(NVARS + 1))
+_VARS = tuple(Var)
+_FIELDS = struct.Struct(f">{NVARS + 1}H")
 
 
-def grlex_key(m):
-    return (sum(m), m)
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise OverflowError(
+            f"total degree {degree} exceeds {MAX_DEGREE}, the limit of a packed monomial"
+        )
 
 
-def lead_monomial(terms):
-    """Largest monomial in graded-lex order; terms must be nonempty."""
-    best = None
-    best_key = None
-    for m in terms:
-        k = (sum(m), m)
-        if best_key is None or k > best_key:
-            best_key = k
-            best = m
-    return best
+def pack_monomial(exps) -> int:
+    """The packed monomial of a dense exponent tuple over ``Var``."""
+    if len(exps) != NVARS:
+        raise ValueError(f"a monomial has {NVARS} exponents, got {len(exps)}")
+    for e in exps:
+        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponents must be non-negative ints, got {e!r}")
+    degree = sum(exps)
+    _check_degree(degree)
+    return int.from_bytes(_FIELDS.pack(degree, *exps), "big")
+
+
+def unpack_monomial(m: int) -> tuple[int, ...]:
+    """The dense exponent tuple of a packed monomial."""
+    return _FIELDS.unpack(m.to_bytes(_FIELDS.size, "big"))[1:]
+
+
+def mono_div(a: int, b: int) -> Optional[int]:
+    """Packed quotient a / b, or None when b does not divide a."""
+    d = a - b
+    return None if d & _GUARD else d
 
 
 class Polynomial:
@@ -66,10 +87,9 @@ class Polynomial:
         t: dict = {}
         if terms:
             for m, c in terms.items():
-                if not isinstance(c, int):
-                    raise TypeError(f"coefficients must be int, got {type(c).__name__}")
-                if c:
-                    t[tuple(m)] = c
+                key = pack_monomial(m)
+                if _check_coeff(c):
+                    t[key] = c
         self._t = t
         self._hash = None
 
@@ -87,57 +107,52 @@ class Polynomial:
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls._raw({_ZERO_MONO: 1})
+        return cls._raw({0: 1})
 
     @classmethod
     def const(cls, c: int) -> "Polynomial":
-        return cls({_ZERO_MONO: c})
+        return cls._raw({0: c} if _check_coeff(c) else {})
 
     @classmethod
     def variable(cls, v: Var) -> "Polynomial":
-        e = [0] * NVARS
-        e[int(v)] = 1
-        return cls._raw({tuple(e): 1})
+        return cls._raw({_UNIT[v]: 1})
 
     # -- queries ------------------------------------------------------------
-    def items(self):
-        return self._t.items()
+    def items(self) -> list[tuple[tuple[int, ...], int]]:
+        """(exponent tuple, coefficient) pairs, in term-dict order."""
+        return [(unpack_monomial(m), c) for m, c in self._t.items()]
 
     def is_zero(self) -> bool:
         return not self._t
 
     def is_constant(self) -> bool:
-        return not self._t or (len(self._t) == 1 and _ZERO_MONO in self._t)
+        return not self._t or (len(self._t) == 1 and 0 in self._t)
 
     def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self._t.get(_ZERO_MONO, 0)
+        return self._t.get(0, 0)
 
     def is_one(self) -> bool:
-        return self._t.get(_ZERO_MONO) == 1 and len(self._t) == 1
+        return self._t.get(0) == 1 and len(self._t) == 1
 
     def __len__(self) -> int:
         return len(self._t)
 
     def degree_in(self, v: Var) -> int:
-        i = int(v)
         if not self._t:
             return 0
-        return max(m[i] for m in self._t)
+        s = _SHIFT[v]
+        return max(m >> s & _MASK for m in self._t)
 
     def variables(self) -> tuple[Var, ...]:
-        present = [False] * NVARS
-        for m in self._t:
-            for i, e in enumerate(m):
-                if e:
-                    present[i] = True
-        return tuple(Var(i) for i in range(NVARS) if present[i])
+        present = reduce(or_, self._t, 0)
+        return tuple(v for v, s in zip(_VARS, _SHIFT) if present >> s & _MASK)
 
     def leading_coeff(self) -> int:
         if not self._t:
             return 0
-        return self._t[lead_monomial(self._t)]
+        return self._t[max(self._t)]
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other) -> "Polynomial":
@@ -190,12 +205,13 @@ class Polynomial:
         a, b = self._t, other._t
         if not a or not b:
             return Polynomial._raw({})
+        _check_degree((max(a) >> _DEG_SHIFT) + (max(b) >> _DEG_SHIFT))
         if len(a) > len(b):
             a, b = b, a
         out = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                key = tuple(map(add, ma, mb))
+                key = ma + mb
                 v = out.get(key)
                 if v is None:
                     out[key] = ca * cb
@@ -212,6 +228,8 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if self._t:
+            _check_degree(n * (max(self._t) >> _DEG_SHIFT))
         result = Polynomial.one()
         base = self
         while n:
@@ -242,27 +260,28 @@ class Polynomial:
     # -- calculus and structure ----------------------------------------------
     def partial(self, v: Var) -> "Polynomial":
         """Formal partial derivative."""
-        i = int(v)
+        s, unit = _SHIFT[v], _UNIT[v]
         out: dict = {}
         for m, c in self._t.items():
-            e = m[i]
-            if not e:
-                continue
-            key = m[:i] + (e - 1,) + m[i + 1:]
-            nc = c * e
-            prev = out.get(key)
-            out[key] = nc if prev is None else prev + nc
-        return Polynomial._raw({m: c for m, c in out.items() if c})
+            e = m >> s & _MASK
+            if e:
+                out[m - unit] = c * e
+        return Polynomial._raw(out)
 
     def coeffs_in(self, v: Var) -> dict[int, "Polynomial"]:
         """Group terms by the exponent of v, with v stripped from the keys."""
-        i = int(v)
+        s, unit = _SHIFT[v], _UNIT[v]
         groups: dict[int, dict] = {}
         for m, c in self._t.items():
-            e = m[i]
-            key = m[:i] + (0,) + m[i + 1:]
-            groups.setdefault(e, {})[key] = c
+            e = m >> s & _MASK
+            groups.setdefault(e, {})[m - e * unit] = c
         return {e: Polynomial._raw(t) for e, t in groups.items()}
+
+
+def _check_coeff(c) -> int:
+    if not isinstance(c, int):
+        raise TypeError(f"coefficients must be int, got {type(c).__name__}")
+    return c
 
 
 def _coerce(x) -> Union[Polynomial, type(NotImplemented)]:
@@ -306,27 +325,26 @@ def exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
         return Polynomial.zero()
     bt = b._t
     if b.is_constant():
-        d = bt[_ZERO_MONO]
+        d = bt[0]
         q: dict = {}
         for m, c in a._t.items():
             q[m], r = divmod(c, d)
             if r:
                 return None
         return Polynomial._raw(q)
-    lead_b = lead_monomial(bt)
+    lead_b = max(bt)
     lc_b = bt[lead_b]
     tail_b = [(m, c) for m, c in bt.items() if m != lead_b]
     # The remainder r is one private copy updated in place; its monomials sit
-    # in a heap keyed by the negated grlex_key, and an entry whose monomial
-    # has cancelled since it was pushed is skipped when it surfaces.  A
-    # processed leading monomial never comes back: every term it spawns is
-    # smaller in grlex order.
+    # negated in a min-heap, and an entry whose monomial has cancelled since
+    # it was pushed is skipped when it surfaces.  A processed leading monomial
+    # never comes back: every term it spawns is smaller in grlex order.
     r = dict(a._t)
-    heap = [(-sum(m), tuple(map(neg, m)), m) for m in r]
+    heap = [-m for m in r]
     heapq.heapify(heap)
     q = {}
     while heap:
-        lead_r = heapq.heappop(heap)[2]
+        lead_r = -heapq.heappop(heap)
         c = r.pop(lead_r, None)
         if c is None:
             continue
@@ -338,11 +356,11 @@ def exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
             return None
         q[mq] = cq
         for m, cb in tail_b:
-            key = tuple(map(add, m, mq))
+            key = m + mq
             v = r.get(key)
             if v is None:
                 r[key] = -cq * cb
-                heapq.heappush(heap, (-sum(key), tuple(map(neg, key)), key))
+                heapq.heappush(heap, -key)
             else:
                 v -= cq * cb
                 if v:
@@ -359,23 +377,27 @@ def divides(b: Polynomial, a: Polynomial) -> bool:
 
 # -- multivariate gcd ----------------------------------------------------------
 
-def _mono_content(t: dict) -> tuple:
-    it = iter(t)
-    mins = list(next(it))
+def _mono_content(monos) -> int:
+    """Fieldwise minimum of nonempty packed monomials: the largest monomial
+    dividing each of them."""
+    it = iter(monos)
+    low = next(it)
     for m in it:
-        for i, e in enumerate(m):
-            if e < mins[i]:
-                mins[i] = e
-    return tuple(mins)
+        # the guard bit of (low | G) - m survives in the fields where low >= m
+        ge = ((low | _GUARD) - m) & _GUARD
+        take = (ge << 1) - (ge >> (_FIELD - 1))
+        low = m & take | low & ~take
+        if not low & _EXPS:
+            return 0
+    low &= _EXPS
+    return low | sum(unpack_monomial(low)) << _DEG_SHIFT
 
 
-def _deflate(p: Polynomial, c: int, m0: tuple) -> Polynomial:
+def _deflate(p: Polynomial, c: int, m0: int) -> Polynomial:
     """p / (c * x^m0), where both divide p."""
-    if c == 1 and not any(m0):
+    if c == 1 and not m0:
         return p
-    return Polynomial._raw(
-        {tuple(x - y for x, y in zip(m, m0)): v // c for m, v in p._t.items()}
-    )
+    return Polynomial._raw({m - m0: v // c for m, v in p._t.items()})
 
 
 def _prem(f: dict[int, Polynomial], g: dict[int, Polynomial]) -> dict[int, Polynomial]:
@@ -411,11 +433,12 @@ def _prem(f: dict[int, Polynomial], g: dict[int, Polynomial]) -> dict[int, Polyn
 
 
 def _join(groups: dict[int, Polynomial], v: Var) -> Polynomial:
-    i = int(v)
+    """Inverse of ``coeffs_in``: groups free of v, keyed by v's exponent."""
     out: dict = {}
     for e, p in groups.items():
+        step = e * _UNIT[v]
         for m, c in p._t.items():
-            out[m[:i] + (e,) + m[i + 1:]] = c
+            out[m + step] = c
     return Polynomial._raw(out)
 
 
@@ -442,11 +465,11 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return Polynomial.const(math.gcd(ca, cb))
     ma = _mono_content(a._t)
     mb = _mono_content(b._t)
-    mg = tuple(min(x, y) for x, y in zip(ma, mb))
+    mg = _mono_content((ma, mb))
 
     g = _gcd_primitive(_deflate(a, ca, ma), _deflate(b, cb, mb))
     out = g * math.gcd(ca, cb)
-    if any(mg):
+    if mg:
         out = out * Polynomial._raw({mg: 1})
     return out
 
@@ -457,11 +480,11 @@ def _max_norm(p: Polynomial) -> int:
 
 def _eval_var(p: Polynomial, v: Var, xi: int) -> Polynomial:
     """Substitute the integer xi for v (exact, integer coefficients)."""
-    i = int(v)
+    s, unit = _SHIFT[v], _UNIT[v]
     out: dict = {}
     for m, c in p._t.items():
-        e = m[i]
-        key = m[:i] + (0,) + m[i + 1:]
+        e = m >> s & _MASK
+        key = m - e * unit
         val = c * (xi ** e) if e else c
         prev = out.get(key)
         cur = val if prev is None else prev + val
@@ -486,10 +509,11 @@ def _balanced_digit(p: Polynomial, xi: int) -> Polynomial:
 
 
 def _shift_var(p: Polynomial, v: Var, e: int) -> Polynomial:
+    """p * v^e for p free of v."""
     if e == 0:
         return p
-    i = int(v)
-    return Polynomial._raw({m[:i] + (e,) + m[i + 1:]: c for m, c in p._t.items()})
+    step = e * _UNIT[v]
+    return Polynomial._raw({m + step: c for m, c in p._t.items()})
 
 
 def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial]:

@@ -291,7 +291,7 @@ def _split(
     for m, c in expr.num.items():
         bucket = buckets.get((m[ix], m[iy]))
         if bucket is None:
-            mono = render_poly(Polynomial._raw({m: 1}))
+            mono = render_poly(Polynomial({m: 1}))
             raise StrayMonomialError(
                 f"unexpected monomial {mono} in ({VAR_NAMES[x]}, {VAR_NAMES[y]})"
             )
@@ -299,7 +299,7 @@ def _split(
         key[ix] = 0
         key[iy] = 0
         bucket[tuple(key)] = c
-    return {sig: RationalExpr(Polynomial._raw(t), den) for sig, t in buckets.items()}
+    return {sig: RationalExpr(Polynomial(t), den) for sig, t in buckets.items()}
 
 
 def collect_quadratic(

@@ -9,22 +9,24 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .poly import Polynomial, grlex_key
+from .poly import Polynomial, unpack_monomial
 from .symbols import VAR_NAMES, Var
 
 if TYPE_CHECKING:
     from .ratexpr import RationalExpr
 
+_NAMES = tuple(VAR_NAMES[v] for v in Var)
+
 
 def render_poly(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
-    items = sorted(p.items(), key=lambda mc: grlex_key(mc[0]), reverse=True)
     pieces: list[str] = []
-    for m, c in items:
+    # packed monomials sort in graded-lex order
+    for m, c in sorted(p._t.items(), reverse=True):
         mono = "*".join(
-            VAR_NAMES[Var(i)] + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(m)
+            name + (f"^{e}" if e > 1 else "")
+            for name, e in zip(_NAMES, unpack_monomial(m))
             if e
         )
         mag = abs(c)

@@ -2,8 +2,6 @@
 import dataclasses
 import json
 import math
-import shlex
-from pathlib import Path
 
 import pytest
 
@@ -549,6 +547,24 @@ def test_grid_size_below_two_is_usage_error(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["residual", "--alpha", "-2"],
+        ["curvature"],
+        ["extrude", "--alpha", "1", "--smax", "0.5"],
+    ],
+)
+def test_grid_above_the_sample_bound_is_usage_error(tmp_path, capsys, args):
+    # 10^10 samples: the bound must fire before any array is allocated
+    rc = run([*args, "--nu", "100000", "--nv", "100000", "--out", str(tmp_path / "g")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a grid has at most 2000000 samples, got 100000x100000")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def _pole_patch(lat_lo):
     """A sphere chart whose last latitude row is the pole, where it degenerates."""
     return lambda args: dataclasses.replace(sphere_patch(r=1.0), u_range=(lat_lo, math.pi / 2))
@@ -697,23 +713,3 @@ def test_extrude_traj_rejects_a_curve_config_key(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: curve value step = 7 ") and err.count("\n") == 1
     assert not list(tmp_path.glob("e.*"))
-
-
-def _readme_cli_examples() -> list[str]:
-    """The ``singmin`` lines of the sh block under README's ``## CLI``."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.splitlines() if line.startswith("singmin ")]
-
-
-def test_readme_lists_cli_examples():
-    # an empty list would skip every case below instead of failing
-    assert _readme_cli_examples()
-
-
-@pytest.mark.parametrize("line", _readme_cli_examples(),
-                         ids=lambda line: line.split("#")[0].strip())
-def test_readme_cli_example_runs(tmp_path, monkeypatch, line):
-    monkeypatch.chdir(tmp_path)
-    assert run(shlex.split(line, comments=True)[1:]) == 0

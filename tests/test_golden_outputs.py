@@ -22,9 +22,17 @@ import pytest
 
 import singmin
 from singmin.cli import main
-from test_cli import _readme_cli_examples
 
 GOLDEN_PATH = Path(__file__).with_name("golden_outputs.json")
+
+
+def _readme_cli_examples() -> list[str]:
+    """The ``singmin`` lines of the sh block under README's ``## CLI``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("singmin ")]
+
 
 #: beyond README's examples: curvature on the other two patches, a plane and
 #: a cylinder off the coordinate axes, a catenary that ends at y-min, and
@@ -89,6 +97,11 @@ def assert_matches_golden(live: dict) -> None:
         lines += [f"{case}: {name}" for name in names
                   if got["files"].get(name) != want["files"].get(name)]
     assert not lines, "hash differs from the golden:\n" + "\n".join(lines)
+
+
+def test_readme_lists_cli_examples():
+    # an empty list would leave README's examples out of CASES unnoticed
+    assert _readme_cli_examples()
 
 
 def test_golden_lists_every_case_in_order():

@@ -2,6 +2,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singmin.exact import (
     NVARS,
@@ -14,7 +15,13 @@ from singmin.exact import (
     poly_gcd,
     primitive,
 )
-from singmin.exact.poly import grlex_key, lead_monomial
+from singmin.exact.poly import (
+    MAX_DEGREE,
+    _mono_content,
+    mono_div,
+    pack_monomial,
+    unpack_monomial,
+)
 
 
 def P(v: Var) -> Polynomial:
@@ -63,19 +70,110 @@ def test_ring_identities():
 
 
 def test_graded_lex_leading_monomial():
-    p = K ** 3 + C ** 2 * K ** 2 + AL
-    monos = [m for m, _ in p.items()]
-    assert lead_monomial(monos) == mono(C=2, K1=2)
-    assert max(sum(m) for m in monos) == 4
+    p = K ** 3 + 5 * C ** 2 * K ** 2 + AL
+    packed = [pack_monomial(m) for m, _ in p.items()]
+    assert unpack_monomial(max(packed)) == mono(C=2, K1=2)
+    assert p.leading_coeff() == 5
 
 
 def test_monomial_order_deterministic():
-    a = mono(ALPHA=1)
-    c = mono(C=1)
-    k2 = mono(K1=2)
-    assert grlex_key(k2) > grlex_key(a)  # degree first
-    assert grlex_key(a) > grlex_key(c)   # then lex, alpha most significant
-    assert sorted([c, k2, a], key=grlex_key) == [c, a, k2]
+    a = pack_monomial(mono(ALPHA=1))
+    c = pack_monomial(mono(C=1))
+    k2 = pack_monomial(mono(K1=2))
+    assert k2 > a  # degree first
+    assert a > c   # then lex, alpha most significant
+    assert sorted([c, k2, a]) == [c, a, k2]
+
+
+# -- the packed monomial against its exponent-tuple spelling -----------------
+
+def grlex_key(m):
+    """Graded lex on exponent tuples: the order packed monomials must keep."""
+    return (sum(m), m)
+
+
+def exponent_tuples(top=MAX_DEGREE // NVARS):
+    # sparse, like the engine's monomials; equal degrees and shared fields
+    # are common once Hypothesis shrinks toward small exponents
+    fields = st.dictionaries(st.integers(0, NVARS - 1), st.integers(0, top), max_size=5)
+    return fields.map(lambda f: tuple(f.get(i, 0) for i in range(NVARS)))
+
+
+HALF = MAX_DEGREE // (2 * NVARS)
+PACKING = dict(max_examples=100, deadline=None)
+
+
+@given(exponent_tuples())
+@settings(**PACKING)
+def test_pack_round_trip(a):
+    assert unpack_monomial(pack_monomial(a)) == a
+
+
+@given(exponent_tuples(), exponent_tuples())
+@settings(**PACKING)
+def test_packed_order_is_grlex(a, b):
+    pa, pb = pack_monomial(a), pack_monomial(b)
+    assert (pa < pb) == (grlex_key(a) < grlex_key(b))
+    assert (pa == pb) == (a == b)
+
+
+@given(exponent_tuples(HALF), exponent_tuples(HALF))
+@settings(**PACKING)
+def test_guard_bits_decide_divisibility(a, b):
+    pa, pb = pack_monomial(a), pack_monomial(b)
+    q = mono_div(pa, pb)
+    if all(x >= y for x, y in zip(a, b)):
+        assert q == pack_monomial(tuple(x - y for x, y in zip(a, b)))
+    else:
+        assert q is None
+    assert mono_div(pack_monomial(tuple(x + y for x, y in zip(a, b))), pb) == pa
+
+
+@given(exponent_tuples(HALF), exponent_tuples(HALF))
+@settings(**PACKING)
+def test_packed_product_is_the_fieldwise_sum(a, b):
+    want = tuple(x + y for x, y in zip(a, b))
+    assert pack_monomial(a) + pack_monomial(b) == pack_monomial(want)
+    assert (Polynomial({a: 2}) * Polynomial({b: 3})).items() == [(want, 6)]
+
+
+@given(st.lists(exponent_tuples(), min_size=1, max_size=6))
+@settings(**PACKING)
+def test_common_monomial_is_the_fieldwise_min(monos):
+    want = tuple(map(min, *monos)) if len(monos) > 1 else monos[0]
+    assert _mono_content(pack_monomial(m) for m in monos) == pack_monomial(want)
+
+
+# -- the constructor's monomial checks ----------------------------------------
+
+def one_line_error(exc_type, build):
+    with pytest.raises(exc_type) as err:
+        build()
+    assert "\n" not in str(err.value)
+
+
+def test_monomial_of_the_wrong_length_is_rejected():
+    # zip used to truncate it: times k1 this rendered 3*alpha*c^2
+    one_line_error(ValueError, lambda: Polynomial({(1, 2): 3}))
+    one_line_error(ValueError, lambda: Polynomial({mono() + (1,): 3}))
+
+
+def test_negative_exponent_is_rejected():
+    one_line_error(ValueError, lambda: Polynomial({(-1,) + (0,) * (NVARS - 1): 1}))
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1", None])
+def test_non_int_exponent_is_rejected(bad):
+    one_line_error(ValueError, lambda: Polynomial({(bad,) + (0,) * (NVARS - 1): 1}))
+
+
+def test_degree_above_the_field_limit_is_rejected():
+    top = Polynomial({mono(K1=MAX_DEGREE): 1})
+    assert top.degree_in(Var.K1) == MAX_DEGREE
+    one_line_error(OverflowError, lambda: Polynomial({mono(K1=MAX_DEGREE, C=1): 1}))
+    one_line_error(OverflowError, lambda: top * C)
+    one_line_error(OverflowError, lambda: (K + 1) ** (MAX_DEGREE + 1))
+    assert (K ** MAX_DEGREE).items() == top.items()
 
 
 def test_partial_power_rule():
