@@ -108,7 +108,8 @@ def first_integral(y: float, theta: float, alpha: float) -> float:
         return math.copysign(math.inf, math.cos(theta))
 
 
-def _f(x: float, y: float, theta: float, alpha: float) -> tuple[float, float, float]:
+def _f(y: float, theta: float, alpha: float) -> tuple[float, float, float]:
+    """(x', y', theta') at (y, theta); the field does not depend on x."""
     if y <= 0.0:
         raise SingularBoundaryError(f"integration stage hit y = {y:.6g}")
     c = math.cos(theta)
@@ -116,10 +117,10 @@ def _f(x: float, y: float, theta: float, alpha: float) -> tuple[float, float, fl
 
 
 def _rk4(x: float, y: float, th: float, h: float, alpha: float) -> tuple[float, float, float]:
-    k1 = _f(x, y, th, alpha)
-    k2 = _f(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], th + 0.5 * h * k1[2], alpha)
-    k3 = _f(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], th + 0.5 * h * k2[2], alpha)
-    k4 = _f(x + h * k3[0], y + h * k3[1], th + h * k3[2], alpha)
+    k1 = _f(y, th, alpha)
+    k2 = _f(y + 0.5 * h * k1[1], th + 0.5 * h * k1[2], alpha)
+    k3 = _f(y + 0.5 * h * k2[1], th + 0.5 * h * k2[2], alpha)
+    k4 = _f(y + h * k3[1], th + h * k3[2], alpha)
     return (
         x + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
         y + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),

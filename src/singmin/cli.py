@@ -46,6 +46,7 @@ from .surfaces import (
     valid_curvature,
 )
 from .surfaces.export import fmt, summary_json
+from .surfaces.patches import check_grid_size
 
 PATCH_KINDS = ("plane", "sphere", "cylinder")
 
@@ -339,6 +340,8 @@ def cmd_catenary(args: argparse.Namespace) -> int:
 
 
 def cmd_extrude(args: argparse.Namespace) -> int:
+    # a bad grid is refused before the curve is read or integrated
+    check_grid_size(args.nu, args.nv)
     if args.traj is not None:
         given = _curve_values(args)
         if given:

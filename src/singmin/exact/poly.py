@@ -3,7 +3,9 @@
 Terms are kept in a dict keyed by packed monomials, one ``int`` each (the
 packed exponent vector of Monagan and Pearce, CASC 2007).  Dense exponent
 tuples over the registered indeterminates appear only at the boundary: the
-constructor packs them and ``items`` unpacks them.
+constructor packs them and ``items`` unpacks them.  Grouping by one
+variable's exponent is ``coeffs_in`` and its inverse ``_join``; dividing by
+a known integer (and monomial) is ``_deflate``.
 Coefficients are Python ``int``s, and any other coefficient type (floats and
 ``fractions.Fraction`` included) is a ``TypeError``.
 Division is in Z[vars] too: ``exact_div`` returns None unless the quotient
@@ -309,12 +311,14 @@ def content(p: Polynomial) -> int:
 
 def primitive(p: Polynomial) -> Polynomial:
     """Primitive part: integer content 1, positive leading coefficient."""
-    if p.is_zero():
+    return _deflate(p, content(p), 0)
+
+
+def _deflate(p: Polynomial, c: int, m0: int) -> Polynomial:
+    """p / (c * x^m0), where both divide p."""
+    if c == 1 and not m0:
         return p
-    c = content(p)
-    if c == 1:
-        return p
-    return Polynomial._raw({m: v // c for m, v in p._t.items()})
+    return Polynomial._raw({m - m0: v // c for m, v in p._t.items()})
 
 
 def exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
@@ -391,13 +395,6 @@ def _mono_content(monos) -> int:
             return 0
     low &= _EXPS
     return low | sum(unpack_monomial(low)) << _DEG_SHIFT
-
-
-def _deflate(p: Polynomial, c: int, m0: int) -> Polynomial:
-    """p / (c * x^m0), where both divide p."""
-    if c == 1 and not m0:
-        return p
-    return Polynomial._raw({m - m0: v // c for m, v in p._t.items()})
 
 
 def _prem(f: dict[int, Polynomial], g: dict[int, Polynomial]) -> dict[int, Polynomial]:
@@ -508,14 +505,6 @@ def _balanced_digit(p: Polynomial, xi: int) -> Polynomial:
     return Polynomial._raw(out)
 
 
-def _shift_var(p: Polynomial, v: Var, e: int) -> Polynomial:
-    """p * v^e for p free of v."""
-    if e == 0:
-        return p
-    step = e * _UNIT[v]
-    return Polynomial._raw({m + step: c for m, c in p._t.items()})
-
-
 def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial]:
     """Heuristic gcd by evaluation at a large integer, with reconstruction by
     balanced digits and a verification divide; None when the heuristic fails.
@@ -535,10 +524,8 @@ def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial
     cf = abs(content(f))
     cg = abs(content(g))
     c = math.gcd(cf, cg)
-    if cf > 1:
-        f = exact_div(f, Polynomial.const(cf))
-    if cg > 1:
-        g = exact_div(g, Polynomial.const(cg))
+    f = _deflate(f, cf, 0)
+    g = _deflate(g, cg, 0)
 
     common = [v for v in f.variables() if g.degree_in(v) > 0]
     if not common:
@@ -553,17 +540,18 @@ def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial
         if not (fe.is_zero() or ge.is_zero()):
             gamma = _gcdheu(fe, ge, depth + 1)
             if gamma is not None:
-                h = Polynomial.zero()
+                # gamma's balanced base-xi digits are the coefficients in v
+                digits: dict[int, Polynomial] = {}
                 rest = gamma
                 power = 0
                 while not rest.is_zero() and power <= f.degree_in(v) + g.degree_in(v):
                     digit = _balanced_digit(rest, xi)
                     if not digit.is_zero():
-                        h = h + _shift_var(digit, v, power)
-                    rest = exact_div(rest - digit, Polynomial.const(xi))
+                        digits[power] = digit
+                    rest = _deflate(rest - digit, xi, 0)
                     power += 1
-                if rest.is_zero() and not h.is_zero():
-                    cand = primitive(h)
+                if rest.is_zero() and digits:
+                    cand = primitive(_join(digits, v))
                     if divides(cand, f) and divides(cand, g):
                         return cand * c
         xi = xi * 73794 // 27011 + attempt + 1

@@ -7,7 +7,9 @@ Equality is therefore plain structural comparison.  All operations are exact.
 Rational numbers cross the boundary only through ``from_number`` (which also
 takes the ``int`` and ``Fraction`` operands of the arithmetic operators);
 floats are rejected.  ``substitute`` is the one evaluator: binding every
-variable to a number yields a constant expression.
+variable to a number yields a constant expression.  It and the splitters
+behind ``collect_quadratic`` and ``solve_2x2`` read terms only through
+``Polynomial.coeffs_in``, never as exponent tuples.
 """
 from __future__ import annotations
 
@@ -242,30 +244,20 @@ def _normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
 
 
 def _poly_subs(p: Polynomial, vals: Mapping[Var, RationalExpr]) -> RationalExpr:
-    if p.is_zero():
-        return RationalExpr.zero()
-    powers: dict[tuple[int, int], RationalExpr] = {}
-
-    def pw(i: int, e: int) -> RationalExpr:
-        key = (i, e)
-        got = powers.get(key)
-        if got is None:
-            base = vals.get(Var(i))
-            if base is None:
-                base = RationalExpr.variable(Var(i))
-                powers[(i, 1)] = base
-            got = base ** e
-            powers[key] = got
-        return got
-
-    total = RationalExpr.zero()
-    for m, c in p.items():
-        term = RationalExpr.from_number(c)
-        for i, e in enumerate(m):
-            if e:
-                term = term * pw(i, e)
-        total = total + term
-    return total
+    """p with its bound variables replaced, by Horner's rule in one of them at
+    a time.  The coefficients of ``coeffs_in(v)`` are free of v, so no value
+    is substituted into again and the substitution stays simultaneous."""
+    for v in p.variables():
+        val = vals.get(v)
+        if val is not None:
+            groups = p.coeffs_in(v)
+            total = RationalExpr.zero()
+            for e in range(max(groups), -1, -1):
+                total = total * val
+                if e in groups:
+                    total = total + _poly_subs(groups[e], vals)
+            return total
+    return RationalExpr._wrap(p, Polynomial.one())
 
 
 # -- spec-level operations ------------------------------------------------------
@@ -286,31 +278,25 @@ def _split(
         raise StrayMonomialError(
             f"denominator {render_poly(den)} involves {VAR_NAMES[x]} or {VAR_NAMES[y]}"
         )
-    ix, iy = int(x), int(y)
-    buckets: dict[tuple[int, int], dict] = {sig: {} for sig in sigs}
-    for m, c in expr.num.items():
-        bucket = buckets.get((m[ix], m[iy]))
-        if bucket is None:
-            mono = render_poly(Polynomial({m: 1}))
-            raise StrayMonomialError(
-                f"unexpected monomial {mono} in ({VAR_NAMES[x]}, {VAR_NAMES[y]})"
-            )
-        key = list(m)
-        key[ix] = 0
-        key[iy] = 0
-        bucket[tuple(key)] = c
-    return {sig: RationalExpr(Polynomial(t), den) for sig, t in buckets.items()}
+    found: dict[tuple[int, int], Polynomial] = {}
+    for i, by_x in expr.num.coeffs_in(x).items():
+        for j, c in by_x.coeffs_in(y).items():
+            if (i, j) not in sigs:
+                mono = render_poly(Polynomial.variable(x) ** i * Polynomial.variable(y) ** j)
+                raise StrayMonomialError(
+                    f"unexpected monomial {mono} in ({VAR_NAMES[x]}, {VAR_NAMES[y]})"
+                )
+            found[i, j] = c
+    return {sig: RationalExpr(found.get(sig, Polynomial.zero()), den) for sig in sigs}
 
 
-def collect_quadratic(
-    expr: RationalExpr, vars: tuple[Var, Var] = (Var.U1, Var.U2)
-) -> tuple[RationalExpr, RationalExpr, RationalExpr]:
-    """Split ``expr = A*x^2 + B*y^2 + rest`` with A, B, rest free of (x, y).
+def collect_quadratic(expr: RationalExpr) -> tuple[RationalExpr, RationalExpr, RationalExpr]:
+    """Split ``expr = A*u1^2 + B*u2^2 + rest`` with A, B, rest free of (u1, u2).
 
-    Any other monomial in (x, y), or a denominator involving them, is a
+    Any other monomial in (u1, u2), or a denominator involving them, is a
     structural error naming the offender.
     """
-    parts = _split(expr, vars, ((2, 0), (0, 2), (0, 0)))
+    parts = _split(expr, (Var.U1, Var.U2), ((2, 0), (0, 2), (0, 0)))
     return parts[2, 0], parts[0, 2], parts[0, 0]
 
 

@@ -23,7 +23,7 @@ THEOREMS = {1: run_theorem1, 2: run_theorem2, 3: run_theorem3}
 
 def run_all() -> list[ProofReport]:
     """Run the three chains in fixed order; failures live in the reports."""
-    return [run_theorem1(), run_theorem2(), run_theorem3()]
+    return [run() for run in THEOREMS.values()]
 
 
 __all__ = [

@@ -23,6 +23,16 @@ _ZERO3 = np.zeros(3)
 _UP = np.array([0.0, 0.0, 1.0])
 
 
+def check_grid_size(nu: int, nv: int) -> None:
+    """Refuse an (nu x nv) grid below 2 per side or above ``MAX_SAMPLES``."""
+    if nu < 2 or nv < 2:
+        raise ParameterError(f"grid dimensions must be >= 2, got {nu}x{nv}")
+    if nu * nv > MAX_SAMPLES:
+        raise ParameterError(
+            f"a grid has at most {MAX_SAMPLES} samples, got {nu}x{nv} = {nu * nv}"
+        )
+
+
 def as_vec(v, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
@@ -90,12 +100,7 @@ class SurfacePatch:
     def grid(self, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat ``(u, v)`` arrays of the uniform (nu x nv) grid over the
         domain, row-major: u varies slowest."""
-        if nu < 2 or nv < 2:
-            raise ParameterError(f"grid dimensions must be >= 2, got {nu}x{nv}")
-        if nu * nv > MAX_SAMPLES:
-            raise ParameterError(
-                f"a grid has at most {MAX_SAMPLES} samples, got {nu}x{nv} = {nu * nv}"
-            )
+        check_grid_size(nu, nv)
         us = np.linspace(self.u_range[0], self.u_range[1], nu)
         vs = np.linspace(self.v_range[0], self.v_range[1], nv)
         return np.repeat(us, nv), np.tile(vs, nu)

@@ -27,21 +27,21 @@ class TestVectorField:
     def test_vertical_line_is_straight_for_every_alpha(self):
         state = CatenaryState(s=0.0, x=0.0, y=1.0, theta=math.pi / 2)
         for alpha in (-3.0, -1.0, 1.0, 5.5):
-            dx, dy, dth = _f(state.x, state.y, state.theta, alpha)
+            dx, dy, dth = _f(state.y, state.theta, alpha)
             assert abs(dth) < 1e-15
             assert dy == pytest.approx(1.0)
 
     def test_catenary_vertex_curvature(self):
-        dx, dy, dth = _f(0.0, 1.0, 0.0, 1.0)
+        dx, dy, dth = _f(1.0, 0.0, 1.0)
         assert (dx, dy, dth) == (1.0, 0.0, 1.0)
 
     def test_circle_vertex_curvature(self):
-        _, _, dth = _f(0.0, 1.0, 0.0, -1.0)
+        _, _, dth = _f(1.0, 0.0, -1.0)
         assert dth == -1.0
 
     def test_singular_boundary(self):
         with pytest.raises(SingularBoundaryError):
-            _f(0.0, 0.0, 0.0, 1.0)
+            _f(0.0, 0.0, 1.0)
 
 
 class TestParams:

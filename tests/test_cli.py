@@ -530,6 +530,20 @@ def test_extrude_trajectory_must_have_a_uniform_step(tmp_path, capsys, edit, mes
         assert not (tmp_path / "e.json").exists()
 
 
+def _count_curve_reads(monkeypatch):
+    """Record each call of the CLI's curve integrator and trajectory loader."""
+    calls = []
+    for name in ("integrate", "load_trajectory_json"):
+        real = getattr(singmin.cli, name)
+
+        def recorded(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(singmin.cli, name, recorded)
+    return calls
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -537,14 +551,17 @@ def test_extrude_trajectory_must_have_a_uniform_step(tmp_path, capsys, edit, mes
         ["curvature", "--nu", "5", "--nv", "1"],
         ["residual", "--alpha", "-2", "--nu", "-1", "--nv", "5"],
         ["extrude", "--alpha", "1", "--smax", "0.5", "--nu", "6", "--nv", "-3"],
+        ["extrude", "--traj", "no-such-trajectory.json", "--nu", "6", "--nv", "-3"],
     ],
 )
-def test_grid_size_below_two_is_usage_error(tmp_path, capsys, args):
+def test_grid_size_below_two_is_usage_error(tmp_path, monkeypatch, capsys, args):
+    curve_reads = _count_curve_reads(monkeypatch)
     rc = run([*args, "--out", str(tmp_path / "g")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: grid dimensions must be >= 2") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+    assert curve_reads == []
 
 
 @pytest.mark.parametrize(
@@ -553,16 +570,20 @@ def test_grid_size_below_two_is_usage_error(tmp_path, capsys, args):
         ["residual", "--alpha", "-2"],
         ["curvature"],
         ["extrude", "--alpha", "1", "--smax", "0.5"],
+        ["extrude", "--traj", "no-such-trajectory.json"],
     ],
 )
-def test_grid_above_the_sample_bound_is_usage_error(tmp_path, capsys, args):
-    # 10^10 samples: the bound must fire before any array is allocated
+def test_grid_above_the_sample_bound_is_usage_error(tmp_path, monkeypatch, capsys, args):
+    # 10^10 samples: the bound must fire before any array is allocated, and
+    # extrude must not integrate or load its curve first
+    curve_reads = _count_curve_reads(monkeypatch)
     rc = run([*args, "--nu", "100000", "--nv", "100000", "--out", str(tmp_path / "g")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: a grid has at most 2000000 samples, got 100000x100000")
     assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+    assert curve_reads == []
 
 
 def _pole_patch(lat_lo):

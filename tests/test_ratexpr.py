@@ -180,6 +180,11 @@ class TestCollectQuadratic:
             collect_quadratic(U1 * U2 + 1)
         assert str(exc.value) == "unexpected monomial u1*u2 in (u1, u2)"
 
+    def test_stray_monomial_is_named_in_u1_u2_only(self):
+        with pytest.raises(StrayMonomialError) as exc:
+            collect_quadratic(AL * U1 * U2)
+        assert str(exc.value) == "unexpected monomial u1*u2 in (u1, u2)"
+
     def test_odd_power_rejected(self):
         with pytest.raises(StrayMonomialError):
             collect_quadratic(U1 ** 2 + U2)
