@@ -1,5 +1,11 @@
 """Planar generating-curve integration and extrusion to cylindrical patches."""
-from .export import TRAJECTORY_CSV_COLUMNS, load_trajectory_json, trajectory_csv, trajectory_json
+from .export import (
+    TRAJECTORY_CSV_COLUMNS,
+    load_trajectory_json,
+    trajectory_blocks,
+    trajectory_csv,
+    trajectory_json,
+)
 from .extrude import dense_state, to_extrusion
 from .ode import (
     TERM_SMAX,
@@ -23,6 +29,7 @@ __all__ = [
     "integrate",
     "load_trajectory_json",
     "to_extrusion",
+    "trajectory_blocks",
     "trajectory_csv",
     "trajectory_json",
 ]

@@ -3,14 +3,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ParameterError
-from ..surfaces.export import fmt, format_rows, table_csv
+from ..surfaces.export import ROW_BLOCK, fmt, table_csv
 from ..surfaces.jets import reject_first
-from .ode import TERM_SMAX, TERM_YMIN, Trajectory
+from .ode import TERM_SMAX, TERM_YMIN, Trajectory, first_integral
 
 TRAJECTORY_CSV_COLUMNS = ("s", "x", "y", "theta", "J")
 # how far, in steps, a loaded trajectory's node may lie from s0 + k*step;
@@ -18,13 +19,23 @@ TRAJECTORY_CSV_COLUMNS = ("s", "x", "y", "theta", "J")
 UNIFORM_STEP_TOL = 1e-6
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    return table_csv(TRAJECTORY_CSV_COLUMNS, traj.text_columns)
+def trajectory_csv(traj: Trajectory, start: int) -> str:
+    """Rows ``start`` to ``start + ROW_BLOCK`` of the trajectory's CSV, under
+    the header line in the block at 0."""
+    states = traj.states[start:start + ROW_BLOCK]
+    j = [first_integral(y, theta, traj.alpha) for y, theta in states[:, 2:].tolist()]
+    return table_csv(TRAJECTORY_CSV_COLUMNS, [*states.T, j], start)
 
 
-def trajectory_json(traj: Trajectory) -> str:
-    """The ``json.dumps(doc, indent=2, sort_keys=True)`` text of the trajectory,
-    with the ``points`` rows written by ``format_rows``."""
+def trajectory_json(traj: Trajectory, csv: str, start: int) -> str:
+    """The block of the ``json.dumps(doc, indent=2, sort_keys=True)`` text of
+    the trajectory that holds the rows of ``csv``, the ``trajectory_csv``
+    block at ``start``: the document's head comes with the block at 0 and its
+    tail with the last block."""
+    if start == 0:
+        csv = csv.split("\n", 1)[1]  # past the header line
+    text = "".join(['    [\n      "' + row.replace(",", '",\n      "') + '"\n    ],\n'
+                    for row in csv.splitlines()])
     doc = {
         "schema_version": 1,
         "alpha": fmt(traj.alpha),
@@ -34,11 +45,20 @@ def trajectory_json(traj: Trajectory) -> str:
         "points": None,
     }
     head, tail = json.dumps(doc, indent=2, sort_keys=True).split('"points": null')
-    rows = format_rows(
-        traj.text_columns, sep='",\n      "', prefix='    [\n      "', end='"\n    ],\n'
-    )
-    # the last row closes with "]" and no comma
-    return head + '"points": [\n' + rows[:-2] + "\n  ]" + tail + "\n"
+    if start == 0:
+        text = head + '"points": [\n' + text
+    if start + ROW_BLOCK >= len(traj.states):
+        # the last row closes with "]" and no comma
+        text = text[:-2] + "\n  ]" + tail + "\n"
+    return text
+
+
+def trajectory_blocks(traj: Trajectory) -> Iterator[tuple[str, str]]:
+    """The CSV and the JSON text of each ``ROW_BLOCK`` of states; the JSON
+    block rewrites the CSV block, so each value is formatted once."""
+    for start in range(0, len(traj.states), ROW_BLOCK):
+        csv = trajectory_csv(traj, start)
+        yield csv, trajectory_json(traj, csv, start)
 
 
 def load_trajectory_json(path: Path) -> Trajectory:

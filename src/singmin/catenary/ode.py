@@ -14,19 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
 from ..errors import ParameterError, SingularBoundaryError
-from ..surfaces.export import fmt, format_columns
+from ..surfaces.export import fmt
 from ..surfaces.jets import reject_first
 
 TERM_SMAX = "reached-smax"
 TERM_YMIN = "hit-y-min"
-# Most RK4 steps a march may take in one direction.  Each state costs about
-# 1 KB of peak memory while the march runs (50 MB for 2e4 states, 228 MB for
-# 2e5 on CPython 3.11), so the bound keeps a run under about 2 GB.
+# Most RK4 steps a march may take in one direction.  Each state adds about
+# 0.25 KB to a catenary run's peak RSS (39 MB for 2e4 states, 83 MB for 2e5 on
+# CPython 3.11; the trajectory is written one row block at a time), so the
+# bound keeps a run under about 0.5 GB.
 MAX_STEPS = 10**6
 
 
@@ -74,19 +74,12 @@ class Trajectory:
     termination: str
 
     def __post_init__(self):
-        # read-only: text_columns caches the text of the states
+        # read-only, like the frozen record that holds it
         self.states.flags.writeable = False
 
     @property
     def s_range(self) -> tuple[float, float]:
         return (float(self.states[0, 0]), float(self.states[-1, 0]))
-
-    @cached_property
-    def text_columns(self) -> list[np.ndarray]:
-        """``fmt`` text of the ``s, x, y, theta, J`` columns, formatted once
-        for both the CSV and the JSON writer."""
-        j = [first_integral(y, theta, self.alpha) for y, theta in self.states[:, 2:].tolist()]
-        return format_columns(np.column_stack((self.states, j)))
 
 
 def _require_finite(record) -> None:

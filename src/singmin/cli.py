@@ -17,7 +17,10 @@ import argparse
 import math
 import re
 import sys
+from collections.abc import Iterable
+from functools import partial
 from pathlib import Path
+from typing import TextIO
 
 from .catenary import (
     CatenaryParams,
@@ -25,8 +28,7 @@ from .catenary import (
     integrate,
     load_trajectory_json,
     to_extrusion,
-    trajectory_csv,
-    trajectory_json,
+    trajectory_blocks,
 )
 from .errors import ParameterError
 from .proofs import THEOREMS, reports_to_json, run_all
@@ -45,7 +47,7 @@ from .surfaces import (
     stencil_fits,
     valid_curvature,
 )
-from .surfaces.export import fmt, summary_json
+from .surfaces.export import blocks, fmt, summary_json
 from .surfaces.patches import check_grid_size
 
 PATCH_KINDS = ("plane", "sphere", "cylinder")
@@ -250,11 +252,18 @@ def _make_patch(args: argparse.Namespace):
     return cylinder_patch(r=args.r, axis=args.axis, center=args.center)
 
 
-def _write(prefix: Path, suffix: str, text: str) -> None:
-    """Write ``text`` to ``prefix`` with ``suffix`` appended to its name."""
+def _open(prefix: Path, suffix: str) -> TextIO:
+    """``prefix`` with ``suffix`` appended to its name, opened for writing."""
     path = Path(f"{prefix}{suffix}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    return path.open("w")
+
+
+def _write(prefix: Path, suffix: str, texts: Iterable[str]) -> None:
+    """Write ``texts`` in turn to ``prefix`` with ``suffix`` appended to its
+    name; each text is made only after the one before it is written."""
+    with _open(prefix, suffix) as fh:
+        fh.writelines(texts)
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
@@ -265,15 +274,15 @@ def cmd_prove(args: argparse.Namespace) -> int:
     for rep in reports:
         print(rep.to_text())
     if args.json is not None:
-        _write(args.json, "", reports_to_json(reports) + "\n")
+        _write(args.json, "", [reports_to_json(reports) + "\n"])
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_residual(args: argparse.Namespace) -> int:
     patch = _make_patch(args)
     report = grid_report(patch, args.alpha, args.a, args.nu, args.nv)
-    _write(args.out, ".json", grid_json(report))
-    _write(args.out, ".csv", grid_csv(report))
+    _write(args.out, ".json", [grid_json(report)])
+    _write(args.out, ".csv", blocks(partial(grid_csv, report)))
     print(
         f"{patch.name}: alpha={fmt(args.alpha)} max|residual|={fmt(report.max_abs_residual)} "
         f"threshold={fmt(args.threshold)} violations={report.halfspace_violations}"
@@ -298,7 +307,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
             f"no sample's finite-difference stencil at h={fmt(h)} fits inside the patch domain"
         )
     max_dev = jet_deviation(fd_jet_oracle(patch, u[fits], v[fits], h), jet[fits])
-    _write(args.out, ".csv", curvature_csv(u[keep], v[keep], s))
+    _write(args.out, ".csv", blocks(partial(curvature_csv, u[keep], v[keep], s)))
     summary = {
         "schema_version": 1,
         "patch": patch.name,
@@ -307,7 +316,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
         "grid": [args.nu, args.nv],
         "rejected_samples": rejected,
     }
-    _write(args.out, ".json", summary_json(summary))
+    _write(args.out, ".json", [summary_json(summary)])
     print(f"{patch.name}: fd max deviation {fmt(max_dev)} at h={fmt(h)}")
     return 0
 
@@ -330,8 +339,10 @@ def _integrate_from_args(args: argparse.Namespace):
 
 def cmd_catenary(args: argparse.Namespace) -> int:
     traj = _integrate_from_args(args)
-    _write(args.out, ".csv", trajectory_csv(traj))
-    _write(args.out, ".json", trajectory_json(traj))
+    with _open(args.out, ".csv") as csv, _open(args.out, ".json") as doc:
+        for csv_text, json_text in trajectory_blocks(traj):
+            csv.write(csv_text)
+            doc.write(json_text)
     print(
         f"alpha={fmt(args.alpha)}: {len(traj.states)} states, "
         f"s in [{fmt(traj.s_range[0])}, {fmt(traj.s_range[1])}], {traj.termination}"
@@ -362,9 +373,10 @@ def cmd_extrude(args: argparse.Namespace) -> int:
         traj = _integrate_from_args(args)
     patch = to_extrusion(traj, v=args.v, a=args.a, t_range=args.t_range)
     report = grid_report(patch, args.alpha, args.a, args.nu, args.nv)
-    _write(args.out, ".obj", obj_mesh(patch, args.nu, args.nv))
-    _write(args.out, ".json", grid_json(report))
-    _write(args.out, ".csv", grid_csv(report))
+    vertices = patch.position(*patch.grid(args.nu, args.nv)).reshape(args.nu, args.nv, 3)
+    _write(args.out, ".obj", blocks(partial(obj_mesh, patch.name, vertices)))
+    _write(args.out, ".json", [grid_json(report)])
+    _write(args.out, ".csv", blocks(partial(grid_csv, report)))
     max_abs_k = max(abs(report.min_K), abs(report.max_K))
     print(
         f"extrusion: alpha={fmt(args.alpha)} max|residual|={fmt(report.max_abs_residual)} "

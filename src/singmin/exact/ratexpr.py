@@ -205,6 +205,8 @@ class RationalExpr:
         """Simultaneous substitution; errors if a denominator collapses to 0."""
         vals = {v: _coerce(e) for v, e in bindings.items()}
         for v, e in vals.items():
+            if not isinstance(v, Var):
+                raise TypeError(f"binding key {v!r} is not a Var")
             if e is NotImplemented:
                 raise TypeError(f"binding for {v!r} is not an expression")
         num_v = _poly_subs(self.num, vals)

@@ -1,22 +1,27 @@
 """Serialization of grid reports, curvature tables and meshes.
 
 All floats are written with 17 significant digits so outputs are
-byte-deterministic for fixed inputs.  Every float table goes through
-``format_columns``, which formats each distinct value of a column once.
+byte-deterministic for fixed inputs.  Every float table is written one
+``ROW_BLOCK`` of rows at a time: a table writer takes the first row of a
+block and returns that block's text, ``""`` past the last block, and
+``blocks`` calls it until then.  ``format_rows`` formats each distinct value
+of a block's column once.
 """
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
 from .jets import CurvatureSample
-from .patches import SurfacePatch
 from .residual import GRID_CSV_COLUMNS, GridReport
 
 CURVATURE_CSV_COLUMNS = ("u", "v", "E", "F", "G", "L", "M", "N", "H", "K", "k1", "k2")
-# rows are assembled this many at a time: the cell lists of a whole 200x200
-# grid at once add about 5 MB to peak memory
+# rows are formatted and written this many at a time, so no table's text is
+# in memory whole: built whole, the CSV of a 600x600 residual grid raised the
+# command's peak RSS from 139 to 270 MB (CPython 3.11)
 ROW_BLOCK = 4096
 
 
@@ -24,47 +29,50 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def format_columns(table) -> list[np.ndarray]:
-    """``fmt`` text of every cell of a 2-D float table, one object array per column.
+def blocks(render: Callable[[int], str]) -> Iterator[str]:
+    """``render(0)``, ``render(ROW_BLOCK)``, ``render(2 * ROW_BLOCK)``, ... up
+    to the first empty text."""
+    for start in itertools.count(0, ROW_BLOCK):
+        text = render(start)
+        if not text:
+            return
+        yield text
+
+
+def format_rows(columns, sep: str = ",", prefix: str = "", end: str = "\n") -> str:
+    """Row k as ``prefix``, then the ``fmt`` text of cell k of each float
+    column joined by ``sep``, then ``end``.
 
     Each distinct value of a column is formatted once.  Values are told apart
     by their bit pattern, not by float equality, so ``0.0`` and ``-0.0`` and
     NaNs of any sign or payload each keep the text ``fmt`` gives them.
     """
-    table = np.asarray(table, dtype=np.float64)
-    columns = []
-    for column in table.T:
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        text = np.array([fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
-        columns.append(text[inverse])
-    return columns
+    cells = []
+    for column in columns:
+        bits = np.asarray(column, dtype=np.float64).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        text = np.array([fmt(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+        cells.append(text[inverse].tolist())
+    return "".join([prefix + sep.join(row) + end for row in zip(*cells)])
 
 
-def format_rows(
-    columns: list[np.ndarray], sep: str = ",", prefix: str = "", end: str = "\n"
-) -> str:
-    """Each row as ``prefix``, then its cells joined by ``sep``, then ``end``."""
-    n = len(columns[0])
-    blocks = []
-    for start in range(0, n, ROW_BLOCK):
-        rows = zip(*(c[start:start + ROW_BLOCK].tolist() for c in columns))
-        blocks.append("".join([prefix + sep.join(row) + end for row in rows]))
-    return "".join(blocks)
+def table_csv(header, columns, start: int) -> str:
+    """CSV of the float ``columns`` of the block of rows at ``start``, under
+    the header line in the block at 0."""
+    head = ",".join(header) + "\n" if start == 0 else ""
+    return head + format_rows(columns)
 
 
-def table_csv(header, columns: list[np.ndarray]) -> str:
-    """CSV of ``format_columns`` text under a header line."""
-    return ",".join(header) + "\n" + format_rows(columns)
+def grid_csv(report: GridReport, start: int) -> str:
+    rows = report.samples[start:start + ROW_BLOCK]
+    return table_csv(GRID_CSV_COLUMNS, rows.T, start)
 
 
-def grid_csv(report: GridReport) -> str:
-    return table_csv(GRID_CSV_COLUMNS, format_columns(report.samples))
-
-
-def curvature_csv(u, v, sample: CurvatureSample) -> str:
+def curvature_csv(u, v, sample: CurvatureSample, start: int) -> str:
     """Per-sample fundamental forms and curvatures in ``CURVATURE_CSV_COLUMNS``."""
-    cells = [u, v] + [getattr(sample, name) for name in CURVATURE_CSV_COLUMNS[2:]]
-    return table_csv(CURVATURE_CSV_COLUMNS, format_columns(np.column_stack(cells)))
+    columns = [u, v] + [getattr(sample, name) for name in CURVATURE_CSV_COLUMNS[2:]]
+    rows = slice(start, start + ROW_BLOCK)
+    return table_csv(CURVATURE_CSV_COLUMNS, [c[rows] for c in columns], start)
 
 
 def summary_json(doc: dict) -> str:
@@ -78,17 +86,25 @@ def grid_json(report: GridReport) -> str:
     return summary_json(report.to_dict())
 
 
-def obj_mesh(patch: SurfacePatch, nu: int, nv: int) -> str:
-    """Wavefront OBJ of a (nu x nv) sample grid.
+def obj_mesh(name: str, vertices: np.ndarray, start: int) -> str:
+    """The block at row ``start`` of the Wavefront OBJ of the ``(nu, nv, 3)``
+    positions of a sample grid.
 
     Vertices in grid-major order (u rows, then v); each quad is split along
-    the same diagonal into two triangles.
+    the same diagonal into two triangles.  Rows count the vertices, then the
+    quads, so a block may hold some of each.
     """
-    vertices = patch.position(*patch.grid(nu, nv))
-    lines = [f"# {patch.name} {nu}x{nv}\n", format_rows(format_columns(vertices), " ", "v ")]
+    nu, nv, _ = vertices.shape
+    head = f"# {name} {nu}x{nv}\n" if start == 0 else ""
+    flat = vertices.reshape(-1, 3)
+    text = format_rows(flat[start:start + ROW_BLOCK].T, " ", "v ")
+    # the block's first row counted among the quads; negative while the
+    # block starts among the vertices
+    first = start - len(flat)
+    quads = np.arange(max(first, 0), min(first + ROW_BLOCK, (nu - 1) * (nv - 1)))
     # q is the 1-based id of vertex (i, j), the first corner of quad (i, j);
     # its other corners (i+1, j), (i+1, j+1), (i, j+1) follow from it
-    corners = np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1) + 1
-    for q in corners.ravel().tolist():
-        lines.append(f"f {q} {q + nv} {q + nv + 1}\nf {q} {q + nv + 1} {q + 1}\n")
-    return "".join(lines)
+    corners = quads // (nv - 1) * nv + quads % (nv - 1) + 1
+    faces = "".join([f"f {q} {q + nv} {q + nv + 1}\nf {q} {q + nv + 1} {q + 1}\n"
+                     for q in corners.tolist()])
+    return head + text + faces

@@ -12,10 +12,11 @@ from .jets import Jet2Vec3, dot
 
 UNIT_TOL = 1e-9
 
-# Most samples one grid may have.  A grid command peaks at about 0.85 KB per
-# sample (curvature with its FD oracle; residual 0.75 KB, extrude 0.45 KB,
-# measured at 90,000 and 250,000 samples on CPython 3.11), so the bound keeps a
-# run under about 2 GB.
+# Most samples one grid may have.  A grid command's peak RSS grows by about
+# 0.8 KB per sample (curvature with its FD oracle; residual 0.3 KB, extrude
+# 0.35 KB, now that tables are written one row block at a time; measured at
+# 90,000 and 250,000 samples on CPython 3.11), so the bound keeps a run under
+# about 2 GB.
 MAX_SAMPLES = 2 * 10**6
 
 _ZERO3 = np.zeros(3)

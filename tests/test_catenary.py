@@ -220,7 +220,7 @@ def test_csv_has_first_integral_column():
     traj = integrate(
         CatenaryState(0, 0, 1, 0), CatenaryParams(alpha=1.0, step=1e-2, smax=0.1)
     )
-    text = trajectory_csv(traj)
+    text = trajectory_csv(traj, 0)
     header, first = text.splitlines()[:2]
     assert header == "s,x,y,theta,J"
     assert len(first.split(",")) == 5

@@ -2,12 +2,13 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 
 import singmin.cli
 from singmin.cli import main
-from singmin.surfaces import sphere_patch
+from singmin.surfaces import grid_report, sphere_patch
 
 
 def run(args):
@@ -734,3 +735,23 @@ def test_extrude_traj_rejects_a_curve_config_key(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: curve value step = 7 ") and err.count("\n") == 1
     assert not list(tmp_path.glob("e.*"))
+
+
+def test_residual_csv_write_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
+    # the report is built before tracing starts, so the traced peak is what
+    # the command adds on top of the whole-grid numerics: the JSON and the
+    # CSV writes, which go one row block at a time
+    peaks = {}
+    for n in (100, 300):
+        report = grid_report(sphere_patch(), -2.0, (0.0, 0.0, 1.0), n, n)
+        monkeypatch.setattr(singmin.cli, "grid_report", lambda *args: report)
+        argv = ["residual", "--alpha", "-2", "--nu", str(n), "--nv", str(n),
+                "--out", str(tmp_path / f"g{n}")]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / f"g{n}.csv").read_text().splitlines()) == n * n + 1
+    assert peaks[300] <= 2 * peaks[100], peaks

@@ -16,8 +16,7 @@ from singmin.catenary import (
     integrate,
     load_trajectory_json,
     to_extrusion,
-    trajectory_csv,
-    trajectory_json,
+    trajectory_blocks,
 )
 from singmin.surfaces import (
     CURVATURE_CSV_COLUMNS,
@@ -30,7 +29,7 @@ from singmin.surfaces import (
     obj_mesh,
     sphere_patch,
 )
-from singmin.surfaces.export import ROW_BLOCK, fmt, format_columns, format_rows, table_csv
+from singmin.surfaces.export import ROW_BLOCK, blocks, fmt, format_rows, table_csv
 
 SPECIAL = np.array(
     [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0]
@@ -61,22 +60,27 @@ def lines(rows, sep=",", prefix="") -> str:
     return "".join(prefix + sep.join(row) + "\n" for row in rows)
 
 
+def whole(writer, *args) -> str:
+    """Every block a table writer makes, joined."""
+    return "".join(blocks(lambda start: writer(*args, start)))
+
+
 @given(tables())
 @settings(max_examples=200, deadline=None)
-def test_format_columns_matches_fmt_per_cell(table):
-    columns = format_columns(table)
-    assert len(columns) == table.shape[1]
-    assert [list(row) for row in zip(*(c.tolist() for c in columns))] == cell_by_cell(table)
-    assert format_rows(columns, " ", "v ") == lines(cell_by_cell(table), " ", "v ")
+def test_format_rows_matches_fmt_per_cell(table):
+    assert format_rows(table.T, " ", "v ") == lines(cell_by_cell(table), " ", "v ")
 
 
 def test_rows_across_blocks():
     table = np.arange(2 * (2 * ROW_BLOCK + 3), dtype=float).reshape(-1, 2) / 7.0
-    assert table_csv(("a", "b"), format_columns(table)) == "a,b\n" + lines(cell_by_cell(table))
+    texts = list(blocks(lambda start: table_csv(("a", "b"), table[start:start + ROW_BLOCK].T,
+                                                start)))
+    assert [t.count("\n") for t in texts] == [ROW_BLOCK + 1, ROW_BLOCK, 3]
+    assert "".join(texts) == "a,b\n" + lines(cell_by_cell(table))
 
 
 def test_zero_row_table_is_header_only():
-    assert table_csv(("a", "b"), format_columns(np.empty((0, 2)))) == "a,b\n"
+    assert table_csv(("a", "b"), np.empty((0, 2)).T, 0) == "a,b\n"
 
 
 def reference_obj(patch, nu, nv) -> str:
@@ -114,10 +118,11 @@ def test_surface_writers_match_cell_by_cell(name):
     nu, nv = 13, 7
     report = grid_report(patch, alpha, (0.0, 0.0, 1.0), nu, nv)
     assert len(report.samples) > 0
-    assert grid_csv(report) == ",".join(GRID_CSV_COLUMNS) + "\n" + lines(
+    assert whole(grid_csv, report) == ",".join(GRID_CSV_COLUMNS) + "\n" + lines(
         cell_by_cell(report.samples)
     )
-    assert obj_mesh(patch, nu, nv) == reference_obj(patch, nu, nv)
+    vertices = patch.position(*patch.grid(nu, nv)).reshape(nu, nv, 3)
+    assert whole(obj_mesh, patch.name, vertices) == reference_obj(patch, nu, nv)
     u, v = patch.grid(nu, nv)
     s = curvature_sample(patch.jet(u, v))
     rows = [
@@ -125,7 +130,18 @@ def test_surface_writers_match_cell_by_cell(name):
         for row in zip(u.tolist(), v.tolist(), *(getattr(s, c).tolist()
                                                  for c in CURVATURE_CSV_COLUMNS[2:]))
     ]
-    assert curvature_csv(u, v, s) == ",".join(CURVATURE_CSV_COLUMNS) + "\n" + lines(rows)
+    assert whole(curvature_csv, u, v, s) == ",".join(CURVATURE_CSV_COLUMNS) + "\n" + lines(rows)
+
+
+def test_obj_mesh_across_blocks():
+    # 4,900 vertices and 4,761 quads: the second block holds the last
+    # vertices and the first quads
+    patch = sphere_patch()
+    nu = nv = 70
+    vertices = patch.position(*patch.grid(nu, nv)).reshape(nu, nv, 3)
+    texts = list(blocks(lambda start: obj_mesh(patch.name, vertices, start)))
+    assert len(texts) == 3 and texts[1].startswith("v ") and "\nf " in texts[1]
+    assert "".join(texts) == reference_obj(patch, nu, nv)
 
 
 @pytest.mark.parametrize(
@@ -146,7 +162,8 @@ def test_trajectory_writers_match_cell_by_cell(alpha, y0, smax, step, terminatio
         [fmt(v) for v in (s, x, y, theta, first_integral(y, theta, alpha))]
         for s, x, y, theta in traj.states.tolist()
     ]
-    assert trajectory_csv(traj) == ",".join(TRAJECTORY_CSV_COLUMNS) + "\n" + lines(rows)
+    texts = list(trajectory_blocks(traj))
+    assert "".join(csv for csv, _ in texts) == ",".join(TRAJECTORY_CSV_COLUMNS) + "\n" + lines(rows)
     doc = {
         "schema_version": 1,
         "alpha": fmt(alpha),
@@ -155,14 +172,14 @@ def test_trajectory_writers_match_cell_by_cell(alpha, y0, smax, step, terminatio
         "columns": list(TRAJECTORY_CSV_COLUMNS),
         "points": rows,
     }
-    assert trajectory_json(traj) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "".join(doc for _, doc in texts) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("alpha,y0,smax", [(1.3, 1.0, 2.0), (-1.5, 0.7, 10.0)])
 def test_trajectory_json_reads_back_every_bit(tmp_path, alpha, y0, smax):
     traj = trajectory(alpha, y0, smax, 1e-3)
     path = tmp_path / "t.json"
-    path.write_text(trajectory_json(traj))
+    path.write_text("".join(doc for _, doc in trajectory_blocks(traj)))
     back = load_trajectory_json(path)
     assert back.states.view(np.int64).tolist() == traj.states.view(np.int64).tolist()
     assert (back.alpha, back.step, back.termination) == (alpha, traj.step, traj.termination)

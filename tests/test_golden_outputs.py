@@ -35,8 +35,10 @@ def _readme_cli_examples() -> list[str]:
 
 
 #: beyond README's examples: curvature on the other two patches, a plane and
-#: a cylinder off the coordinate axes, a catenary that ends at y-min, and
-#: extrude --traj on README's traj.json
+#: a cylinder off the coordinate axes, a catenary that ends at y-min,
+#: extrude --traj on README's traj.json, and tables that span more than one
+#: 4,096-row block of the writers (grids of 10,000 and 6,400 rows, 20,001
+#: states, and an OBJ of 5,000 vertices and 4,851 quads)
 EXTRA_CASES = [
     "singmin curvature --patch plane --out curv",
     "singmin curvature --patch cylinder --out curv",
@@ -45,6 +47,10 @@ EXTRA_CASES = [
     "singmin catenary --alpha -2 --y0 1 --smax 10 --ymin 0.2 --out traj",
     "singmin catenary --alpha 1 --y0 1 --smax 2 --out traj"
     " && singmin extrude --traj traj.json --out rex",
+    "singmin residual --patch sphere --alpha -2 --nu 100 --nv 100 --out grid",
+    "singmin curvature --patch sphere --nu 80 --nv 80 --out curv",
+    "singmin catenary --alpha 1 --y0 1 --smax 10 --out traj",
+    "singmin extrude --alpha 1 --y0 1 --smax 2 --nu 100 --nv 50 --out ext",
 ]
 
 CASES = [line.split("#")[0].strip() for line in _readme_cli_examples()] + EXTRA_CASES

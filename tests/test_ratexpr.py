@@ -162,6 +162,11 @@ class TestSubstitute:
         with pytest.raises(SubstitutionDomainError):
             (K / (K - C)).substitute({Var.K1: C})
 
+    @pytest.mark.parametrize("key", ["k1", 99], ids=["name", "int"])
+    def test_key_that_is_not_a_var_is_refused(self, key):
+        with pytest.raises(TypeError, match=f"^binding key {key!r} is not a Var$"):
+            (K ** 2 + 1).substitute({key: 3})
+
 
 class TestCollectQuadratic:
     def test_plain(self):
