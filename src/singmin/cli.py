@@ -34,20 +34,16 @@ from .errors import ParameterError
 from .proofs import THEOREMS, reports_to_json, run_all
 from .surfaces import (
     RESIDUAL_TOL_ANALYTIC,
-    curvature_csv,
+    curvature_report,
     cylinder_patch,
-    fd_jet_oracle,
     grid_csv,
     grid_json,
     grid_report,
-    jet_deviation,
     obj_mesh,
     plane_patch,
     sphere_patch,
-    stencil_fits,
-    valid_curvature,
 )
-from .surfaces.export import blocks, fmt, summary_json
+from .surfaces.export import blocks, fmt
 from .surfaces.patches import check_grid_size
 
 PATCH_KINDS = ("plane", "sphere", "cylinder")
@@ -266,6 +262,12 @@ def _write(prefix: Path, suffix: str, texts: Iterable[str]) -> None:
         fh.writelines(texts)
 
 
+def _write_grid(prefix: Path, summary: dict, table: dict) -> None:
+    """A grid command's summary to ``prefix.json`` and its table to ``prefix.csv``."""
+    _write(prefix, ".json", [grid_json(summary)])
+    _write(prefix, ".csv", blocks(partial(grid_csv, table)))
+
+
 def cmd_prove(args: argparse.Namespace) -> int:
     if args.theorem is None:
         reports = run_all()
@@ -280,15 +282,15 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 def cmd_residual(args: argparse.Namespace) -> int:
     patch = _make_patch(args)
-    report = grid_report(patch, args.alpha, args.a, args.nu, args.nv)
-    _write(args.out, ".json", [grid_json(report)])
-    _write(args.out, ".csv", blocks(partial(grid_csv, report)))
+    summary, table = grid_report(patch, args.alpha, args.a, args.nu, args.nv)
+    _write_grid(args.out, summary, table)
+    max_res = summary["max_abs_residual"]
     print(
-        f"{patch.name}: alpha={fmt(args.alpha)} max|residual|={fmt(report.max_abs_residual)} "
-        f"threshold={fmt(args.threshold)} violations={report.halfspace_violations}"
+        f"{patch.name}: alpha={fmt(args.alpha)} max|residual|={fmt(max_res)} "
+        f"threshold={fmt(args.threshold)} violations={summary['halfspace_violations']}"
     )
     # written so that a NaN residual fails the expectation
-    if args.expect_pass and not report.max_abs_residual <= args.threshold:
+    if args.expect_pass and not max_res <= args.threshold:
         print("expectation failed: residual above threshold", file=sys.stderr)
         return 1
     return 0
@@ -296,28 +298,10 @@ def cmd_residual(args: argparse.Namespace) -> int:
 
 def cmd_curvature(args: argparse.Namespace) -> int:
     patch = _make_patch(args)
-    h = args.fd_h
-    u, v = patch.grid(args.nu, args.nv)
-    fits = stencil_fits(patch, u, v, h)
-    jet = patch.jet(u, v)
-    keep, s, _, rejected = valid_curvature(jet)
-    fits &= keep
-    if not fits.any():
-        raise ParameterError(
-            f"no sample's finite-difference stencil at h={fmt(h)} fits inside the patch domain"
-        )
-    max_dev = jet_deviation(fd_jet_oracle(patch, u[fits], v[fits], h), jet[fits])
-    _write(args.out, ".csv", blocks(partial(curvature_csv, u[keep], v[keep], s)))
-    summary = {
-        "schema_version": 1,
-        "patch": patch.name,
-        "fd_h": h,
-        "fd_max_deviation": max_dev,
-        "grid": [args.nu, args.nv],
-        "rejected_samples": rejected,
-    }
-    _write(args.out, ".json", [summary_json(summary)])
-    print(f"{patch.name}: fd max deviation {fmt(max_dev)} at h={fmt(h)}")
+    summary, table = curvature_report(patch, args.nu, args.nv, args.fd_h)
+    _write_grid(args.out, summary, table)
+    print(f"{patch.name}: fd max deviation {fmt(summary['fd_max_deviation'])} "
+          f"at h={fmt(args.fd_h)}")
     return 0
 
 
@@ -372,14 +356,13 @@ def cmd_extrude(args: argparse.Namespace) -> int:
     else:
         traj = _integrate_from_args(args)
     patch = to_extrusion(traj, v=args.v, a=args.a, t_range=args.t_range)
-    report = grid_report(patch, args.alpha, args.a, args.nu, args.nv)
+    summary, table = grid_report(patch, args.alpha, args.a, args.nu, args.nv)
     vertices = patch.position(*patch.grid(args.nu, args.nv)).reshape(args.nu, args.nv, 3)
     _write(args.out, ".obj", blocks(partial(obj_mesh, patch.name, vertices)))
-    _write(args.out, ".json", [grid_json(report)])
-    _write(args.out, ".csv", blocks(partial(grid_csv, report)))
-    max_abs_k = max(abs(report.min_K), abs(report.max_K))
+    _write_grid(args.out, summary, table)
+    max_abs_k = max(abs(summary["min_K"]), abs(summary["max_K"]))
     print(
-        f"extrusion: alpha={fmt(args.alpha)} max|residual|={fmt(report.max_abs_residual)} "
+        f"extrusion: alpha={fmt(args.alpha)} max|residual|={fmt(summary['max_abs_residual'])} "
         f"max|K|={fmt(max_abs_k)} {traj.termination}"
     )
     return 0

@@ -51,7 +51,7 @@ def targets() -> SimpleNamespace:
 
 # expressions the argument assumes nonvanishing
 REGISTRY = tuple(
-    p.num for p in (AL, C, K, K - C, C + (AL + 1) * K, K + (AL + 1) * C, AL + 2)
+    p.num for p in (AL, C, K - C, C + (AL + 1) * K, K + (AL + 1) * C, AL + 2)
 )
 
 

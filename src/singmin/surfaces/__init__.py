@@ -1,6 +1,6 @@
 """Numeric differential geometry of parametric surface patches."""
-from .export import CURVATURE_CSV_COLUMNS, curvature_csv, grid_csv, grid_json, obj_mesh
-from .fd import fd_jet_oracle, jet_deviation, stencil_fits
+from .export import grid_csv, grid_json, obj_mesh
+from .fd import curvature_report, fd_jet_oracle, jet_deviation, stencil_fits
 from .jets import (
     CurvatureSample,
     Jet2Vec3,
@@ -11,23 +11,14 @@ from .jets import (
     valid_curvature,
 )
 from .patches import SurfacePatch, cylinder_patch, plane_patch, sphere_patch
-from .residual import (
-    GRID_CSV_COLUMNS,
-    RESIDUAL_TOL_ANALYTIC,
-    GridReport,
-    grid_report,
-    smr_residual,
-)
+from .residual import RESIDUAL_TOL_ANALYTIC, grid_report, smr_residual
 
 __all__ = [
-    "CURVATURE_CSV_COLUMNS",
     "CurvatureSample",
-    "GRID_CSV_COLUMNS",
-    "GridReport",
     "Jet2Vec3",
     "RESIDUAL_TOL_ANALYTIC",
     "SurfacePatch",
-    "curvature_csv",
+    "curvature_report",
     "curvature_sample",
     "cylinder_patch",
     "degenerate_metric",

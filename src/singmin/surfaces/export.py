@@ -1,4 +1,4 @@
-"""Serialization of grid reports, curvature tables and meshes.
+"""Serialization of grid tables, grid summaries and meshes.
 
 All floats are written with 17 significant digits so outputs are
 byte-deterministic for fixed inputs.  Every float table is written one
@@ -15,10 +15,6 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from .jets import CurvatureSample
-from .residual import GRID_CSV_COLUMNS, GridReport
-
-CURVATURE_CSV_COLUMNS = ("u", "v", "E", "F", "G", "L", "M", "N", "H", "K", "k1", "k2")
 # rows are formatted and written this many at a time, so no table's text is
 # in memory whole: built whole, the CSV of a 600x600 residual grid raised the
 # command's peak RSS from 139 to 270 MB (CPython 3.11)
@@ -63,27 +59,18 @@ def table_csv(header, columns, start: int) -> str:
     return head + format_rows(columns)
 
 
-def grid_csv(report: GridReport, start: int) -> str:
-    rows = report.samples[start:start + ROW_BLOCK]
-    return table_csv(GRID_CSV_COLUMNS, rows.T, start)
-
-
-def curvature_csv(u, v, sample: CurvatureSample, start: int) -> str:
-    """Per-sample fundamental forms and curvatures in ``CURVATURE_CSV_COLUMNS``."""
-    columns = [u, v] + [getattr(sample, name) for name in CURVATURE_CSV_COLUMNS[2:]]
+def grid_csv(table: dict, start: int) -> str:
+    """The block at row ``start`` of the CSV of a grid command's table, which
+    maps each column name, in header order, to a 1-D float array."""
     rows = slice(start, start + ROW_BLOCK)
-    return table_csv(CURVATURE_CSV_COLUMNS, [c[rows] for c in columns], start)
+    return table_csv(table, [column[rows] for column in table.values()], start)
 
 
-def summary_json(doc: dict) -> str:
-    """A summary document as sorted, indented JSON; each top-level float is
-    written as its ``fmt`` text."""
-    doc = {k: (fmt(v) if isinstance(v, float) else v) for k, v in doc.items()}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def grid_json(report: GridReport) -> str:
-    return summary_json(report.to_dict())
+def grid_json(summary: dict) -> str:
+    """A grid command's summary as sorted, indented JSON; each top-level float
+    is written as its ``fmt`` text."""
+    summary = {k: (fmt(v) if isinstance(v, float) else v) for k, v in summary.items()}
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def obj_mesh(name: str, vertices: np.ndarray, start: int) -> str:

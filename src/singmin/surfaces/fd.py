@@ -1,4 +1,4 @@
-"""Finite-difference jet oracle.
+"""Finite-difference jet oracle and the curvature grid report.
 
 Independent cross-check for analytic jets: central differences built from
 position evaluations only, second-order accurate in the step.
@@ -8,19 +8,30 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .jets import Jet2Vec3, reject_first
+from .export import fmt
+from .jets import Jet2Vec3, reject_first, valid_curvature
 from .patches import SurfacePatch, broadcast_uv
 
 
 def stencil_fits(patch: SurfacePatch, u, v, h: float):
     """Mask of the samples whose whole finite-difference stencil at step h
-    lies in the patch domain; a step that is not positive is a ParameterError.
+    lies in the patch domain.  A step that is not positive is a
+    ParameterError, and so is one too small to move some sample: the
+    differences would divide 0 by 0 (or by an underflowed ``h*h``).
 
     The domain is a rectangle, so the two opposite corners ``(u-h, v-h)`` and
     ``(u+h, v+h)`` decide all nine stencil points.
     """
     if h <= 0.0:
         raise ParameterError(f"finite-difference step must be positive, got {h}")
+    u, v = broadcast_uv(u, v)
+    reject_first(
+        (u - h == u) | (u + h == u) | (v - h == v) | (v + h == v),
+        lambda k: ParameterError(
+            f"finite-difference step h={h} does not move sample "
+            f"({u.flat[k]:.6g}, {v.flat[k]:.6g}): some stencil point equals it"
+        ),
+    )
     return patch.contains(u - h, v - h) & patch.contains(u + h, v + h)
 
 
@@ -58,3 +69,35 @@ def jet_deviation(a: Jet2Vec3, b: Jet2Vec3) -> float:
     samples of the batch; a NaN in any slot gives NaN."""
     slots = ("du", "dv", "duu", "duv", "dvv")
     return float(np.max([np.max(np.abs(getattr(a, s) - getattr(b, s))) for s in slots]))
+
+
+def curvature_report(patch: SurfacePatch, nu: int, nv: int, h: float) -> tuple[dict, dict]:
+    """Curvature on a uniform (nu x nv) grid over the domain, cross-checked
+    against the finite-difference jet at step h, as a summary and a table
+    (the shapes of ``residual.grid_report``).
+
+    The table holds the forms and curvatures of the samples that
+    ``valid_curvature`` keeps; the deviation covers those whose stencil fits
+    the domain, and a grid with none is a ParameterError.
+    """
+    u, v = patch.grid(nu, nv)
+    fits = stencil_fits(patch, u, v, h)
+    jet = patch.jet(u, v)
+    keep, sample, _, rejected = valid_curvature(jet)
+    fits &= keep
+    if not fits.any():
+        raise ParameterError(
+            f"no sample's finite-difference stencil at h={fmt(h)} fits inside the patch domain"
+        )
+    max_dev = jet_deviation(fd_jet_oracle(patch, u[fits], v[fits], h), jet[fits])
+    table = {"u": u[keep], "v": v[keep]}
+    table.update((name, getattr(sample, name)) for name in "E F G L M N H K k1 k2".split())
+    summary = {
+        "schema_version": 1,
+        "patch": patch.name,
+        "fd_h": float(h),
+        "fd_max_deviation": max_dev,
+        "grid": [nu, nv],
+        "rejected_samples": rejected,
+    }
+    return summary, table

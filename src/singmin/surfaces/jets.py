@@ -86,15 +86,22 @@ class CurvatureSample(_Batch):
 
 def degenerate_metric(jet: Jet2Vec3):
     """Flags the samples where the patch is not immersed:
-    ``|du x dv|^2 <= METRIC_DEGENERACY_REL * (E + G)^2``.
+    ``|du x dv|^2 <= METRIC_DEGENERACY_REL * (E + G)^2``, and those whose
+    ``(E + G)^2`` overflows.
 
     The cross product is used rather than ``EG - F^2``, which loses a small
-    determinant to cancellation.
+    determinant to cancellation.  ``(E + G)^2`` bounds ``4EG``, ``F^2`` and
+    ``|du x dv|^2``, so where it is finite none of the products that
+    ``curvature_sample`` forms from the metric overflows; where it is not,
+    ``|du x dv|^2`` may be infinite and compare above any bound.
     """
     du, dv = jet.du, jet.dv
-    cross = np.cross(du, dv)
-    scale = dot(du, du) + dot(dv, dv)
-    return dot(cross, cross) <= METRIC_DEGENERACY_REL * scale * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = np.cross(du, dv)
+        scale = dot(du, du) + dot(dv, dv)
+        return np.isinf(scale * scale) | (
+            dot(cross, cross) <= METRIC_DEGENERACY_REL * scale * scale
+        )
 
 
 def inconsistent_curvature(sample: CurvatureSample):

@@ -6,8 +6,6 @@ and makes its absolute value invariant under flipping the chart orientation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-
 import numpy as np
 
 from ..errors import HalfspaceViolation, ParameterError
@@ -16,9 +14,6 @@ from .patches import SurfacePatch, unit_vec
 
 #: default pass threshold for max |residual| on the analytic patches
 RESIDUAL_TOL_ANALYTIC = 1e-9
-
-#: columns of ``GridReport.samples``, which is also the CSV row layout
-GRID_CSV_COLUMNS = ("u", "v", "x", "y", "z", "H", "K", "k1", "k2", "residual")
 
 
 def smr_residual(sample: CurvatureSample, alpha: float, a):
@@ -37,34 +32,10 @@ def smr_residual(sample: CurvatureSample, alpha: float, a):
     return sample.H * height - alpha * dot(sample.normal, a)
 
 
-@dataclass(frozen=True)
-class GridReport:
-    patch: str
-    alpha: float
-    direction: tuple[float, float, float]
-    #: ``[nu, nv]``
-    grid: list[int]
-    max_abs_residual: float
-    mean_abs_residual: float
-    min_K: float
-    max_K: float
-    min_H: float
-    max_H: float
-    halfspace_violations: int
-    #: rejected samples inside the halfspace, by ``jets.REJECTION_REASONS``
-    rejected_samples: dict[str, int]
-    #: one row per valid sample, row-major, in ``GRID_CSV_COLUMNS`` order
-    samples: np.ndarray = field(repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "samples"}
-        return {"schema_version": 1, **doc, "valid_samples": len(self.samples)}
-
-
-def grid_report(
-    patch: SurfacePatch, alpha: float, a, nu: int, nv: int
-) -> GridReport:
-    """Evaluate the residual on a uniform (nu x nv) grid over the domain.
+def grid_report(patch: SurfacePatch, alpha: float, a, nu: int, nv: int) -> tuple[dict, dict]:
+    """The residual on a uniform (nu x nv) grid over the domain, as a summary
+    (the grid JSON document) and a table (each CSV column name, in header
+    order, mapped to a 1-D array over the valid samples).
 
     Samples that ``valid_curvature`` rejects are skipped and counted by
     reason; statistics cover valid samples only.
@@ -74,21 +45,24 @@ def grid_report(
     keep, sample, violations, rejected = valid_curvature(patch.jet(u, v), unit)
     res = smr_residual(sample, alpha, a)
     abs_res = np.abs(res)
-    rows = np.column_stack(
-        (u[keep], v[keep], sample.point, sample.H, sample.K, sample.k1, sample.k2, res)
-    )
-    return GridReport(
-        patch=patch.name,
-        alpha=float(alpha),
-        direction=tuple(float(x) for x in unit),
-        grid=[nu, nv],
-        max_abs_residual=float(abs_res.max()),
-        mean_abs_residual=float(abs_res.mean()),
-        min_K=float(sample.K.min()),
-        max_K=float(sample.K.max()),
-        min_H=float(sample.H.min()),
-        max_H=float(sample.H.max()),
-        halfspace_violations=violations,
-        rejected_samples=rejected,
-        samples=rows,
-    )
+    x, y, z = sample.point.T
+    table = {"u": u[keep], "v": v[keep], "x": x, "y": y, "z": z, "H": sample.H, "K": sample.K,
+             "k1": sample.k1, "k2": sample.k2, "residual": res}
+    summary = {
+        "schema_version": 1,
+        "patch": patch.name,
+        "alpha": float(alpha),
+        "direction": unit.tolist(),
+        "grid": [nu, nv],
+        "max_abs_residual": float(abs_res.max()),
+        "mean_abs_residual": float(abs_res.mean()),
+        "min_K": float(sample.K.min()),
+        "max_K": float(sample.K.max()),
+        "min_H": float(sample.H.min()),
+        "max_H": float(sample.H.max()),
+        "halfspace_violations": violations,
+        # rejected samples inside the halfspace, by ``jets.REJECTION_REASONS``
+        "rejected_samples": rejected,
+        "valid_samples": len(res),
+    }
+    return summary, table

@@ -10,7 +10,6 @@ import pytest
 from singmin.catenary import CatenaryParams, CatenaryState, integrate, to_extrusion
 from singmin.errors import HalfspaceViolation, ParameterError
 from singmin.surfaces import (
-    GRID_CSV_COLUMNS,
     Jet2Vec3,
     SurfacePatch,
     curvature_sample,
@@ -44,6 +43,11 @@ PATCHES = {
 }
 
 
+def _rows(table):
+    """A grid table's rows, as lists of floats."""
+    return [list(row) for row in zip(*(column.tolist() for column in table.values()))]
+
+
 def _rows_of_single_points(patch, alpha, u, v):
     """Grid rows computed one point at a time."""
     rows = []
@@ -70,9 +74,9 @@ def test_batch_equals_loop_of_single_points(kind):
             assert np.array_equal(getattr(batch, name)[k], getattr(one, name)), (name, k)
         assert res[k] == smr_residual(one, alpha, A)
 
-    rows = grid_report(patch, alpha, A, 17, 9).samples
-    assert rows.shape == (17 * 9, len(GRID_CSV_COLUMNS))
-    assert rows.tolist() == _rows_of_single_points(patch, alpha, u, v)
+    _, table = grid_report(patch, alpha, A, 17, 9)
+    assert {column.shape for column in table.values()} == {(17 * 9,)}
+    assert _rows(table) == _rows_of_single_points(patch, alpha, u, v)
 
 
 def test_non_immersed_samples_are_skipped_and_counted():
@@ -80,11 +84,11 @@ def test_non_immersed_samples_are_skipped_and_counted():
     patch = replace(sphere_patch(r=1.0), u_range=(0.5, np.pi / 2))
     u, v = patch.grid(5, 4)
     assert degenerate_metric(patch.jet(u, v)).tolist() == [False] * 16 + [True] * 4
-    rep = grid_report(patch, -2.0, A, 5, 4)
-    assert rep.rejected_samples == {"degenerate_metric": 4, "inconsistent_curvature": 0}
-    assert rep.halfspace_violations == 0
-    assert rep.to_dict()["valid_samples"] == 16
-    assert rep.samples.tolist() == _rows_of_single_points(patch, -2.0, u[:16], v[:16])
+    rep, table = grid_report(patch, -2.0, A, 5, 4)
+    assert rep["rejected_samples"] == {"degenerate_metric": 4, "inconsistent_curvature": 0}
+    assert rep["halfspace_violations"] == 0
+    assert rep["valid_samples"] == 16
+    assert _rows(table) == _rows_of_single_points(patch, -2.0, u[:16], v[:16])
 
 
 def _shear_patch(d_mid, lam=0.0):
@@ -125,9 +129,9 @@ def test_one_immersion_check_keeps_a_near_degenerate_metric():
     assert degenerate_metric(jet).tolist() == [False] * 6 + [True] * 3
     s = curvature_sample(jet[:6])
     assert (s.E * s.G - s.F * s.F)[3] == pytest.approx(3.997e-14, rel=1e-3)
-    rep = grid_report(patch, 1.0, A, 3, 3)
-    assert rep.rejected_samples == {"degenerate_metric": 3, "inconsistent_curvature": 0}
-    assert rep.samples.tolist() == _rows_of_single_points(patch, 1.0, u[:6], v[:6])
+    rep, table = grid_report(patch, 1.0, A, 3, 3)
+    assert rep["rejected_samples"] == {"degenerate_metric": 3, "inconsistent_curvature": 0}
+    assert _rows(table) == _rows_of_single_points(patch, 1.0, u[:6], v[:6])
 
 
 def test_inconsistent_curvature_dropped_after_the_curvature_pass():
@@ -138,10 +142,10 @@ def test_inconsistent_curvature_dropped_after_the_curvature_pass():
     assert inconsistent_curvature(curvature_sample(patch.jet(u[:6], v[:6]))).tolist() == (
         [False] * 3 + [True] * 3
     )
-    rep = grid_report(patch, 1.0, A, 3, 3)
-    assert rep.rejected_samples == {"degenerate_metric": 3, "inconsistent_curvature": 3}
-    assert rep.to_dict()["valid_samples"] == 3
-    assert rep.samples.tolist() == _rows_of_single_points(patch, 1.0, u[:3], v[:3])
+    rep, table = grid_report(patch, 1.0, A, 3, 3)
+    assert rep["rejected_samples"] == {"degenerate_metric": 3, "inconsistent_curvature": 3}
+    assert rep["valid_samples"] == 3
+    assert _rows(table) == _rows_of_single_points(patch, 1.0, u[:3], v[:3])
 
 
 def test_grid_with_no_valid_sample_reports_every_count():
@@ -164,8 +168,8 @@ def test_grid_with_no_valid_sample_reports_every_count():
 
 def test_halfspace_violations_counted_on_a_grid_crossing_the_plane():
     patch = replace(sphere_patch(r=1.0), u_range=(0.05, 1.45))
-    rep = grid_report(patch, -2.0, (1.0, 0.0, 0.0), 30, 30)
-    assert rep.halfspace_violations == 420
-    assert len(rep.samples) == rep.to_dict()["valid_samples"] == 900 - 420
-    rep = grid_report(sphere_patch(r=1.0), -2.0, (0.6, 0.0, 0.8), 37, 23)
-    assert rep.halfspace_violations == 103
+    rep, table = grid_report(patch, -2.0, (1.0, 0.0, 0.0), 30, 30)
+    assert rep["halfspace_violations"] == 420
+    assert len(table["residual"]) == rep["valid_samples"] == 900 - 420
+    rep, _ = grid_report(sphere_patch(r=1.0), -2.0, (0.6, 0.0, 0.8), 37, 23)
+    assert rep["halfspace_violations"] == 103

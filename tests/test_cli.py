@@ -423,10 +423,12 @@ def test_non_finite_surface_flag_is_usage_error(tmp_path, args):
 
 def test_expect_pass_fails_on_a_nan_residual(tmp_path, monkeypatch):
     real = singmin.cli.grid_report
-    monkeypatch.setattr(
-        singmin.cli, "grid_report",
-        lambda *a: dataclasses.replace(real(*a), max_abs_residual=float("nan")),
-    )
+
+    def nan_residual(*args):
+        summary, table = real(*args)
+        return {**summary, "max_abs_residual": float("nan")}, table
+
+    monkeypatch.setattr(singmin.cli, "grid_report", nan_residual)
     args = ["residual", "--patch", "sphere", "--alpha", "-2", "--nu", "5", "--nv", "5"]
     assert run([*args, "--expect-pass", "--out", str(tmp_path / "g")]) == 1
 
@@ -439,6 +441,20 @@ def test_curvature_without_any_fitting_stencil_is_usage_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "stencil" in err and err.count("\n") == 1
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    # |du x dv|^2 overflows: the samples once passed with H = K = 0
+    ["residual", "--patch", "sphere", "--alpha", "1", "--r", "1e80", "--expect-pass"],
+    ["curvature", "--patch", "sphere", "--r", "1e80"],
+    # u + h == u: the differences were 0 / 0
+    ["curvature", "--patch", "sphere", "--fd-h", "1e-300"],
+])
+def test_unusable_floats_are_one_error_line(tmp_path, capsys, args):
+    assert run([*args, "--nu", "4", "--nv", "4", "--out", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 GRID = ["--nu", "6", "--nv", "3"]

@@ -19,9 +19,7 @@ from singmin.catenary import (
     trajectory_blocks,
 )
 from singmin.surfaces import (
-    CURVATURE_CSV_COLUMNS,
-    GRID_CSV_COLUMNS,
-    curvature_csv,
+    curvature_report,
     curvature_sample,
     cylinder_patch,
     grid_csv,
@@ -116,21 +114,22 @@ def test_surface_writers_match_cell_by_cell(name):
     make, alpha = SURFACES[name]
     patch = make()
     nu, nv = 13, 7
-    report = grid_report(patch, alpha, (0.0, 0.0, 1.0), nu, nv)
-    assert len(report.samples) > 0
-    assert whole(grid_csv, report) == ",".join(GRID_CSV_COLUMNS) + "\n" + lines(
-        cell_by_cell(report.samples)
+    summary, table = grid_report(patch, alpha, (0.0, 0.0, 1.0), nu, nv)
+    assert summary["valid_samples"] == nu * nv
+    assert whole(grid_csv, table) == "u,v,x,y,z,H,K,k1,k2,residual\n" + lines(
+        cell_by_cell(np.column_stack(list(table.values())))
     )
     vertices = patch.position(*patch.grid(nu, nv)).reshape(nu, nv, 3)
     assert whole(obj_mesh, patch.name, vertices) == reference_obj(patch, nu, nv)
     u, v = patch.grid(nu, nv)
     s = curvature_sample(patch.jet(u, v))
+    columns = ("E", "F", "G", "L", "M", "N", "H", "K", "k1", "k2")
     rows = [
         [fmt(x) for x in row]
-        for row in zip(u.tolist(), v.tolist(), *(getattr(s, c).tolist()
-                                                 for c in CURVATURE_CSV_COLUMNS[2:]))
+        for row in zip(u.tolist(), v.tolist(), *(getattr(s, c).tolist() for c in columns))
     ]
-    assert whole(curvature_csv, u, v, s) == ",".join(CURVATURE_CSV_COLUMNS) + "\n" + lines(rows)
+    _, table = curvature_report(patch, nu, nv, 1e-3)
+    assert whole(grid_csv, table) == "u,v," + ",".join(columns) + "\n" + lines(rows)
 
 
 def test_obj_mesh_across_blocks():

@@ -26,17 +26,17 @@ def make_traj(alpha, smax=2.0, y0=1.0, y_min=1e-3, step=1e-3):
 ])
 def test_extruded_patches_are_flat_and_exact(alpha, kwargs):
     patch = to_extrusion(make_traj(alpha, **kwargs))
-    rep = grid_report(patch, alpha, A, 50, 10)
-    assert max(abs(rep.min_K), abs(rep.max_K)) < 1e-10
-    assert rep.max_abs_residual < 1e-6
+    rep, _ = grid_report(patch, alpha, A, 50, 10)
+    assert max(abs(rep["min_K"]), abs(rep["max_K"])) < 1e-10
+    assert rep["max_abs_residual"] < 1e-6
 
 
 def test_alpha_mismatch_is_detected():
     patch = to_extrusion(make_traj(1.0))
-    rep = grid_report(patch, -1.0, A, 30, 5)
+    rep, _ = grid_report(patch, -1.0, A, 30, 5)
     # residual becomes (alpha_true - alpha) * <N, a>, nonzero away from
     # vertical tangents
-    assert rep.max_abs_residual > 0.5
+    assert rep["max_abs_residual"] > 0.5
 
 
 def test_circle_extrusion_matches_analytic_cylinder():
@@ -47,10 +47,11 @@ def test_circle_extrusion_matches_analytic_cylinder():
     # the generating curve is the unit circle through (0, 1)
     assert x ** 2 + y ** 2 == pytest.approx(1.0, abs=1e-10)
     analytic = cylinder_patch(r=1.0, axis=(0.0, 1.0, 0.0))
-    rep_a = grid_report(analytic, -1.0, A, 20, 5)
-    rep_x = grid_report(patch, -1.0, A, 20, 5)
-    assert rep_x.max_abs_residual < 1e-6 and rep_a.max_abs_residual < 1e-9
-    assert abs(rep_x.min_H - rep_a.min_H) < 1e-6 or abs(rep_x.min_H + rep_a.max_H) < 1e-6
+    rep_a, _ = grid_report(analytic, -1.0, A, 20, 5)
+    rep_x, _ = grid_report(patch, -1.0, A, 20, 5)
+    assert rep_x["max_abs_residual"] < 1e-6 and rep_a["max_abs_residual"] < 1e-9
+    assert (abs(rep_x["min_H"] - rep_a["min_H"]) < 1e-6
+            or abs(rep_x["min_H"] + rep_a["max_H"]) < 1e-6)
 
 
 def test_dense_state_between_nodes_is_accurate():

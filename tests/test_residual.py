@@ -19,25 +19,25 @@ A = (0.0, 0.0, 1.0)
 
 @pytest.mark.parametrize("alpha", [-2.0, -1.0, 1.0, 3.7])
 def test_plane_is_exact_for_every_alpha(alpha):
-    rep = grid_report(plane_patch(), alpha, A, 50, 50)
-    assert rep.max_abs_residual < 1e-12
+    rep, _ = grid_report(plane_patch(), alpha, A, 50, 50)
+    assert rep["max_abs_residual"] < 1e-12
 
 
 def test_sphere_only_at_alpha_minus_two():
     patch = sphere_patch(r=1.0)
-    good = grid_report(patch, -2.0, A, 50, 50)
-    assert good.max_abs_residual < 1e-9
-    bad = grid_report(patch, -1.0, A, 50, 50)
-    assert bad.max_abs_residual > 0.5
+    good, _ = grid_report(patch, -2.0, A, 50, 50)
+    assert good["max_abs_residual"] < 1e-9
+    bad, _ = grid_report(patch, -1.0, A, 50, 50)
+    assert bad["max_abs_residual"] > 0.5
 
 
 def test_cylinder_only_at_alpha_minus_one():
     patch = cylinder_patch(r=1.0)
-    good = grid_report(patch, -1.0, A, 50, 50)
-    assert good.max_abs_residual < 1e-9
-    assert abs(good.min_K) < 1e-12 and abs(good.max_K) < 1e-12
-    bad = grid_report(patch, 1.0, A, 50, 50)
-    assert bad.max_abs_residual >= 1.0
+    good, _ = grid_report(patch, -1.0, A, 50, 50)
+    assert good["max_abs_residual"] < 1e-9
+    assert abs(good["min_K"]) < 1e-12 and abs(good["max_K"]) < 1e-12
+    bad, _ = grid_report(patch, 1.0, A, 50, 50)
+    assert bad["max_abs_residual"] >= 1.0
 
 
 def test_sphere_residual_matches_closed_form():
@@ -89,9 +89,9 @@ def test_non_finite_alpha_is_rejected(alpha):
 def test_grid_counts_violations():
     # direction tilted so part of the sphere band drops below the plane
     patch = replace(sphere_patch(r=1.0), u_range=(0.05, 1.45))
-    rep = grid_report(patch, -2.0, (1.0, 0.0, 0.0), 30, 30)
-    assert rep.halfspace_violations > 0
-    assert rep.max_abs_residual < 1e-9  # spheres are exact at alpha = -2
+    rep, _ = grid_report(patch, -2.0, (1.0, 0.0, 0.0), 30, 30)
+    assert rep["halfspace_violations"] > 0
+    assert rep["max_abs_residual"] < 1e-9  # spheres are exact at alpha = -2
 
 
 def test_grid_all_invalid_raises():
@@ -132,11 +132,24 @@ def test_parameter_validation(make):
 
 
 def test_report_dict_schema():
-    rep = grid_report(plane_patch(), 1.0, A, 5, 5)
-    doc = rep.to_dict()
+    doc, table = grid_report(plane_patch(), 1.0, A, 5, 5)
     assert doc["schema_version"] == 1
     assert doc["grid"] == [5, 5]
     assert set(doc) >= {
         "patch", "alpha", "direction", "max_abs_residual", "mean_abs_residual",
         "min_K", "max_K", "min_H", "max_H", "halfspace_violations",
     }
+    assert list(table) == ["u", "v", "x", "y", "z", "H", "K", "k1", "k2", "residual"]
+    assert {c.shape for c in table.values()} == {(doc["valid_samples"],)} == {(25,)}
+
+
+def test_overflowing_metric_is_never_a_valid_sample():
+    # at r = 1e80, |du x dv|^2 and EG overflow; counted as valid, the
+    # samples had a zero normal and H = K = 0, so the sphere, which fails
+    # the identity at alpha = 1, read max|residual| = 0
+    with pytest.raises(ParameterError) as exc:
+        grid_report(sphere_patch(r=1e80), 1.0, A, 4, 4)
+    assert str(exc.value) == (
+        "no valid sample among 16: halfspace_violations=0, "
+        "degenerate_metric=16, inconsistent_curvature=0"
+    )
