@@ -77,15 +77,18 @@ def load_trajectory_json(path: Path) -> Trajectory:
         raise ParameterError(f"trajectory file {path} has no {exc} key") from None
     except (ValueError, TypeError) as exc:
         raise ParameterError(f"trajectory file {path} is malformed: {exc}") from None
-    if len(points) < 2:
-        raise ParameterError(f"trajectory file {path} has fewer than two states")
+    # the Trajectory refuses fewer than two states before any state is read
+    traj = Trajectory(
+        alpha=alpha, states=np.ascontiguousarray(points[..., :4]), step=step,
+        termination=termination,
+    )
     if not (math.isfinite(alpha) and math.isfinite(step) and step > 0.0):
         raise ParameterError(
             f"trajectory file {path} needs a finite alpha and a finite positive step"
         )
     if alpha == 0.0:
         raise ParameterError(f"trajectory file {path} has alpha = 0, which is excluded")
-    states = np.ascontiguousarray(points[:, :4])
+    states = traj.states
     reject_first(
         ~np.isfinite(states).all(axis=1),
         lambda k: ParameterError(f"trajectory file {path} has a NaN or inf in state {k}"),
@@ -107,4 +110,4 @@ def load_trajectory_json(path: Path) -> Trajectory:
             f"state {k} lies at s = {fmt(s[k])}"
         ),
     )
-    return Trajectory(alpha=alpha, states=states, step=step, termination=termination)
+    return traj

@@ -72,8 +72,6 @@ def to_extrusion(
         raise ParameterError(
             f"ruling direction must be orthogonal to a (<v,a> = {tilt:.3e})"
         )
-    if len(trajectory.states) < 2:
-        raise ParameterError("trajectory must contain at least two states")
     e = np.cross(a, v)
     alpha = trajectory.alpha
 

@@ -66,7 +66,10 @@ class CatenaryParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Integration output: ``states`` rows are ``(s, x, y, theta)``, s rising by ``step``."""
+    """Integration output: ``states`` rows are ``(s, x, y, theta)``, s rising by ``step``.
+
+    At least two states, so that the curve spans an arc-length interval.
+    """
 
     alpha: float
     states: np.ndarray
@@ -74,6 +77,10 @@ class Trajectory:
     termination: str
 
     def __post_init__(self):
+        if len(self.states) < 2:
+            raise ParameterError(
+                f"trajectory has fewer than two states (got {len(self.states)})"
+            )
         # read-only, like the frozen record that holds it
         self.states.flags.writeable = False
 

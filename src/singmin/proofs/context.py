@@ -3,8 +3,11 @@
 A chain's derivation context is its rule table, a plain
 ``dict[(op, Var), RationalExpr]`` with one rule per generator for each of the
 two frame derivatives ``E1``, ``E2``, applied through the chain rule.
-``flip`` negates one rule; the mutation tests use it to show that every rule
-matters.  The generator expressions the chains share are defined here once.
+A table holds only frame rules: whatever a chain will solve (a tangential
+component, a second derivative) stands in it as a symbol, and ``resolve``
+substitutes the solved value once the chain has it.  ``flip`` negates one
+rule; the mutation tests use it to show that every rule matters.  The
+generator expressions the chains share are defined here once.
 ``audit_factors`` checks recorded factors and denominators against a theorem's
 registry of expressions the argument assumes nonvanishing.
 """
@@ -60,6 +63,15 @@ def flip(rules: Rules, key: tuple[str, Var] | None) -> Rules:
     return out
 
 
+def resolve(rules: Rules, values: dict[Var, RationalExpr]) -> Rules:
+    """A copy of ``rules`` with each solved symbol in ``values`` substituted
+    wherever it occurs; rules free of them are kept as they are."""
+    return {
+        key: rule if rule.free_of(*values) else rule.substitute(values)
+        for key, rule in rules.items()
+    }
+
+
 def apply_derivation(expr: RationalExpr, op: str, rules: Rules) -> RationalExpr:
     """Chain rule: E(expr) = sum over occurring symbols of d(expr)/dv * rules[(op, v)].
 
@@ -70,14 +82,11 @@ def apply_derivation(expr: RationalExpr, op: str, rules: Rules) -> RationalExpr:
     for v in expr.variables():
         if v in CONSTANTS:
             continue
-        d = expr.partial(v)
-        if d.is_zero():
-            continue
         try:
             rule = rules[(op, v)]
         except KeyError:
             raise MissingRuleError(op, v) from None
-        total = total + d * rule
+        total = total + expr.partial(v) * rule
     return total
 
 

@@ -26,20 +26,8 @@ from types import SimpleNamespace
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_2x2, solve_linear
 from .context import AL, C, D11, D12, D22, G, K, M, U1, U2, W
-from .context import OP_E1, OP_E2, Rules, apply_derivation, flip, gauss_curvature_expr
+from .context import OP_E1, OP_E2, Rules, apply_derivation, flip, gauss_curvature_expr, resolve
 from .report import ProofReport, Recorder, run_chain
-
-#: rule keys accepted by the mutation hook (sign flip of one rule)
-MUTABLE_RULES = (
-    (OP_E1, Var.K1),
-    (OP_E2, Var.K1),
-    (OP_E1, Var.W),
-    (OP_E2, Var.W),
-    (OP_E1, Var.U1),
-    (OP_E1, Var.U2),
-    (OP_E2, Var.U2),
-)
-
 
 @functools.cache
 def targets() -> SimpleNamespace:
@@ -147,53 +135,55 @@ def _registry_at(a0: int) -> tuple:
     return tuple(out)
 
 
-def build_context(flip_rule: tuple[str, Var] | None = None) -> Rules:
-    """Derivation table under constant nonzero Gauss curvature.
+def build_context() -> Rules:
+    """Frame rules under constant nonzero Gauss curvature.
 
-    ``flip_rule`` is a test hook: the named rule is installed with its sign
-    flipped so the suite can show the chain is not vacuous.  Flips of the
-    second-derivative rules are applied at resolution time by the chain.
+    The height's tangential components stand as the symbols g, m and the
+    second derivatives of k1 as d11, d12, d22 until the chain solves them.
     """
-    tg = targets()
-    rules = {
+    return {
         (OP_E1, Var.K1): U1,
         (OP_E2, Var.K1): U2,
-        (OP_E1, Var.W): tg.gamma,
-        (OP_E2, Var.W): tg.mu,
+        (OP_E1, Var.W): G,
+        (OP_E2, Var.W): M,
         (OP_E1, Var.U1): D11,
         (OP_E1, Var.U2): D12,
         (OP_E2, Var.U2): D22,
     }
-    return flip(rules, flip_rule)
+
+
+#: rule keys accepted by the mutation hook (sign flip of one rule)
+MUTABLE_RULES = tuple(build_context())
 
 
 def run_theorem1(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
+    rules = flip(build_context(), flip_rule)
     return run_chain(
         "theorem-1-constant-gauss-curvature",
-        lambda rec: _chain(rec, flip_rule),
+        lambda rec: _chain(rec, rules),
         REGISTRY,
     )
 
 
-def _chain(rec: Recorder, flip_rule) -> None:
-    ctx = build_context(flip_rule)
+def _chain(rec: Recorder, ctx: Rules) -> None:
     tg = targets()
     # second principal curvature, normal height and connection coefficients
     kappa2 = C / K
     nh = (K ** 2 + C) / K * W / AL
     om1 = K * U2 / (K ** 2 - C)
     om2 = -C * U1 / (K * (K ** 2 - C))
-    gamma, mu = tg.gamma, tg.mu
 
-    # tangential components from the height-flux equations of the frame system,
-    # with gamma and mu treated as unknown symbols
-    ctx_unknown = {**ctx, (OP_E1, Var.W): G, (OP_E2, Var.W): M}
-    flux_e1 = apply_derivation(nh, OP_E1, ctx_unknown)
+    # tangential components gamma, mu from the height-flux equations of the
+    # frame system, then substituted for g, m
+    flux_e1 = apply_derivation(nh, OP_E1, ctx)
     rec.exact_equal("height-flux-gradient-e1", flux_e1, tg.grad_height_e1)
-    flux_e2 = apply_derivation(nh, OP_E2, ctx_unknown)
+    flux_e2 = apply_derivation(nh, OP_E2, ctx)
     rec.exact_equal("height-flux-gradient-e2", flux_e2, tg.grad_height_e2)
-    rec.exact_equal("gamma-closed-form", solve_linear(flux_e1 + G * K, Var.G), gamma)
-    rec.exact_equal("mu-closed-form", solve_linear(flux_e2 + M * kappa2, Var.M), mu)
+    gamma = solve_linear(flux_e1 + G * K, Var.G)
+    rec.exact_equal("gamma-closed-form", gamma, tg.gamma)
+    mu = solve_linear(flux_e2 + M * kappa2, Var.M)
+    rec.exact_equal("mu-closed-form", mu, tg.mu)
+    ctx = resolve(ctx, {Var.G: gamma, Var.M: mu})
 
     # Gauss identity with unresolved second derivatives, cleared to the
     # quadratic-form shape
@@ -205,7 +195,7 @@ def _chain(rec: Recorder, flip_rule) -> None:
     )
 
     # second derivatives: equate the derivative of each closed form with the
-    # frame-system expression of the same quantity, solve, install
+    # frame-system expression of the same quantity, solve, substitute
     sol_e11 = solve_linear(
         apply_derivation(gamma, OP_E1, ctx) - (mu * om1 + nh * K), Var.D11
     )
@@ -228,12 +218,7 @@ def _chain(rec: Recorder, flip_rule) -> None:
     rec.exact_zero("mixed-cofactor-free-of-u1", cofactor.partial(Var.U1))
     rec.exact_zero("mixed-cofactor-free-of-u2", cofactor.partial(Var.U2))
 
-    resolved = {
-        (OP_E1, Var.U1): sol_e11,
-        (OP_E1, Var.U2): sol_e12,
-        (OP_E2, Var.U2): sol_e22,
-    }
-    ctx = {**ctx, **flip(resolved, flip_rule)}
+    ctx = resolve(ctx, {Var.D11: sol_e11, Var.D12: sol_e12, Var.D22: sol_e22})
 
     # redundancy: all six frame-system equations vanish in the resolved
     # context; the second equation needs e2(u1), supplied by torsion-freeness

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_linear
 from .context import AL, C, D22, G, K, M, U1, U2, W
-from .context import OP_E1, OP_E2, Rules, apply_derivation, flip, gauss_curvature_expr
+from .context import OP_E1, OP_E2, Rules, apply_derivation, flip, gauss_curvature_expr, resolve
 from .report import ProofReport, Recorder, run_chain
 
 
@@ -55,48 +55,42 @@ REGISTRY = tuple(
 )
 
 
-def build_context(flip_rule: tuple[str, Var] | None = None) -> Rules:
-    tg = targets()
-    rules = {
+def build_context() -> Rules:
+    """Frame rules under a constant second principal curvature; g, m and d22
+    stand for what the chain solves."""
+    return {
         (OP_E1, Var.K1): U1,
         (OP_E2, Var.K1): U2,
-        (OP_E1, Var.W): tg.gamma,
-        (OP_E2, Var.W): tg.mu,
+        (OP_E1, Var.W): G,
+        (OP_E2, Var.W): M,
         (OP_E2, Var.U2): D22,
     }
-    return flip(rules, flip_rule)
 
 
 def run_theorem2(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
+    rules = flip(build_context(), flip_rule)
     return run_chain(
         "theorem-2-constant-principal-curvature",
-        lambda rec: _chain(rec, flip_rule),
+        lambda rec: _chain(rec, rules),
         REGISTRY,
     )
 
 
-def _chain(rec: Recorder, flip_rule) -> None:
-    ctx = build_context(flip_rule)
+def _chain(rec: Recorder, ctx: Rules) -> None:
     tg = targets()
     # the second principal curvature is the constant c
     kappa2 = C
     nh = (K + C) * W / AL
 
-    # tangential components from the height-flux equations
-    ctx_unknown = {**ctx, (OP_E1, Var.W): G, (OP_E2, Var.W): M}
-    rec.exact_equal(
-        "gamma-closed-form",
-        solve_linear(apply_derivation(nh, OP_E1, ctx_unknown) + G * K, Var.G),
-        tg.gamma,
-    )
-    rec.exact_equal(
-        "mu-closed-form",
-        solve_linear(apply_derivation(nh, OP_E2, ctx_unknown) + M * kappa2, Var.M),
-        tg.mu,
-    )
+    # tangential components from the height-flux equations, substituted for g, m
+    gamma = solve_linear(apply_derivation(nh, OP_E1, ctx) + G * K, Var.G)
+    rec.exact_equal("gamma-closed-form", gamma, tg.gamma)
+    mu = solve_linear(apply_derivation(nh, OP_E2, ctx) + M * kappa2, Var.M)
+    rec.exact_equal("mu-closed-form", mu, tg.mu)
+    ctx = resolve(ctx, {Var.G: gamma, Var.M: mu})
 
     # e2(mu) two ways: differentiating the closed form vs the frame system
-    e2_mu = apply_derivation(tg.mu, OP_E2, ctx)
+    e2_mu = apply_derivation(mu, OP_E2, ctx)
     rec.exact_equal("mu-gradient-e2", e2_mu, tg.e2_mu_differentiated)
     frame_value = C * W * (C + K) / AL
     sol_e22 = solve_linear(e2_mu - frame_value, Var.D22)
@@ -106,7 +100,7 @@ def _chain(rec: Recorder, flip_rule) -> None:
     bb_raw = gauss_curvature_expr(ctx, kappa2)
     rec.exact_equal("gauss-identity-display", bb_raw, tg.gauss_display)
 
-    ctx = {**ctx, **flip({(OP_E2, Var.U2): sol_e22}, flip_rule)}
+    ctx = resolve(ctx, {Var.D22: sol_e22})
 
     # insert the resolved second derivative; one relation in u2^2 remains
     reduced = gauss_curvature_expr(ctx, kappa2) - C * K

@@ -12,25 +12,22 @@ from .context import A1, A2, AL, H0, K, NA, OP_E1, OP_E2, W, Rules, apply_deriva
 from .report import ProofReport, Recorder, run_chain
 
 
-def build_context(flip_rule: tuple[str, Var] | None = None) -> Rules:
+def build_context() -> Rules:
     kappa2 = H0 - K
-    rules = {
+    return {
         (OP_E1, Var.W): A1,
         (OP_E2, Var.W): A2,
         (OP_E1, Var.NA): -K * A1,
         (OP_E2, Var.NA): -kappa2 * A2,
     }
-    return flip(rules, flip_rule)
 
 
 def run_theorem3(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
-    return run_chain(
-        "theorem-3-constant-mean-curvature", lambda rec: _chain(rec, flip_rule)
-    )
+    rules = flip(build_context(), flip_rule)
+    return run_chain("theorem-3-constant-mean-curvature", lambda rec: _chain(rec, rules))
 
 
-def _chain(rec: Recorder, flip_rule) -> None:
-    ctx = build_context(flip_rule)
+def _chain(rec: Recorder, ctx: Rules) -> None:
     identity = H0 * W - AL * NA
     rec.exact_equal(
         "cmc-gradient-e1",

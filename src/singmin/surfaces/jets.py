@@ -86,8 +86,9 @@ class CurvatureSample(_Batch):
 
 def degenerate_metric(jet: Jet2Vec3):
     """Flags the samples where the patch is not immersed:
-    ``|du x dv|^2 <= METRIC_DEGENERACY_REL * (E + G)^2``, and those whose
-    ``(E + G)^2`` overflows.
+    ``|du x dv|^2 <= METRIC_DEGENERACY_REL * (E + G)^2``, those whose
+    ``(E + G)^2`` overflows, and those whose ``|du x dv|^2`` is below the
+    smallest normal float, where it has lost its digits to underflow.
 
     The cross product is used rather than ``EG - F^2``, which loses a small
     determinant to cancellation.  ``(E + G)^2`` bounds ``4EG``, ``F^2`` and
@@ -99,8 +100,11 @@ def degenerate_metric(jet: Jet2Vec3):
     with np.errstate(over="ignore", invalid="ignore"):
         cross = np.cross(du, dv)
         scale = dot(du, du) + dot(dv, dv)
-        return np.isinf(scale * scale) | (
-            dot(cross, cross) <= METRIC_DEGENERACY_REL * scale * scale
+        area2 = dot(cross, cross)
+        return (
+            np.isinf(scale * scale)
+            | (area2 < np.finfo(float).tiny)
+            | (area2 <= METRIC_DEGENERACY_REL * scale * scale)
         )
 
 

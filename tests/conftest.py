@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 
 from singmin.exact import NVARS, Polynomial, RationalExpr, Var
-from singmin.proofs import OP_E1, theorem1, theorem2, theorem3
+from singmin.proofs import theorem1, theorem2, theorem3
 
 SMALL_VARS = (Var.ALPHA, Var.C, Var.K1, Var.U1)
 
@@ -15,21 +15,11 @@ CHAINS = {
     "theorem3": (theorem3.build_context, theorem3.run_theorem3),
 }
 
-# gamma, the (E1, W) rule of theorem 2, is never used after it is solved, so
-# flipping it passes all 11 checkpoints
-KNOWN_GAPS = {
-    ("theorem2", (OP_E1, Var.W)): "theorem 2 never uses gamma after solving it",
-}
-
-
 def sign_flip_cases():
-    """One ``(chain, rule)`` param per rule of every chain; a known gap is a
-    strict xfail."""
+    """One ``(chain, rule)`` param per rule of every chain."""
     for chain, (build_context, _) in CHAINS.items():
         for rule in build_context():
-            gap = KNOWN_GAPS.get((chain, rule))
-            marks = [pytest.mark.xfail(strict=True, reason=gap)] if gap else []
-            yield pytest.param(chain, rule, marks=marks, id=f"{chain}-{rule[0]},{rule[1].name}")
+            yield pytest.param(chain, rule, id=f"{chain}-{rule[0]},{rule[1].name}")
 
 
 @st.composite

@@ -299,11 +299,23 @@ def test_first_integral_overflow_is_written_as_inf(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("command", ["catenary", "extrude"])
-def test_diverging_integration_is_usage_error(tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize(
+    "curve,message",
+    [(["--alpha", "1e308", "--smax", "0.01"], "integration diverged at s = 0.002"),
+     # the first step either way drops below y_min, or is longer than smax:
+     # one state, no curve to write
+     (["--alpha", "-2", "--y0", "0.00101", "--ymin", "1e-3"],
+      "trajectory has fewer than two states (got 1)"),
+     (["--alpha", "1.3", "--smax", "5e-3", "--step", "1e-2"],
+      "trajectory has fewer than two states (got 1)")],
+    ids=["diverging", "one-state", "smax-below-step"],
+)
+def test_curve_that_cannot_be_integrated_is_usage_error(tmp_path, monkeypatch, capsys, command,
+                                                        curve, message):
     monkeypatch.chdir(tmp_path)
-    assert run([command, "--alpha", "1e308", "--smax", "0.01"]) == 2
+    assert run([command, *curve]) == 2
     err = capsys.readouterr().err
-    assert err == "error: integration diverged at s = 0.002\n"
+    assert err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -447,6 +459,10 @@ def test_curvature_without_any_fitting_stencil_is_usage_error(tmp_path, capsys, 
     # |du x dv|^2 overflows: the samples once passed with H = K = 0
     ["residual", "--patch", "sphere", "--alpha", "1", "--r", "1e80", "--expect-pass"],
     ["curvature", "--patch", "sphere", "--r", "1e80"],
+    # |du x dv|^2 underflows below the smallest normal float: the samples
+    # once passed with max|residual| = 0.0269 at 1e-80 and 3.3e-11 at 1e-78
+    ["residual", "--patch", "sphere", "--alpha", "-2", "--r", "1e-80", "--expect-pass"],
+    ["residual", "--patch", "sphere", "--alpha", "-2", "--r", "1e-78", "--expect-pass"],
     # u + h == u: the differences were 0 / 0
     ["curvature", "--patch", "sphere", "--fd-h", "1e-300"],
 ])

@@ -9,7 +9,7 @@ from singmin.proofs import (
     MissingRuleError,
     apply_derivation,
 )
-from singmin.proofs.context import audit_factors, flip, strip_registered
+from singmin.proofs.context import audit_factors, flip, resolve, strip_registered
 from singmin.proofs.theorem1 import REGISTRY, build_context, targets
 
 from conftest import rational_exprs
@@ -20,6 +20,8 @@ K = RationalExpr.variable(Var.K1)
 U1 = RationalExpr.variable(Var.U1)
 U2 = RationalExpr.variable(Var.U2)
 W = RationalExpr.variable(Var.W)
+G = RationalExpr.variable(Var.G)
+M = RationalExpr.variable(Var.M)
 
 CTX = build_context()
 T1_EXPRS = dict(variables=(Var.K1, Var.U1, Var.U2, Var.W), max_terms=3, max_degree=2)
@@ -36,9 +38,23 @@ def test_constants_differentiate_to_zero():
 
 
 def test_tangential_component_of_height_gradient():
-    # the height differentiates to the first tangential component
-    assert apply_derivation(W, OP_E1, CTX) == targets().gamma
-    assert apply_derivation(W, OP_E2, CTX) == targets().mu
+    # the height differentiates to the tangential components, symbols g and m
+    # until a chain solves them
+    assert apply_derivation(W, OP_E1, CTX) == G
+    assert apply_derivation(W, OP_E2, CTX) == M
+
+
+def test_resolve_substitutes_solved_symbols_into_a_copy():
+    gamma, mu = targets().gamma, targets().mu
+    flipped = flip(CTX, (OP_E1, Var.W))
+    got = resolve(flipped, {Var.G: gamma, Var.M: mu})
+    assert flipped[(OP_E1, Var.W)] == -G
+    # a flipped rule stays flipped once its symbol is solved
+    assert got[(OP_E1, Var.W)] == -gamma
+    assert got[(OP_E2, Var.W)] == mu
+    # rules free of the solved symbols are the same objects
+    assert all(got[key] is rule for key, rule in CTX.items() if rule.free_of(Var.G, Var.M))
+    assert apply_derivation(W, OP_E2, got) == mu
 
 
 def test_missing_rule_names_operator_and_symbol():

@@ -148,10 +148,9 @@ def test_obj_mesh_across_blocks():
     [
         (1.0, 1.0, 1.0, 1e-2, TERM_SMAX, 201),
         (-1.5, 0.7, 10.0, 1e-2, TERM_YMIN, 197),
-        (1.3, 1.0, 5e-3, 1e-2, TERM_SMAX, 1),  # smax below step
         (1.0, 1.0, 3.0, 1e-3, TERM_SMAX, 6001),  # more than one ROW_BLOCK
     ],
-    ids=["1.0-1.0-1.0-reached-smax", "-1.5-0.7-10.0-hit-y-min", "one-state", "rows-past-a-block"],
+    ids=["1.0-1.0-1.0-reached-smax", "-1.5-0.7-10.0-hit-y-min", "rows-past-a-block"],
 )
 def test_trajectory_writers_match_cell_by_cell(alpha, y0, smax, step, termination, n_states):
     traj = trajectory(alpha, y0, smax, step)

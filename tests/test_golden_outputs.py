@@ -119,13 +119,34 @@ def test_case_matches_the_golden(tmp_path, case):
     assert_matches_golden({case: record(case, tmp_path)})
 
 
-@pytest.mark.skipif(platform.machine() != "x86_64",
-                    reason="Prescott is an x86_64 OpenBLAS kernel")
-def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
-    # Prescott needs only SSE3, which every x86_64 CPU has; the variable is
-    # set for the child interpreter alone
+def _simd_dispatch_features() -> str:
+    """The SIMD targets above its baseline that numpy dispatches to on this
+    host, space separated; empty when there are none."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return " ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
+
+
+def _kernel_cases():
+    # Prescott needs only SSE3, which every x86_64 CPU has
+    yield pytest.param(
+        "OPENBLAS_CORETYPE", "Prescott", id="openblas-prescott",
+        marks=pytest.mark.skipif(platform.machine() != "x86_64",
+                                 reason="Prescott is an x86_64 OpenBLAS kernel"))
+    # numpy's SIMD loops cut back to its baseline
+    features = _simd_dispatch_features()
+    yield pytest.param(
+        "NPY_DISABLE_CPU_FEATURES", features, id="numpy-simd-baseline",
+        marks=pytest.mark.skipif(not features, reason="numpy dispatches no SIMD target here"))
+
+
+@pytest.mark.parametrize("variable,value", _kernel_cases())
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path, variable, value):
+    # the variable is set for the child interpreter alone
     path = [str(Path(singmin.__file__).parents[1]), str(Path(__file__).parent)]
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": os.pathsep.join(path)}
+    env = {**os.environ, variable: value, "PYTHONPATH": os.pathsep.join(path)}
     script = ("import json, sys; from test_golden_outputs import record_all; "
               "print(json.dumps(record_all(sys.argv[1])))")
     child = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,

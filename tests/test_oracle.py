@@ -4,9 +4,9 @@ sympy is a required test dependency: without it the module fails to collect.
 """
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from singmin.exact import NVARS, Polynomial, RationalExpr, exact_div, poly_gcd
+from singmin.exact import NVARS, Polynomial, RationalExpr, Var, exact_div, poly_gcd
 from singmin.exact import poly as poly_module
 
 from conftest import SMALL_VARS, nonzero_polynomials, polynomials, rational_exprs
@@ -52,7 +52,15 @@ def in_main_variable(draw):
     return sum((draw(polynomials(**REST)) * x ** i for i in range(degree)), lead)
 
 
+_C = Polynomial.variable(Var.C)
+_K = Polynomial.variable(Var.K1)
+
+
 @given(in_main_variable(), polynomials(**REST), in_main_variable(), in_main_variable())
+# remainder sequences whose degree drops by more than one, which the draws
+# above (degree at most 2) never reach: the subresultant h update for delta > 1
+@example(f=_C + _K, c=Polynomial.one(), g=_C ** 4 + _K, h=_C ** 2 + 3)
+@example(f=_C - 2 * _K, c=_K + 1, g=_C ** 5 + _K, h=_C ** 2 + _K)
 @settings(**COMMON)
 def test_subresultant_gcd_matches_sympy(f, c, g, h):
     # the heuristic gcd succeeds on nearly every input, so without it the
