@@ -1,20 +1,28 @@
 """Extrusion of a generating trajectory into a cylindrical surface patch.
 
-The patch is ``Phi(s, t) = x(s)*e + y(s)*a + t*v`` with the ruling direction
-v orthogonal to a and ``e = a x v`` completing the frame.  Jets come from the
-tangent-angle vector field evaluated on dense-output states, never from
-differentiating the interpolant, so their accuracy matches the integrator's.
+``Phi(s, t) = x(s)*e + y(s)*a + t*v`` is ``cylindrical_patch`` over the curve
+``x*e + y*a``, with the ruling v orthogonal to a and ``e = a x v``.  The
+curve's derivatives, like ``dense_state``'s node slopes, come from the vector
+field ``_field`` on dense-output states, never from differentiating the
+interpolant, so their accuracy matches the integrator's.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import ParameterError
-from ..surfaces.jets import Jet2Vec3, dot, reject_first
-from ..surfaces.patches import SurfacePatch, broadcast_uv, unit_vec
+from ..surfaces.jets import dot, reject_first
+from ..surfaces.patches import SurfacePatch, cylindrical_patch, unit_vec
 from .ode import Trajectory
 
 EXTRUSION_TILT_TOL = 1e-12
+
+
+def _field(y, theta, alpha):
+    """(x', y', theta') of the generating curve at arrays of (y, theta): the
+    vectorized twin of ``ode._f``, which stays scalar for the RK4 loop."""
+    c = np.cos(theta)
+    return c, np.sin(theta), alpha * c / y
 
 
 def _hermite(p0, d0, p1, d1, h: float, t):
@@ -47,14 +55,11 @@ def dense_state(traj: Trajectory, s):
     i = np.clip(((s - s0) / h).astype(int), 0, len(nodes_s) - 2)
     j = i + 1
     t = (s - nodes_s[i]) / h
-    alpha = traj.alpha
-    ca, cb = np.cos(nodes_th[i]), np.cos(nodes_th[j])
-    sa, sb = np.sin(nodes_th[i]), np.sin(nodes_th[j])
+    ca, sa, ka = _field(nodes_y[i], nodes_th[i], traj.alpha)
+    cb, sb, kb = _field(nodes_y[j], nodes_th[j], traj.alpha)
     x = _hermite(nodes_x[i], ca, nodes_x[j], cb, h, t)
     y = _hermite(nodes_y[i], sa, nodes_y[j], sb, h, t)
-    th = _hermite(
-        nodes_th[i], alpha * ca / nodes_y[i], nodes_th[j], alpha * cb / nodes_y[j], h, t
-    )
+    th = _hermite(nodes_th[i], ka, nodes_th[j], kb, h, t)
     return x, y, th
 
 
@@ -73,27 +78,10 @@ def to_extrusion(
             f"ruling direction must be orthogonal to a (<v,a> = {tilt:.3e})"
         )
     e = np.cross(a, v)
-    alpha = trajectory.alpha
 
-    def ev(s, t) -> Jet2Vec3:
-        s, t = broadcast_uv(s, t)
+    def curve(s):
         x, y, th = dense_state(trajectory, s)
-        c, sn = np.cos(th), np.sin(th)
-        dth = alpha * c / y
-        x, y, t, c, sn, dth = (w[..., None] for w in (x, y, t, c, sn, dth))
-        zero = np.zeros(s.shape + (3,))
-        return Jet2Vec3(
-            value=x * e + y * a + t * v,
-            du=c * e + sn * a,
-            dv=np.broadcast_to(v, zero.shape),
-            duu=dth * (-sn * e + c * a),
-            duv=zero,
-            dvv=zero,
-        )
+        x, y, c, sn, dth = (w[..., None] for w in (x, y, *_field(y, th, trajectory.alpha)))
+        return x * e + y * a, c * e + sn * a, dth * (-sn * e + c * a)
 
-    return SurfacePatch(
-        name="extrusion",
-        u_range=trajectory.s_range,
-        v_range=t_range,
-        evaluator=ev,
-    )
+    return cylindrical_patch("extrusion", curve, v, trajectory.s_range, t_range)

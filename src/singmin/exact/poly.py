@@ -630,9 +630,7 @@ def _gcd_primitive_work(f: Polynomial, g: Polynomial) -> Polynomial:
     if result is None:
         core = Polynomial.one()
     else:
-        joined = _join(result, v)
-        rc = _content_in(joined.coeffs_in(v))
-        core = primitive(_exact(joined, rc))
+        core = primitive(_exact(_join(result, v), _content_in(result)))
     return primitive(core * cont)
 
 

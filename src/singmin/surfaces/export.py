@@ -35,9 +35,9 @@ def blocks(render: Callable[[int], str]) -> Iterator[str]:
         yield text
 
 
-def format_rows(columns, sep: str = ",", prefix: str = "", end: str = "\n") -> str:
+def format_rows(columns, sep: str = ",", prefix: str = "") -> str:
     """Row k as ``prefix``, then the ``fmt`` text of cell k of each float
-    column joined by ``sep``, then ``end``.
+    column joined by ``sep``, then a newline.
 
     Each distinct value of a column is formatted once.  Values are told apart
     by their bit pattern, not by float equality, so ``0.0`` and ``-0.0`` and
@@ -49,7 +49,7 @@ def format_rows(columns, sep: str = ",", prefix: str = "", end: str = "\n") -> s
         distinct, inverse = np.unique(bits, return_inverse=True)
         text = np.array([fmt(x) for x in distinct.view(np.float64).tolist()], dtype=object)
         cells.append(text[inverse].tolist())
-    return "".join([prefix + sep.join(row) + end for row in zip(*cells)])
+    return "".join([prefix + sep.join(row) + "\n" for row in zip(*cells)])
 
 
 def table_csv(header, columns, start: int) -> str:

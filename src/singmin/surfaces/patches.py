@@ -107,6 +107,29 @@ class SurfacePatch:
         return np.repeat(us, nv), np.tile(vs, nu)
 
 
+def cylindrical_patch(name: str, curve, ruling: np.ndarray, u_range, v_range) -> SurfacePatch:
+    """Cylindrical surface Phi(u, v) = gamma(u) + v*ruling over a curve.
+
+    ``curve(u)`` returns ``(gamma, gamma', gamma'')`` as ``(..., 3)`` arrays
+    over the shape of u, so the jet has ``dv = ruling`` and ``duv = dvv = 0``.
+    """
+
+    def ev(u, v) -> Jet2Vec3:
+        u, v = broadcast_uv(u, v)
+        gamma, d_u, d_uu = curve(u)
+        zero = _const(_ZERO3, u.shape)
+        return Jet2Vec3(
+            value=gamma + v[..., None] * ruling,
+            du=d_u,
+            dv=_const(ruling, u.shape),
+            duu=d_uu,
+            duv=zero,
+            dvv=zero,
+        )
+
+    return SurfacePatch(name=name, u_range=u_range, v_range=v_range, evaluator=ev)
+
+
 def plane_patch(a=(0.0, 0.0, 1.0)) -> SurfacePatch:
     """Plane containing the direction a: Phi(u, v) = u*a + v*e with e _|_ a,
     over u in [0.5, 1.5] and v in [-1, 1].
@@ -115,26 +138,11 @@ def plane_patch(a=(0.0, 0.0, 1.0)) -> SurfacePatch:
     stays inside the open halfspace.
     """
     a = unit_vec(a, "a")
-    e = perp_unit(a)
 
-    def ev(u, v) -> Jet2Vec3:
-        u, v = broadcast_uv(u, v)
-        zero = _const(_ZERO3, u.shape)
-        return Jet2Vec3(
-            value=u[..., None] * a + v[..., None] * e,
-            du=_const(a, u.shape),
-            dv=_const(e, u.shape),
-            duu=zero,
-            duv=zero,
-            dvv=zero,
-        )
+    def line(u):
+        return u[..., None] * a, _const(a, u.shape), _const(_ZERO3, u.shape)
 
-    return SurfacePatch(
-        name="plane",
-        u_range=(0.5, 1.5),
-        v_range=(-1.0, 1.0),
-        evaluator=ev,
-    )
+    return cylindrical_patch("plane", line, perp_unit(a), (0.5, 1.5), (-1.0, 1.0))
 
 
 def sphere_patch(r: float = 1.0, center=(0.0, 0.0, 0.0)) -> SurfacePatch:
@@ -195,24 +203,9 @@ def cylinder_patch(
     n2 = n2 / norm
     n1 = np.cross(n2, axis)
 
-    def ev(u, v) -> Jet2Vec3:
-        u, v = broadcast_uv(u, v)
+    def circle(u):
         cu, su = np.cos(u)[..., None], np.sin(u)[..., None]
         radial = cu * n1 + su * n2
-        d_ang = -su * n1 + cu * n2
-        zero = _const(_ZERO3, u.shape)
-        return Jet2Vec3(
-            value=center + r * radial + v[..., None] * axis,
-            du=r * d_ang,
-            dv=_const(axis, u.shape),
-            duu=-r * radial,
-            duv=zero,
-            dvv=zero,
-        )
+        return center + r * radial, r * (-su * n1 + cu * n2), -r * radial
 
-    return SurfacePatch(
-        name="cylinder",
-        u_range=(0.1, np.pi - 0.1),
-        v_range=(-1.0, 1.0),
-        evaluator=ev,
-    )
+    return cylindrical_patch("cylinder", circle, axis, (0.1, np.pi - 0.1), (-1.0, 1.0))

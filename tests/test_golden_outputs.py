@@ -129,7 +129,7 @@ def _simd_dispatch_features() -> str:
     return " ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
 
 
-def _kernel_cases():
+def _environment_cases():
     # Prescott needs only SSE3, which every x86_64 CPU has
     yield pytest.param(
         "OPENBLAS_CORETYPE", "Prescott", id="openblas-prescott",
@@ -140,10 +140,12 @@ def _kernel_cases():
     yield pytest.param(
         "NPY_DISABLE_CPU_FEATURES", features, id="numpy-simd-baseline",
         marks=pytest.mark.skipif(not features, reason="numpy dispatches no SIMD target here"))
+    # str hashes follow the seed, and so does the order a set of strings iterates in
+    yield pytest.param("PYTHONHASHSEED", "4242", id="hash-seed-4242")
 
 
-@pytest.mark.parametrize("variable,value", _kernel_cases())
-def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path, variable, value):
+@pytest.mark.parametrize("variable,value", _environment_cases())
+def test_outputs_do_not_depend_on_the_environment(tmp_path, variable, value):
     # the variable is set for the child interpreter alone
     path = [str(Path(singmin.__file__).parents[1]), str(Path(__file__).parent)]
     env = {**os.environ, variable: value, "PYTHONPATH": os.pathsep.join(path)}

@@ -74,6 +74,40 @@ def test_subresultant_gcd_matches_sympy(f, c, g, h):
         check_gcd(g, h)
 
 
+_X = Polynomial.variable(VARS[0])
+_Y = Polynomial.variable(VARS[1])
+
+
+@pytest.mark.parametrize("f,g", [
+    # Knuth, TAOCP vol. 2, section 4.6.1: degrees 8, 6, 4, 2, 1, 0
+    (_X ** 8 + _X ** 6 - 3 * _X ** 4 - 3 * _X ** 3 + 8 * _X ** 2 + 2 * _X - 5,
+     3 * _X ** 6 + 5 * _X ** 4 - 4 * _X ** 2 - 9 * _X + 21),
+    # degrees 6, 5, 3, 2, 1, 0: the gap of two comes after h has left 1
+    (_X ** 6 + _X ** 5 - _X ** 2 + 2 * _X + _Y + 1, (_Y + 1) * _X ** 5 + _X ** 2 + 2),
+], ids=["knuth", "gap-after-first-step"])
+def test_subresultant_sequence_matches_sympy(f, g):
+    # the divisor of each pseudo-remainder is the next member of the
+    # subresultant sequence, so a wrong h update shows as a wrongly scaled
+    # divisor or as an inexact division; the gcd alone would not show it
+    divisors = []
+    prem = poly_module._prem
+
+    def recording_prem(a, b):
+        divisors.append(to_sympy(poly_module._join(b, VARS[0])))
+        return prem(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "_gcdheu", lambda f, g, depth=0: None)
+        mp.setattr(poly_module, "_GCD_MEMO", {})
+        mp.setattr(poly_module, "_prem", recording_prem)
+        assert poly_gcd(f, g) == Polynomial.one()
+    sequence = sympy.subresultants(to_sympy(f), to_sympy(g))
+    # the pair is coprime: the last member is a constant remainder, never a divisor
+    assert len(divisors) == len(sequence) - 2
+    for got, want in zip(divisors, sequence[1:]):
+        assert same_up_to_sign(got, want)
+
+
 def check_div(a, b):
     q, r = sympy.div(to_sympy(a), to_sympy(b), auto=False)
     got = exact_div(a, b)
