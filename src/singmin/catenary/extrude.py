@@ -81,7 +81,11 @@ def to_extrusion(
 
     def curve(s):
         x, y, th = dense_state(trajectory, s)
-        x, y, c, sn, dth = (w[..., None] for w in (x, y, *_field(y, th, trajectory.alpha)))
-        return x * e + y * a, c * e + sn * a, dth * (-sn * e + c * a)
+
+        def derivatives():
+            c, sn, dth = (w[..., None] for w in _field(y, th, trajectory.alpha))
+            return c * e + sn * a, dth * (-sn * e + c * a)
+
+        return x[..., None] * e + y[..., None] * a, derivatives
 
     return cylindrical_patch("extrusion", curve, v, trajectory.s_range, t_range)

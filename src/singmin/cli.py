@@ -9,15 +9,18 @@ Exit codes: 0 success / all checks pass, 1 assertion failure, 2 usage or
 parameter error, an input or output path that cannot be used included.
 Grid commands skip and count rejected samples and judge the valid ones; a
 grid with no valid sample exits 2.  Outputs are byte-deterministic for fixed
-inputs.
+inputs, and are written under temporary names that take their own only when
+the command gets through, so a run that exits 2 leaves no output file.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterator
 from functools import partial
 from pathlib import Path
 from typing import TextIO
@@ -248,24 +251,39 @@ def _make_patch(args: argparse.Namespace):
     return cylinder_patch(r=args.r, axis=args.axis, center=args.center)
 
 
-def _open(prefix: Path, suffix: str) -> TextIO:
-    """``prefix`` with ``suffix`` appended to its name, opened for writing."""
-    path = Path(f"{prefix}{suffix}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("w")
+@contextlib.contextmanager
+def _outputs(prefix: Path, *suffixes: str) -> Iterator[list[TextIO]]:
+    """Files named ``prefix`` with each suffix appended to its name, opened
+    for writing.  They are written under temporary names in the same
+    directory and take their own names only when the block ends without an
+    exception; otherwise they, and any directory made for them, are removed,
+    so a run that fails part way leaves no file."""
+    paths = [Path(f"{prefix}{suffix}") for suffix in suffixes]
+    parent = paths[0].parent
+    made = [d for d in (parent, *parent.parents) if not d.exists()]
+    temps = [path.with_name(f".{path.name}.partial") for path in paths]
+    handles: list[TextIO] = []
+    try:
+        parent.mkdir(parents=True, exist_ok=True)
+        for temp in temps:
+            handles.append(temp.open("w"))
+        yield handles
+        for fh in handles:
+            fh.close()
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for fh, temp in zip(handles, temps):
+            fh.close()
+            temp.unlink(missing_ok=True)
+        for d in made:
+            if d.exists() and not any(d.iterdir()):
+                d.rmdir()
 
 
-def _write(prefix: Path, suffix: str, texts: Iterable[str]) -> None:
-    """Write ``texts`` in turn to ``prefix`` with ``suffix`` appended to its
-    name; each text is made only after the one before it is written."""
-    with _open(prefix, suffix) as fh:
-        fh.writelines(texts)
-
-
-def _write_grid(prefix: Path, summary: dict, table: dict) -> None:
-    """A grid command's summary to ``prefix.json`` and its table to ``prefix.csv``."""
-    _write(prefix, ".json", [grid_json(summary)])
-    _write(prefix, ".csv", blocks(partial(grid_csv, table)))
+def _table_writer(fh: TextIO):
+    """The ``emit`` of a grid report that writes each table block to ``fh`` as CSV."""
+    return lambda table, start: fh.write(grid_csv(table, start))
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
@@ -276,14 +294,16 @@ def cmd_prove(args: argparse.Namespace) -> int:
     for rep in reports:
         print(rep.to_text())
     if args.json is not None:
-        _write(args.json, "", [reports_to_json(reports) + "\n"])
+        with _outputs(args.json, "") as (doc,):
+            doc.write(reports_to_json(reports) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_residual(args: argparse.Namespace) -> int:
     patch = _make_patch(args)
-    summary, table = grid_report(patch, args.alpha, args.a, args.nu, args.nv)
-    _write_grid(args.out, summary, table)
+    with _outputs(args.out, ".csv", ".json") as (csv, doc):
+        summary = grid_report(patch, args.alpha, args.a, args.nu, args.nv, _table_writer(csv))
+        doc.write(grid_json(summary))
     max_res = summary["max_abs_residual"]
     print(
         f"{patch.name}: alpha={fmt(args.alpha)} max|residual|={fmt(max_res)} "
@@ -298,8 +318,9 @@ def cmd_residual(args: argparse.Namespace) -> int:
 
 def cmd_curvature(args: argparse.Namespace) -> int:
     patch = _make_patch(args)
-    summary, table = curvature_report(patch, args.nu, args.nv, args.fd_h)
-    _write_grid(args.out, summary, table)
+    with _outputs(args.out, ".csv", ".json") as (csv, doc):
+        summary = curvature_report(patch, args.nu, args.nv, args.fd_h, _table_writer(csv))
+        doc.write(grid_json(summary))
     print(f"{patch.name}: fd max deviation {fmt(summary['fd_max_deviation'])} "
           f"at h={fmt(args.fd_h)}")
     return 0
@@ -323,7 +344,7 @@ def _integrate_from_args(args: argparse.Namespace):
 
 def cmd_catenary(args: argparse.Namespace) -> int:
     traj = _integrate_from_args(args)
-    with _open(args.out, ".csv") as csv, _open(args.out, ".json") as doc:
+    with _outputs(args.out, ".csv", ".json") as (csv, doc):
         for csv_text, json_text in trajectory_blocks(traj):
             csv.write(csv_text)
             doc.write(json_text)
@@ -356,10 +377,10 @@ def cmd_extrude(args: argparse.Namespace) -> int:
     else:
         traj = _integrate_from_args(args)
     patch = to_extrusion(traj, v=args.v, a=args.a, t_range=args.t_range)
-    summary, table = grid_report(patch, args.alpha, args.a, args.nu, args.nv)
-    vertices = patch.position(*patch.grid(args.nu, args.nv)).reshape(args.nu, args.nv, 3)
-    _write(args.out, ".obj", blocks(partial(obj_mesh, patch.name, vertices)))
-    _write_grid(args.out, summary, table)
+    with _outputs(args.out, ".csv", ".json", ".obj") as (csv, doc, obj):
+        summary = grid_report(patch, args.alpha, args.a, args.nu, args.nv, _table_writer(csv))
+        doc.write(grid_json(summary))
+        obj.writelines(blocks(partial(obj_mesh, patch, args.nu, args.nv)))
     max_abs_k = max(abs(summary["min_K"]), abs(summary["max_K"]))
     print(
         f"extrusion: alpha={fmt(args.alpha)} max|residual|={fmt(summary['max_abs_residual'])} "

@@ -140,10 +140,9 @@ def valid_curvature(jet: Jet2Vec3, a=None):
     The checks run in order, each over the whole batch: with a direction
     ``a``, a positive height ``<x, a>`` (a NaN height passes), then
     ``degenerate_metric``, then ``inconsistent_curvature`` on the curvature.
-    Returns the mask of valid samples, their curvature, the number of
-    halfspace violations and the count for each of ``REJECTION_REASONS``.
-    When no sample is valid, raises with every count on one line, as a
-    ``HalfspaceViolation`` if all are outside the halfspace.
+    Returns the mask of valid samples, their curvature, and the counts of
+    halfspace violations and of each of ``REJECTION_REASONS`` as an int
+    array, which ``require_valid`` reads.
     """
     outside = np.zeros(len(jet.value), dtype=bool) if a is None else dot(jet.value, a) <= 0.0
     degenerate = degenerate_metric(jet) & ~outside
@@ -153,10 +152,17 @@ def valid_curvature(jet: Jet2Vec3, a=None):
     if inconsistent.any():
         keep[keep] = ~inconsistent
         sample = sample[~inconsistent]
-    counts = [int(np.count_nonzero(flags)) for flags in (outside, degenerate, inconsistent)]
-    if not keep.any():
-        error = HalfspaceViolation if counts[0] == len(keep) else ParameterError
-        names = ("halfspace_violations",) + REJECTION_REASONS
-        raise error(f"no valid sample among {len(keep)}: "
-                    + ", ".join(f"{name}={n}" for name, n in zip(names, counts)))
-    return keep, sample, counts[0], dict(zip(REJECTION_REASONS, counts[1:]))
+    counts = np.array([np.count_nonzero(flags) for flags in (outside, degenerate, inconsistent)])
+    return keep, sample, counts
+
+
+def require_valid(total: int, counts) -> None:
+    """Raise when ``counts``, the ``valid_curvature`` counts summed over all
+    ``total`` samples of a grid, leave no valid sample: with every count on
+    one line, as a ``HalfspaceViolation`` if all are outside the halfspace."""
+    if sum(counts) < total:
+        return
+    error = HalfspaceViolation if counts[0] == total else ParameterError
+    names = ("halfspace_violations",) + REJECTION_REASONS
+    raise error(f"no valid sample among {total}: "
+                + ", ".join(f"{name}={n}" for name, n in zip(names, counts)))

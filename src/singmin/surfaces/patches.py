@@ -12,11 +12,12 @@ from .jets import Jet2Vec3, dot
 
 UNIT_TOL = 1e-9
 
-# Most samples one grid may have.  A grid command's peak RSS grows by about
-# 0.8 KB per sample (curvature with its FD oracle; residual 0.3 KB, extrude
-# 0.35 KB, now that tables are written one row block at a time; measured at
-# 90,000 and 250,000 samples on CPython 3.11), so the bound keeps a run under
-# about 2 GB.
+# Most samples one grid may have.  A grid command works one row block at a
+# time, so its peak RSS is about 36 MB whatever the grid, plus 8 bytes per
+# sample for the |residual| vector of residual and extrude: at this bound
+# residual peaks at 50.5 MB and curvature at 35.6 MB, and each command runs
+# for about 6 s (measured at 250,000, 1,000,000 and 2,000,000 samples on
+# CPython 3.11, 2-vCPU Xeon VM).
 MAX_SAMPLES = 2 * 10**6
 
 _ZERO3 = np.zeros(3)
@@ -71,10 +72,13 @@ def _const(vec: np.ndarray, shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """A name, a rectangular domain and an evaluator producing exact jets.
+    """A name, a rectangular domain and a chart.
 
-    The evaluator takes broadcastable ``u, v`` arrays and returns a jet whose
-    fields have shape ``broadcast(u, v).shape + (3,)``.  It should describe an
+    ``chart(u, v)`` takes broadcastable ``u, v`` arrays and returns the
+    positions, of shape ``broadcast(u, v).shape + (3,)``, and a function of
+    no arguments that returns the partials ``(du, dv, duu, duv, dvv)`` of the
+    same shape.  So a jet's ``value`` and a position come from one formula,
+    and a position costs no derivative.  The chart should describe an
     immersion on its domain; ``jets.degenerate_metric`` flags the samples
     where it does not, and grid evaluations skip them.
     """
@@ -82,13 +86,14 @@ class SurfacePatch:
     name: str
     u_range: tuple[float, float]
     v_range: tuple[float, float]
-    evaluator: Callable[[np.ndarray, np.ndarray], Jet2Vec3]
+    chart: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[], tuple]]]
 
     def jet(self, u, v) -> Jet2Vec3:
-        return self.evaluator(u, v)
+        value, partials = self.chart(u, v)
+        return Jet2Vec3(value, *partials())
 
     def position(self, u, v) -> np.ndarray:
-        return self.evaluator(u, v).value
+        return self.chart(u, v)[0]
 
     def contains(self, u, v):
         return (
@@ -98,36 +103,37 @@ class SurfacePatch:
             & (v <= self.v_range[1])
         )
 
-    def grid(self, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``(u, v)`` arrays of the uniform (nu x nv) grid over the
-        domain, row-major: u varies slowest."""
+    def grid(self, nu: int, nv: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ``(u, v)`` arrays of samples ``start`` up to ``stop`` (or the
+        end) of the uniform (nu x nv) grid over the domain, row-major: u
+        varies slowest."""
         check_grid_size(nu, nv)
         us = np.linspace(self.u_range[0], self.u_range[1], nu)
         vs = np.linspace(self.v_range[0], self.v_range[1], nv)
-        return np.repeat(us, nv), np.tile(vs, nu)
+        k = np.arange(start, min(stop, nu * nv))
+        return us[k // nv], vs[k % nv]
 
 
 def cylindrical_patch(name: str, curve, ruling: np.ndarray, u_range, v_range) -> SurfacePatch:
     """Cylindrical surface Phi(u, v) = gamma(u) + v*ruling over a curve.
 
-    ``curve(u)`` returns ``(gamma, gamma', gamma'')`` as ``(..., 3)`` arrays
-    over the shape of u, so the jet has ``dv = ruling`` and ``duv = dvv = 0``.
+    ``curve(u)`` returns gamma as a ``(..., 3)`` array over the shape of u,
+    and a function of no arguments that returns ``(gamma', gamma'')`` of that
+    shape; the jet has ``dv = ruling`` and ``duv = dvv = 0``.
     """
 
-    def ev(u, v) -> Jet2Vec3:
+    def chart(u, v):
         u, v = broadcast_uv(u, v)
-        gamma, d_u, d_uu = curve(u)
-        zero = _const(_ZERO3, u.shape)
-        return Jet2Vec3(
-            value=gamma + v[..., None] * ruling,
-            du=d_u,
-            dv=_const(ruling, u.shape),
-            duu=d_uu,
-            duv=zero,
-            dvv=zero,
-        )
+        gamma, derivatives = curve(u)
 
-    return SurfacePatch(name=name, u_range=u_range, v_range=v_range, evaluator=ev)
+        def partials():
+            d_u, d_uu = derivatives()
+            zero = _const(_ZERO3, u.shape)
+            return d_u, _const(ruling, u.shape), d_uu, zero, zero
+
+        return gamma + v[..., None] * ruling, partials
+
+    return SurfacePatch(name=name, u_range=u_range, v_range=v_range, chart=chart)
 
 
 def plane_patch(a=(0.0, 0.0, 1.0)) -> SurfacePatch:
@@ -140,7 +146,7 @@ def plane_patch(a=(0.0, 0.0, 1.0)) -> SurfacePatch:
     a = unit_vec(a, "a")
 
     def line(u):
-        return u[..., None] * a, _const(a, u.shape), _const(_ZERO3, u.shape)
+        return u[..., None] * a, lambda: (_const(a, u.shape), _const(_ZERO3, u.shape))
 
     return cylindrical_patch("plane", line, perp_unit(a), (0.5, 1.5), (-1.0, 1.0))
 
@@ -156,30 +162,27 @@ def sphere_patch(r: float = 1.0, center=(0.0, 0.0, 0.0)) -> SurfacePatch:
         raise ParameterError(f"sphere radius must be positive and finite, got {r}")
     center = as_vec(center, "center")
 
-    def ev(u, v) -> Jet2Vec3:
+    def chart(u, v):
         u, v = broadcast_uv(u, v)
         cu, su = np.cos(u), np.sin(u)
         cv, sv = np.cos(v), np.sin(v)
-        zero = np.zeros(u.shape)
         radial = np.stack([cu * cv, cu * sv, su], axis=-1)
-        d_u = np.stack([-su * cv, -su * sv, cu], axis=-1)
-        d_v = np.stack([-cu * sv, cu * cv, zero], axis=-1)
-        d_uv = np.stack([su * sv, -su * cv, zero], axis=-1)
-        d_vv = np.stack([-cu * cv, -cu * sv, zero], axis=-1)
-        return Jet2Vec3(
-            value=center + r * radial,
-            du=r * d_u,
-            dv=r * d_v,
-            duu=-r * radial,
-            duv=r * d_uv,
-            dvv=r * d_vv,
-        )
+
+        def partials():
+            zero = np.zeros(u.shape)
+            d_u = np.stack([-su * cv, -su * sv, cu], axis=-1)
+            d_v = np.stack([-cu * sv, cu * cv, zero], axis=-1)
+            d_uv = np.stack([su * sv, -su * cv, zero], axis=-1)
+            d_vv = np.stack([-cu * cv, -cu * sv, zero], axis=-1)
+            return r * d_u, r * d_v, -r * radial, r * d_uv, r * d_vv
+
+        return center + r * radial, partials
 
     return SurfacePatch(
         name="sphere",
         u_range=(0.1, 1.45),
         v_range=(0.0, 2.0 * np.pi),
-        evaluator=ev,
+        chart=chart,
     )
 
 
@@ -206,6 +209,6 @@ def cylinder_patch(
     def circle(u):
         cu, su = np.cos(u)[..., None], np.sin(u)[..., None]
         radial = cu * n1 + su * n2
-        return center + r * radial, r * (-su * n1 + cu * n2), -r * radial
+        return center + r * radial, lambda: (r * (-su * n1 + cu * n2), -r * radial)
 
     return cylindrical_patch("cylinder", circle, axis, (0.1, np.pi - 0.1), (-1.0, 1.0))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
 from singmin.exact import NVARS, Polynomial, RationalExpr, Var
@@ -14,6 +15,15 @@ CHAINS = {
     "theorem2": (theorem2.build_context, theorem2.run_theorem2),
     "theorem3": (theorem3.build_context, theorem3.run_theorem3),
 }
+
+
+def collect(report, *args):
+    """A grid report's summary and its whole table: each column joined over
+    the row blocks that ``report(*args, emit)`` emits."""
+    blocks = []
+    summary = report(*args, lambda table, start: blocks.append(table))
+    return summary, {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+
 
 def sign_flip_cases():
     """One ``(chain, rule)`` param per rule of every chain."""

@@ -24,6 +24,8 @@ from singmin.surfaces import (
     sphere_patch,
 )
 
+from conftest import collect
+
 A = (0.0, 0.0, 1.0)
 
 
@@ -106,15 +108,15 @@ def test_criterion_5_example_catalog():
     t0 = time.perf_counter()
     plane = plane_patch()
     plane_max = max(
-        grid_report(plane, alpha, A, 50, 50)[0]["max_abs_residual"]
+        collect(grid_report, plane, alpha, A, 50, 50)[0]["max_abs_residual"]
         for alpha in (-2.0, -1.0, 1.0, 3.7)
     )
     sphere = sphere_patch(r=1.0)
-    sphere_good = grid_report(sphere, -2.0, A, 50, 50)[0]["max_abs_residual"]
+    sphere_good = collect(grid_report, sphere, -2.0, A, 50, 50)[0]["max_abs_residual"]
     cyl = cylinder_patch(r=1.0)
-    cyl_good = grid_report(cyl, -1.0, A, 50, 50)[0]["max_abs_residual"]
-    sphere_bad = grid_report(sphere, -1.0, A, 50, 50)[0]["max_abs_residual"]
-    cyl_bad = grid_report(cyl, 1.0, A, 50, 50)[0]["max_abs_residual"]
+    cyl_good = collect(grid_report, cyl, -1.0, A, 50, 50)[0]["max_abs_residual"]
+    sphere_bad = collect(grid_report, sphere, -1.0, A, 50, 50)[0]["max_abs_residual"]
+    cyl_bad = collect(grid_report, cyl, 1.0, A, 50, 50)[0]["max_abs_residual"]
     elapsed = time.perf_counter() - t0
     ok = (
         plane_max < 1e-12
@@ -197,7 +199,7 @@ def test_criterion_7_extruded_flatness():
         traj = integrate(
             CatenaryState(0, 0, 1, 0), CatenaryParams(alpha=alpha, step=1e-3, **kw)
         )
-        rep, _ = grid_report(to_extrusion(traj), alpha, A, 50, 10)
+        rep, _ = collect(grid_report, to_extrusion(traj), alpha, A, 50, 10)
         worst_time = max(worst_time, time.perf_counter() - t0)
         worst_k = max(worst_k, abs(rep["min_K"]), abs(rep["max_K"]))
         worst_res = max(worst_res, rep["max_abs_residual"])

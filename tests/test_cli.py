@@ -3,12 +3,13 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import pytest
 
 import singmin.cli
 from singmin.cli import main
-from singmin.surfaces import grid_report, sphere_patch
+from singmin.surfaces import sphere_patch
 
 
 def run(args):
@@ -437,8 +438,7 @@ def test_expect_pass_fails_on_a_nan_residual(tmp_path, monkeypatch):
     real = singmin.cli.grid_report
 
     def nan_residual(*args):
-        summary, table = real(*args)
-        return {**summary, "max_abs_residual": float("nan")}, table
+        return {**real(*args), "max_abs_residual": float("nan")}
 
     monkeypatch.setattr(singmin.cli, "grid_report", nan_residual)
     args = ["residual", "--patch", "sphere", "--alpha", "-2", "--nu", "5", "--nv", "5"]
@@ -635,14 +635,43 @@ def test_grid_with_degenerate_rows_succeeds_on_its_valid_samples(tmp_path, monke
     assert len((tmp_path / "g.csv").read_text().splitlines()) == 1 + 16
 
 
+# 20 samples in one row block, and 4,900 over two
+@pytest.mark.parametrize("nu,nv", [(5, 4), (70, 70)])
 @pytest.mark.parametrize("command", [["residual", "--alpha", "-2"], ["curvature"]])
-def test_grid_with_every_sample_rejected_is_usage_error(tmp_path, monkeypatch, capsys, command):
+def test_grid_with_every_sample_rejected_is_usage_error(tmp_path, monkeypatch, capsys, command,
+                                                       nu, nv):
     monkeypatch.setattr(singmin.cli, "_make_patch", _pole_patch(math.pi / 2))
-    assert run([*command, "--nu", "5", "--nv", "4", "--out", str(tmp_path / "g")]) == 2
+    assert run([*command, "--nu", str(nu), "--nv", str(nv), "--out", str(tmp_path / "g")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: no valid sample among 20: ") and err.count("\n") == 1
-    assert "degenerate_metric=20, inconsistent_curvature=0" in err
+    assert err.startswith(f"error: no valid sample among {nu * nv}: ") and err.count("\n") == 1
+    assert f"degenerate_metric={nu * nv}, inconsistent_curvature=0" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_grid_below_the_plane_in_every_block_is_usage_error(tmp_path, capsys):
+    # the sphere's top touches the plane z = 0 from below, so all 4,900
+    # samples of both row blocks are outside the halfspace; the directory
+    # made for the output goes too
+    args = ["residual", "--patch", "sphere", "--r", "1.3", "--center=0,0,-1.3", "--alpha", "-2",
+            "--nu", "70", "--nv", "70", "--out", str(tmp_path / "new" / "g")]
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        "error: no valid sample among 4900: halfspace_violations=4900, "
+        "degenerate_metric=0, inconsistent_curvature=0\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
+def test_mean_of_finite_residuals_does_not_overflow(tmp_path, capsys):
+    # every |residual| is finite, but their sum is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["residual", "--alpha", "1e308", "--nu", "3", "--nv", "3",
+                    "--out", str(tmp_path / "g")]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "g.json").read_text())
+    mean, top = float(doc["mean_abs_residual"]), float(doc["max_abs_residual"])
+    assert math.isfinite(mean) and mean <= top
 
 
 @pytest.mark.parametrize(
@@ -769,21 +798,21 @@ def test_extrude_traj_rejects_a_curve_config_key(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("e.*"))
 
 
-def test_residual_csv_write_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
-    # the report is built before tracing starts, so the traced peak is what
-    # the command adds on top of the whole-grid numerics: the JSON and the
-    # CSV writes, which go one row block at a time
+@pytest.mark.parametrize("command", [["residual", "--alpha", "-2"], ["curvature"],
+                                     ["extrude", "--alpha", "1", "--smax", "2"]],
+                         ids=lambda command: command[0])
+def test_grid_command_memory_does_not_grow_with_the_grid(tmp_path, command):
+    # jets, curvature, residual, FD oracle and text go one row block at a
+    # time; of the whole grid only the |residual| vector, 8 bytes a sample,
+    # is kept
     peaks = {}
     for n in (100, 300):
-        report = grid_report(sphere_patch(), -2.0, (0.0, 0.0, 1.0), n, n)
-        monkeypatch.setattr(singmin.cli, "grid_report", lambda *args: report)
-        argv = ["residual", "--alpha", "-2", "--nu", str(n), "--nv", str(n),
-                "--out", str(tmp_path / f"g{n}")]
+        out = tmp_path / f"g{n}"
         tracemalloc.start()
         try:
-            assert run(argv) == 0
+            assert run([*command, "--nu", str(n), "--nv", str(n), "--out", str(out)]) == 0
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len((tmp_path / f"g{n}.csv").read_text().splitlines()) == n * n + 1
+        assert len(out.with_suffix(".csv").read_text().splitlines()) == n * n + 1
     assert peaks[300] <= 2 * peaks[100], peaks

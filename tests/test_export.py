@@ -27,7 +27,9 @@ from singmin.surfaces import (
     obj_mesh,
     sphere_patch,
 )
-from singmin.surfaces.export import ROW_BLOCK, blocks, fmt, format_rows, table_csv
+from singmin.surfaces.export import FLOAT_SPEC, ROW_BLOCK, blocks, fmt, format_rows, table_csv
+
+from conftest import collect
 
 SPECIAL = np.array(
     [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0]
@@ -63,6 +65,15 @@ def whole(writer, *args) -> str:
     return "".join(blocks(lambda start: writer(*args, start)))
 
 
+@given(BITS)
+@settings(max_examples=500, deadline=None)
+def test_float_spec_matches_the_format_spec(bits):
+    # format_rows applies FLOAT_SPEC with %, which must give the bytes of the
+    # format spec the writers used before
+    x = float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+    assert FLOAT_SPEC % x == f"{x:.17g}"
+
+
 @given(tables())
 @settings(max_examples=200, deadline=None)
 def test_format_rows_matches_fmt_per_cell(table):
@@ -83,7 +94,7 @@ def test_zero_row_table_is_header_only():
 
 def reference_obj(patch, nu, nv) -> str:
     out = [f"# {patch.name} {nu}x{nv}"]
-    for p in patch.position(*patch.grid(nu, nv)).tolist():
+    for p in patch.position(*patch.grid(nu, nv, 0, nu * nv)).tolist():
         out.append(f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}")
     for i in range(nu - 1):
         for j in range(nv - 1):
@@ -114,22 +125,21 @@ def test_surface_writers_match_cell_by_cell(name):
     make, alpha = SURFACES[name]
     patch = make()
     nu, nv = 13, 7
-    summary, table = grid_report(patch, alpha, (0.0, 0.0, 1.0), nu, nv)
+    summary, table = collect(grid_report, patch, alpha, (0.0, 0.0, 1.0), nu, nv)
     assert summary["valid_samples"] == nu * nv
-    assert whole(grid_csv, table) == "u,v,x,y,z,H,K,k1,k2,residual\n" + lines(
+    assert grid_csv(table, 0) == "u,v,x,y,z,H,K,k1,k2,residual\n" + lines(
         cell_by_cell(np.column_stack(list(table.values())))
     )
-    vertices = patch.position(*patch.grid(nu, nv)).reshape(nu, nv, 3)
-    assert whole(obj_mesh, patch.name, vertices) == reference_obj(patch, nu, nv)
-    u, v = patch.grid(nu, nv)
+    assert whole(obj_mesh, patch, nu, nv) == reference_obj(patch, nu, nv)
+    u, v = patch.grid(nu, nv, 0, nu * nv)
     s = curvature_sample(patch.jet(u, v))
     columns = ("E", "F", "G", "L", "M", "N", "H", "K", "k1", "k2")
     rows = [
         [fmt(x) for x in row]
         for row in zip(u.tolist(), v.tolist(), *(getattr(s, c).tolist() for c in columns))
     ]
-    _, table = curvature_report(patch, nu, nv, 1e-3)
-    assert whole(grid_csv, table) == "u,v," + ",".join(columns) + "\n" + lines(rows)
+    _, table = collect(curvature_report, patch, nu, nv, 1e-3)
+    assert grid_csv(table, 0) == "u,v," + ",".join(columns) + "\n" + lines(rows)
 
 
 def test_obj_mesh_across_blocks():
@@ -137,8 +147,7 @@ def test_obj_mesh_across_blocks():
     # vertices and the first quads
     patch = sphere_patch()
     nu = nv = 70
-    vertices = patch.position(*patch.grid(nu, nv)).reshape(nu, nv, 3)
-    texts = list(blocks(lambda start: obj_mesh(patch.name, vertices, start)))
+    texts = list(blocks(lambda start: obj_mesh(patch, nu, nv, start)))
     assert len(texts) == 3 and texts[1].startswith("v ") and "\nf " in texts[1]
     assert "".join(texts) == reference_obj(patch, nu, nv)
 

@@ -8,6 +8,8 @@ from singmin.catenary import CatenaryParams, CatenaryState, dense_state, integra
 from singmin.errors import ParameterError
 from singmin.surfaces import cylinder_patch, grid_report
 
+from conftest import collect
+
 A = (0.0, 0.0, 1.0)
 
 
@@ -26,14 +28,14 @@ def make_traj(alpha, smax=2.0, y0=1.0, y_min=1e-3, step=1e-3):
 ])
 def test_extruded_patches_are_flat_and_exact(alpha, kwargs):
     patch = to_extrusion(make_traj(alpha, **kwargs))
-    rep, _ = grid_report(patch, alpha, A, 50, 10)
+    rep, _ = collect(grid_report, patch, alpha, A, 50, 10)
     assert max(abs(rep["min_K"]), abs(rep["max_K"])) < 1e-10
     assert rep["max_abs_residual"] < 1e-6
 
 
 def test_alpha_mismatch_is_detected():
     patch = to_extrusion(make_traj(1.0))
-    rep, _ = grid_report(patch, -1.0, A, 30, 5)
+    rep, _ = collect(grid_report, patch, -1.0, A, 30, 5)
     # residual becomes (alpha_true - alpha) * <N, a>, nonzero away from
     # vertical tangents
     assert rep["max_abs_residual"] > 0.5
@@ -47,8 +49,8 @@ def test_circle_extrusion_matches_analytic_cylinder():
     # the generating curve is the unit circle through (0, 1)
     assert x ** 2 + y ** 2 == pytest.approx(1.0, abs=1e-10)
     analytic = cylinder_patch(r=1.0, axis=(0.0, 1.0, 0.0))
-    rep_a, _ = grid_report(analytic, -1.0, A, 20, 5)
-    rep_x, _ = grid_report(patch, -1.0, A, 20, 5)
+    rep_a, _ = collect(grid_report, analytic, -1.0, A, 20, 5)
+    rep_x, _ = collect(grid_report, patch, -1.0, A, 20, 5)
     assert rep_x["max_abs_residual"] < 1e-6 and rep_a["max_abs_residual"] < 1e-9
     assert (abs(rep_x["min_H"] - rep_a["min_H"]) < 1e-6
             or abs(rep_x["min_H"] + rep_a["max_H"]) < 1e-6)

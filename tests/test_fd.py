@@ -15,6 +15,8 @@ from singmin.surfaces import (
     sphere_patch,
 )
 
+from conftest import collect
+
 
 def test_plane_oracle_is_exact():
     patch = plane_patch()
@@ -66,13 +68,13 @@ def test_step_that_does_not_move_a_sample_is_rejected(h):
     with pytest.raises(ParameterError, match="does not move sample"):
         fd_jet_oracle(patch, 0.7, 1.3, h)
     with pytest.raises(ParameterError, match="does not move sample"):
-        curvature_report(patch, 5, 5, h)
+        collect(curvature_report, patch, 5, 5, h)
 
 
 def test_curvature_report_table_holds_the_valid_samples():
     # the last latitude row sits on the pole, where the chart degenerates
     patch = replace(sphere_patch(r=1.0), u_range=(0.5, np.pi / 2))
-    doc, table = curvature_report(patch, 5, 4, 1e-3)
+    doc, table = collect(curvature_report, patch, 5, 4, 1e-3)
     assert doc["rejected_samples"] == {"degenerate_metric": 4, "inconsistent_curvature": 0}
     assert list(table) == ["u", "v", "E", "F", "G", "L", "M", "N", "H", "K", "k1", "k2"]
     assert {c.shape for c in table.values()} == {(16,)}

@@ -38,7 +38,9 @@ def _readme_cli_examples() -> list[str]:
 #: a cylinder off the coordinate axes, a catenary that ends at y-min,
 #: extrude --traj on README's traj.json, and tables that span more than one
 #: 4,096-row block of the writers (grids of 10,000 and 6,400 rows, 20,001
-#: states, and an OBJ of 5,000 vertices and 4,851 quads)
+#: states, and an OBJ of 5,000 vertices and 4,851 quads), and a grid whose
+#: first two blocks lie wholly below the singular plane (7,900 halfspace
+#: violations, 2,100 valid samples)
 EXTRA_CASES = [
     "singmin curvature --patch plane --out curv",
     "singmin curvature --patch cylinder --out curv",
@@ -51,6 +53,8 @@ EXTRA_CASES = [
     "singmin curvature --patch sphere --nu 80 --nv 80 --out curv",
     "singmin catenary --alpha 1 --y0 1 --smax 10 --out traj",
     "singmin extrude --alpha 1 --y0 1 --smax 2 --nu 100 --nv 50 --out ext",
+    "singmin residual --patch sphere --r 1.3 --center=0,0,-1.2 --alpha -2 --nu 100 --nv 100"
+    " --out grid",
 ]
 
 CASES = [line.split("#")[0].strip() for line in _readme_cli_examples()] + EXTRA_CASES

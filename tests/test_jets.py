@@ -28,7 +28,7 @@ def test_plane_forms():
 
 def test_unit_sphere_equator_chart():
     patch = sphere_patch(r=1.0)
-    f = curvature_sample(patch.evaluator(0.0, 0.0))
+    f = curvature_sample(patch.jet(0.0, 0.0))
     assert f.E == pytest.approx(1.0)
     assert f.G == pytest.approx(1.0)
     assert f.F == pytest.approx(0.0, abs=1e-15)

@@ -14,29 +14,31 @@ from singmin.surfaces import (
     sphere_patch,
 )
 
+from conftest import collect
+
 A = (0.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [-2.0, -1.0, 1.0, 3.7])
 def test_plane_is_exact_for_every_alpha(alpha):
-    rep, _ = grid_report(plane_patch(), alpha, A, 50, 50)
+    rep, _ = collect(grid_report, plane_patch(), alpha, A, 50, 50)
     assert rep["max_abs_residual"] < 1e-12
 
 
 def test_sphere_only_at_alpha_minus_two():
     patch = sphere_patch(r=1.0)
-    good, _ = grid_report(patch, -2.0, A, 50, 50)
+    good, _ = collect(grid_report, patch, -2.0, A, 50, 50)
     assert good["max_abs_residual"] < 1e-9
-    bad, _ = grid_report(patch, -1.0, A, 50, 50)
+    bad, _ = collect(grid_report, patch, -1.0, A, 50, 50)
     assert bad["max_abs_residual"] > 0.5
 
 
 def test_cylinder_only_at_alpha_minus_one():
     patch = cylinder_patch(r=1.0)
-    good, _ = grid_report(patch, -1.0, A, 50, 50)
+    good, _ = collect(grid_report, patch, -1.0, A, 50, 50)
     assert good["max_abs_residual"] < 1e-9
     assert abs(good["min_K"]) < 1e-12 and abs(good["max_K"]) < 1e-12
-    bad, _ = grid_report(patch, 1.0, A, 50, 50)
+    bad, _ = collect(grid_report, patch, 1.0, A, 50, 50)
     assert bad["max_abs_residual"] >= 1.0
 
 
@@ -52,11 +54,11 @@ def test_sphere_residual_matches_closed_form():
 def test_orientation_flip_invariance():
     for patch in (plane_patch(), sphere_patch(r=1.3), cylinder_patch(r=0.7)):
         # the same surface with (u, v) exchanged, which flips the chart orientation
-        def ev(u, v, patch=patch):
+        def chart(u, v, patch=patch):
             jet = patch.jet(v, u)
-            return replace(jet, du=jet.dv, dv=jet.du, duu=jet.dvv, dvv=jet.duu)
+            return jet.value, lambda: (jet.dv, jet.du, jet.dvv, jet.duv, jet.duu)
 
-        swapped = replace(patch, u_range=patch.v_range, v_range=patch.u_range, evaluator=ev)
+        swapped = replace(patch, u_range=patch.v_range, v_range=patch.u_range, chart=chart)
         u = 0.5 * (patch.u_range[0] + patch.u_range[1])
         v = 0.5 * (patch.v_range[0] + patch.v_range[1])
         s1 = curvature_sample(patch.jet(u, v))
@@ -83,13 +85,13 @@ def test_non_finite_alpha_is_rejected(alpha):
     with pytest.raises(ParameterError, match="alpha must be finite"):
         smr_residual(s, alpha, A)
     with pytest.raises(ParameterError, match="alpha must be finite"):
-        grid_report(sphere_patch(), alpha, A, 5, 5)
+        collect(grid_report, sphere_patch(), alpha, A, 5, 5)
 
 
 def test_grid_counts_violations():
     # direction tilted so part of the sphere band drops below the plane
     patch = replace(sphere_patch(r=1.0), u_range=(0.05, 1.45))
-    rep, _ = grid_report(patch, -2.0, (1.0, 0.0, 0.0), 30, 30)
+    rep, _ = collect(grid_report, patch, -2.0, (1.0, 0.0, 0.0), 30, 30)
     assert rep["halfspace_violations"] > 0
     assert rep["max_abs_residual"] < 1e-9  # spheres are exact at alpha = -2
 
@@ -97,12 +99,12 @@ def test_grid_counts_violations():
 def test_grid_all_invalid_raises():
     patch = sphere_patch(r=1.0)
     with pytest.raises(HalfspaceViolation):
-        grid_report(patch, -2.0, (0.0, 0.0, -1.0), 10, 10)
+        collect(grid_report, patch, -2.0, (0.0, 0.0, -1.0), 10, 10)
 
 
 def test_grid_dims_validated():
     with pytest.raises(ParameterError) as exc:
-        grid_report(sphere_patch(), -2.0, A, 1, 10)
+        collect(grid_report, sphere_patch(), -2.0, A, 1, 10)
     assert not isinstance(exc.value, HalfspaceViolation)
 
 
@@ -132,7 +134,7 @@ def test_parameter_validation(make):
 
 
 def test_report_dict_schema():
-    doc, table = grid_report(plane_patch(), 1.0, A, 5, 5)
+    doc, table = collect(grid_report, plane_patch(), 1.0, A, 5, 5)
     assert doc["schema_version"] == 1
     assert doc["grid"] == [5, 5]
     assert set(doc) >= {
@@ -148,7 +150,7 @@ def test_overflowing_metric_is_never_a_valid_sample():
     # samples had a zero normal and H = K = 0, so the sphere, which fails
     # the identity at alpha = 1, read max|residual| = 0
     with pytest.raises(ParameterError) as exc:
-        grid_report(sphere_patch(r=1e80), 1.0, A, 4, 4)
+        collect(grid_report, sphere_patch(r=1e80), 1.0, A, 4, 4)
     assert str(exc.value) == (
         "no valid sample among 16: halfspace_violations=0, "
         "degenerate_metric=16, inconsistent_curvature=0"
