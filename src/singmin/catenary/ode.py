@@ -130,7 +130,8 @@ def _rk4(x: float, y: float, th: float, h: float, alpha: float) -> tuple[float, 
 
 def _march(init: CatenaryState, params: CatenaryParams, sign: float):
     """Fixed-step march in one direction; returns ((s, x, y, theta) rows, hit_y_min)."""
-    n_steps = int(math.floor(params.smax / params.step + 1e-12))
+    # a relative tolerance: a whole ratio that rounds just below counts whole
+    n_steps = int(math.floor(params.smax / params.step * (1.0 + 1e-12)))
     out: list[tuple[float, float, float, float]] = []
     x, y, th = init.x, init.y, init.theta
     for i in range(1, n_steps + 1):

@@ -8,9 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .export import ROW_BLOCK, fmt
-from .jets import REJECTION_REASONS, Jet2Vec3, reject_first, require_valid, valid_curvature
-from .patches import SurfacePatch, broadcast_uv, check_grid_size
+from .export import fmt
+from .jets import Jet2Vec3, reject_first
+from .patches import SurfacePatch, broadcast_uv, scan_grid
 
 
 def stencil_fits(patch: SurfacePatch, u, v, h: float):
@@ -73,39 +73,25 @@ def jet_deviation(a: Jet2Vec3, b: Jet2Vec3) -> float:
 
 def curvature_report(patch: SurfacePatch, nu: int, nv: int, h: float, emit) -> dict:
     """Curvature on a uniform (nu x nv) grid over the domain, cross-checked
-    against the finite-difference jet at step h, one ``ROW_BLOCK`` of samples
-    at a time: calls ``emit(table, start)`` for each block and returns the
-    summary (the shapes of ``residual.grid_report``).
+    against the finite-difference jet at step h: ``patches.scan_grid`` emits
+    each row block's table ``u,v,E,F,G,L,M,N,H,K,k1,k2`` over its valid
+    samples, and this returns the summary (the shapes of
+    ``residual.grid_report``).
 
-    The table holds the forms and curvatures of the samples that
-    ``valid_curvature`` keeps; the deviation covers those whose stencil fits
-    the domain, and a grid with none is a ParameterError.
+    The deviation covers the valid samples whose stencil fits the domain,
+    and a grid with none is a ParameterError.
     """
-    check_grid_size(nu, nv)
-    counts = np.zeros(3, dtype=int)
     deviations = []
-    for start in range(0, nu * nv, ROW_BLOCK):
-        u, v = patch.grid(nu, nv, start, start + ROW_BLOCK)
-        fits = stencil_fits(patch, u, v, h)
-        jet = patch.jet(u, v)
-        keep, sample, rejected = valid_curvature(jet)
-        counts += rejected
-        fits &= keep
+
+    def columns(u, v, jet, keep, sample):
+        fits = stencil_fits(patch, u, v, h) & keep
         if fits.any():
             deviations.append(jet_deviation(fd_jet_oracle(patch, u[fits], v[fits], h), jet[fits]))
-        table = {"u": u[keep], "v": v[keep]}
-        table.update((name, getattr(sample, name)) for name in "E F G L M N H K k1 k2".split())
-        emit(table, start)
-    require_valid(nu * nv, counts)
+        return {name: getattr(sample, name) for name in "E F G L M N H K k1 k2".split()}
+
+    summary = scan_grid(patch, nu, nv, None, columns, emit)
     if not deviations:
         raise ParameterError(
             f"no sample's finite-difference stencil at h={fmt(h)} fits inside the patch domain"
         )
-    return {
-        "schema_version": 1,
-        "patch": patch.name,
-        "fd_h": float(h),
-        "fd_max_deviation": float(np.max(deviations)),
-        "grid": [nu, nv],
-        "rejected_samples": dict(zip(REJECTION_REASONS, counts[1:].tolist())),
-    }
+    return {**summary, "fd_h": float(h), "fd_max_deviation": float(np.max(deviations))}

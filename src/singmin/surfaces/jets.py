@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import HalfspaceViolation, ParameterError
 
 METRIC_DEGENERACY_REL = 1e-14
 UMBILIC_CLAMP = -1e-10
@@ -142,7 +141,7 @@ def valid_curvature(jet: Jet2Vec3, a=None):
     ``degenerate_metric``, then ``inconsistent_curvature`` on the curvature.
     Returns the mask of valid samples, their curvature, and the counts of
     halfspace violations and of each of ``REJECTION_REASONS`` as an int
-    array, which ``require_valid`` reads.
+    array.
     """
     outside = np.zeros(len(jet.value), dtype=bool) if a is None else dot(jet.value, a) <= 0.0
     degenerate = degenerate_metric(jet) & ~outside
@@ -155,14 +154,3 @@ def valid_curvature(jet: Jet2Vec3, a=None):
     counts = np.array([np.count_nonzero(flags) for flags in (outside, degenerate, inconsistent)])
     return keep, sample, counts
 
-
-def require_valid(total: int, counts) -> None:
-    """Raise when ``counts``, the ``valid_curvature`` counts summed over all
-    ``total`` samples of a grid, leave no valid sample: with every count on
-    one line, as a ``HalfspaceViolation`` if all are outside the halfspace."""
-    if sum(counts) < total:
-        return
-    error = HalfspaceViolation if counts[0] == total else ParameterError
-    names = ("halfspace_violations",) + REJECTION_REASONS
-    raise error(f"no valid sample among {total}: "
-                + ", ".join(f"{name}={n}" for name, n in zip(names, counts)))

@@ -1,4 +1,5 @@
-"""Built-in surface patches with analytic jets."""
+"""Built-in surface patches with analytic jets, and the row-block scan of
+their sample grids behind the grid commands."""
 from __future__ import annotations
 
 import math
@@ -7,8 +8,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ParameterError
-from .jets import Jet2Vec3, dot
+from ..errors import HalfspaceViolation, ParameterError
+from .export import ROW_BLOCK
+from .jets import REJECTION_REASONS, Jet2Vec3, dot, valid_curvature
 
 UNIT_TOL = 1e-9
 
@@ -112,6 +114,40 @@ class SurfacePatch:
         vs = np.linspace(self.v_range[0], self.v_range[1], nv)
         k = np.arange(start, min(stop, nu * nv))
         return us[k // nv], vs[k % nv]
+
+
+def scan_grid(patch: SurfacePatch, nu: int, nv: int, a, columns, emit) -> dict:
+    """Walk the uniform (nu x nv) grid over the domain one ``ROW_BLOCK`` of
+    samples at a time: ``patch.jet``, then ``valid_curvature`` (inside the
+    halfspace ``<x, a> > 0`` unless ``a`` is None), then the report's own
+    ``columns(u, v, jet, keep, sample)``, whose table columns after ``u`` and
+    ``v``, over the valid samples, go to ``emit(table, start)``, ``start``
+    being the block's first grid sample.
+
+    A grid with no valid sample is refused after the last block, with every
+    rejection count on one line.  Returns the summary keys the grid reports
+    share, with the direction and ``halfspace_violations`` if ``a`` is given.
+    """
+    check_grid_size(nu, nv)
+    unit = None if a is None else unit_vec(a, "a")
+    counts = np.zeros(3, dtype=int)
+    for start in range(0, nu * nv, ROW_BLOCK):
+        u, v = patch.grid(nu, nv, start, start + ROW_BLOCK)
+        jet = patch.jet(u, v)
+        keep, sample, rejected = valid_curvature(jet, unit)
+        counts += rejected
+        emit({"u": u[keep], "v": v[keep], **columns(u, v, jet, keep, sample)}, start)
+    if counts.sum() == nu * nv:
+        error = HalfspaceViolation if counts[0] == nu * nv else ParameterError
+        names = ("halfspace_violations",) + REJECTION_REASONS
+        raise error(f"no valid sample among {nu * nv}: "
+                    + ", ".join(f"{name}={n}" for name, n in zip(names, counts)))
+    summary = {"schema_version": 1, "patch": patch.name, "grid": [nu, nv],
+               # rejected samples inside the halfspace, by ``jets.REJECTION_REASONS``
+               "rejected_samples": dict(zip(REJECTION_REASONS, counts[1:].tolist()))}
+    if unit is not None:
+        summary.update(direction=unit.tolist(), halfspace_violations=int(counts[0]))
+    return summary
 
 
 def cylindrical_patch(name: str, curve, ruling: np.ndarray, u_range, v_range) -> SurfacePatch:

@@ -9,16 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import HalfspaceViolation, ParameterError
-from .export import ROW_BLOCK
-from .jets import (
-    REJECTION_REASONS,
-    CurvatureSample,
-    dot,
-    reject_first,
-    require_valid,
-    valid_curvature,
-)
-from .patches import SurfacePatch, check_grid_size, unit_vec
+from .jets import CurvatureSample, dot, reject_first
+from .patches import SurfacePatch, scan_grid, unit_vec
 
 #: default pass threshold for max |residual| on the analytic patches
 RESIDUAL_TOL_ANALYTIC = 1e-9
@@ -52,53 +44,44 @@ def _mean_abs(abs_res: np.ndarray, top: float) -> float:
 
 
 def grid_report(patch: SurfacePatch, alpha: float, a, nu: int, nv: int, emit) -> dict:
-    """The residual on a uniform (nu x nv) grid over the domain, one
-    ``ROW_BLOCK`` of samples at a time: calls ``emit(table, start)`` for each
-    block, where ``table`` maps each CSV column name, in header order, to a
-    1-D array over the block's valid samples and ``start`` is the block's
-    first grid sample, and returns the summary (the grid JSON document).
+    """The residual on a uniform (nu x nv) grid over the domain, inside the
+    halfspace ``<x, a> > 0``: ``patches.scan_grid`` emits each row block's
+    table ``u,v,x,y,z,H,K,k1,k2`` and ``residual`` over its valid samples,
+    and this returns the summary (the grid JSON document).
 
-    Samples that ``valid_curvature`` rejects are skipped and counted by
-    reason; statistics cover valid samples only.  Of the whole grid only the
+    Statistics cover the valid samples only.  Of the whole grid only the
     |residual| vector is kept, for its mean.
     """
-    check_grid_size(nu, nv)
-    unit = unit_vec(a, "a")
-    counts = np.zeros(3, dtype=int)
-    abs_res = np.empty(nu * nv)
+    abs_res = None
     valid = 0
     ranges = []  # min K, max K, min H, max H of each block with a valid sample
-    for start in range(0, nu * nv, ROW_BLOCK):
-        u, v = patch.grid(nu, nv, start, start + ROW_BLOCK)
-        keep, sample, rejected = valid_curvature(patch.jet(u, v), unit)
-        counts += rejected
+
+    def columns(u, v, jet, keep, sample):
+        nonlocal abs_res, valid
+        if abs_res is None:  # allocated once the grid is known to be valid
+            abs_res = np.empty(nu * nv)
         res = smr_residual(sample, alpha, a)
-        x, y, z = sample.point.T
-        emit({"u": u[keep], "v": v[keep], "x": x, "y": y, "z": z, "H": sample.H, "K": sample.K,
-              "k1": sample.k1, "k2": sample.k2, "residual": res}, start)
         abs_res[valid:valid + len(res)] = np.abs(res)
         valid += len(res)
         if len(res):
             ranges.append([sample.K.min(), sample.K.max(), sample.H.min(), sample.H.max()])
-    require_valid(nu * nv, counts)
+        x, y, z = sample.point.T
+        return {"x": x, "y": y, "z": z, "H": sample.H, "K": sample.K, "k1": sample.k1,
+                "k2": sample.k2, "residual": res}
+
+    summary = scan_grid(patch, nu, nv, a, columns, emit)
     abs_res = abs_res[:valid]
     top = float(abs_res.max())
     min_k, _, min_h, _ = np.min(ranges, axis=0).tolist()
     _, max_k, _, max_h = np.max(ranges, axis=0).tolist()
     return {
-        "schema_version": 1,
-        "patch": patch.name,
+        **summary,
         "alpha": float(alpha),
-        "direction": unit.tolist(),
-        "grid": [nu, nv],
         "max_abs_residual": top,
         "mean_abs_residual": _mean_abs(abs_res, top),
         "min_K": min_k,
         "max_K": max_k,
         "min_H": min_h,
         "max_H": max_h,
-        "halfspace_violations": int(counts[0]),
-        # rejected samples inside the halfspace, by ``jets.REJECTION_REASONS``
-        "rejected_samples": dict(zip(REJECTION_REASONS, counts[1:].tolist())),
         "valid_samples": valid,
     }

@@ -152,6 +152,17 @@ class TestIntegratorStructure:
         assert traj.states[50].tolist() == [0.0, 0.0, 1.0, 0.0]
         assert traj.s_range == (-0.5, 0.5)
 
+    @pytest.mark.parametrize("smax, step, n_steps", [(2.3, 1e-4, 23000), (2.3, 1e-3, 2300),
+                                                     (0.7, 1e-5, 70000), (2.5, 1.0, 2)])
+    def test_march_reaches_smax_when_the_ratio_rounds_below_a_whole_number(self, smax, step,
+                                                                            n_steps):
+        # 2.3 / 1e-4 and 0.7 / 1e-5 round to just below 23000 and 70000, by more
+        # than an absolute 1e-12
+        traj = integrate(CatenaryState(0, 0, 1, 0),
+                         CatenaryParams(alpha=1.0, step=step, smax=smax))
+        assert len(traj.states) == 2 * n_steps + 1
+        assert traj.s_range == (-n_steps * step, n_steps * step)
+
     def test_cutoff_at_y_min(self):
         traj = integrate(
             CatenaryState(0, 0, 0.2, 0),

@@ -10,10 +10,14 @@ from singmin.surfaces import (
     curvature_report,
     cylinder_patch,
     fd_jet_oracle,
+    grid_csv,
     jet_deviation,
     plane_patch,
     sphere_patch,
+    stencil_fits,
+    valid_curvature,
 )
+from singmin.surfaces.patches import cylindrical_patch
 
 from conftest import collect
 
@@ -79,3 +83,37 @@ def test_curvature_report_table_holds_the_valid_samples():
     assert list(table) == ["u", "v", "E", "F", "G", "L", "M", "N", "H", "K", "k1", "k2"]
     assert {c.shape for c in table.values()} == {(16,)}
     assert 0.0 < doc["fd_max_deviation"] < 1e-5
+
+
+def _flat_then_curved(u):
+    """The curve ``(w^3, 0, w^4)``, ``w = max(u - 1.7, 0)``: still, so not
+    immersed, up to u = 1.7."""
+    w = np.maximum(u - 1.7, 0.0)
+    zero = np.zeros(u.shape)
+    gamma = np.stack([w ** 3, zero, w ** 4], axis=-1)
+    return gamma, lambda: (np.stack([3 * w ** 2, zero, 4 * w ** 3], axis=-1),
+                           np.stack([6 * w, zero, 12 * w ** 2], axis=-1))
+
+
+def test_degenerate_block_beside_a_valid_block():
+    # rows 0-58 of the 70x70 grid have u <= 1.7, so the first row block
+    # (samples 0-4095) has no valid sample and the second has 770
+    patch = cylindrical_patch("flat-then-curved", _flat_then_curved, np.array([0.0, 1.0, 0.0]),
+                              (0.0, 2.0), (0.0, 1.0))
+    emitted = []
+    doc = curvature_report(patch, 70, 70, 1e-3,
+                           lambda table, start: emitted.append((start, table)))
+    assert [(start, len(table["u"])) for start, table in emitted] == [(0, 0), (4096, 770)]
+    # the whole grid as one batch: the valid samples alone
+    u, v = patch.grid(70, 70, 0, 4900)
+    jet = patch.jet(u, v)
+    keep, sample, counts = valid_curvature(jet)
+    fits = stencil_fits(patch, u, v, 1e-3) & keep
+    assert counts.tolist() == [0, 4130, 0]
+    assert doc["rejected_samples"] == {"degenerate_metric": 4130, "inconsistent_curvature": 0}
+    assert doc["fd_max_deviation"] == jet_deviation(
+        fd_jet_oracle(patch, u[fits], v[fits], 1e-3), jet[fits])
+    assert np.array_equal(emitted[1][1]["K"], sample.K)
+    text = "".join(grid_csv(table, start) for start, table in emitted)
+    assert text.startswith("u,v,E,F,G,L,M,N,H,K,k1,k2\n")
+    assert text.count("u,v,") == 1 and text.count("\n") == 771

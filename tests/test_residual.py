@@ -8,10 +8,12 @@ from singmin.errors import HalfspaceViolation, ParameterError
 from singmin.surfaces import (
     curvature_sample,
     cylinder_patch,
+    grid_csv,
     grid_report,
     plane_patch,
     smr_residual,
     sphere_patch,
+    valid_curvature,
 )
 
 from conftest import collect
@@ -155,3 +157,25 @@ def test_overflowing_metric_is_never_a_valid_sample():
         "no valid sample among 16: halfspace_violations=0, "
         "degenerate_metric=16, inconsistent_curvature=0"
     )
+
+
+def test_block_below_the_plane_beside_a_valid_block():
+    # rows 0-58 of the 70x70 grid lie below the plane, so the first row block
+    # (samples 0-4095) has no valid sample and the second has 770
+    patch = sphere_patch(r=1.0, center=(0.0, 0.0, -0.947))
+    emitted = []
+    doc = grid_report(patch, -2.0, A, 70, 70, lambda table, start: emitted.append((start, table)))
+    assert [(start, len(table["u"])) for start, table in emitted] == [(0, 0), (4096, 770)]
+    # the whole grid as one batch: the valid samples alone
+    keep, sample, counts = valid_curvature(patch.jet(*patch.grid(70, 70, 0, 4900)), A)
+    abs_res = np.abs(smr_residual(sample, -2.0, A))
+    assert counts.tolist() == [4130, 0, 0]
+    assert doc["halfspace_violations"] == 4130 and doc["valid_samples"] == 770
+    assert doc["rejected_samples"] == {"degenerate_metric": 0, "inconsistent_curvature": 0}
+    assert doc["max_abs_residual"] == abs_res.max()
+    assert doc["mean_abs_residual"] == np.mean(abs_res)
+    assert (doc["min_K"], doc["max_K"]) == (sample.K.min(), sample.K.max())
+    assert (doc["min_H"], doc["max_H"]) == (sample.H.min(), sample.H.max())
+    text = "".join(grid_csv(table, start) for start, table in emitted)
+    assert text.startswith("u,v,x,y,z,H,K,k1,k2,residual\n")
+    assert text.count("u,v,") == 1 and text.count("\n") == 771
