@@ -34,8 +34,10 @@ def trajectory_json(traj: Trajectory, csv: str, start: int) -> str:
     tail with the last block."""
     if start == 0:
         csv = csv.split("\n", 1)[1]  # past the header line
-    text = "".join(['    [\n      "' + row.replace(",", '",\n      "') + '"\n    ],\n'
-                    for row in csv.splitlines()])
+    # a block is rows of numbers, each ending in a line end; the line ends
+    # become NULs first, since the text between two rows holds a comma
+    rows = csv[:-1].replace("\n", "\0").replace(",", '",\n      "')
+    text = '    [\n      "' + rows.replace("\0", '"\n    ],\n    [\n      "') + '"\n    ]'
     doc = {
         "schema_version": 1,
         "alpha": fmt(traj.alpha),
@@ -47,10 +49,9 @@ def trajectory_json(traj: Trajectory, csv: str, start: int) -> str:
     head, tail = json.dumps(doc, indent=2, sort_keys=True).split('"points": null')
     if start == 0:
         text = head + '"points": [\n' + text
-    if start + ROW_BLOCK >= len(traj.states):
-        # the last row closes with "]" and no comma
-        text = text[:-2] + "\n  ]" + tail + "\n"
-    return text
+    if start + ROW_BLOCK < len(traj.states):
+        return text + ",\n"
+    return text + "\n  ]" + tail + "\n"  # the last row takes no comma
 
 
 def trajectory_blocks(traj: Trajectory) -> Iterator[tuple[str, str]]:

@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config",
         type=Path,
         default=None,
-        help="key = value file supplying defaults; flags override",
+        help="key = value file supplying defaults; a key's last line wins; flags override",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

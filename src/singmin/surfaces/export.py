@@ -107,7 +107,6 @@ def obj_mesh(patch, nu: int, nv: int, start: int) -> str:
     quads = np.arange(max(first, 0), min(first + ROW_BLOCK, (nu - 1) * (nv - 1)))
     # q is the 1-based id of vertex (i, j), the first corner of quad (i, j);
     # its other corners (i+1, j), (i+1, j+1), (i, j+1) follow from it
-    corners = quads // (nv - 1) * nv + quads % (nv - 1) + 1
-    faces = "".join([f"f {q} {q + nv} {q + nv + 1}\nf {q} {q + nv + 1} {q + 1}\n"
-                     for q in corners.tolist()])
-    return head + text + faces
+    q = quads // (nv - 1) * nv + quads % (nv - 1) + 1
+    faces = np.column_stack([q, q + nv, q + nv + 1, q, q + nv + 1, q + 1]).ravel().tolist()
+    return head + text + "f %d %d %d\nf %d %d %d\n" * len(q) % tuple(faces)

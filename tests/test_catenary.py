@@ -13,6 +13,7 @@ from singmin.catenary import (
     integrate,
     trajectory_csv,
 )
+from singmin.catenary.extrude import _field
 from singmin.catenary.ode import MAX_STEPS, _f
 from singmin.errors import ParameterError, SingularBoundaryError
 
@@ -42,6 +43,85 @@ class TestVectorField:
     def test_singular_boundary(self):
         with pytest.raises(SingularBoundaryError):
             _f(0.0, 0.0, 1.0)
+
+
+def reference_rk4(x, y, th, h, alpha):
+    """One classical RK4 step, each stage a call of ``ode._f``;
+    ``integrate``'s states must equal a march of these steps bit for bit."""
+    k1 = _f(y, th, alpha)
+    k2 = _f(y + 0.5 * h * k1[1], th + 0.5 * h * k1[2], alpha)
+    k3 = _f(y + 0.5 * h * k2[1], th + 0.5 * h * k2[2], alpha)
+    k4 = _f(y + h * k3[1], th + h * k3[2], alpha)
+    return (
+        x + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        y + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        th + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+    )
+
+
+def reference_march(init, params, sign):
+    """The (s, x, y, theta) rows of ``reference_rk4`` steps in one direction,
+    and what ended them: ``"smax"``, ``"y_min"`` or ``"stage"``."""
+    n_steps = int(math.floor(params.smax / params.step * (1.0 + 1e-12)))
+    rows = []
+    x, y, th = init.x, init.y, init.theta
+    for i in range(1, n_steps + 1):
+        try:
+            x, y, th = reference_rk4(x, y, th, sign * params.step, params.alpha)
+        except SingularBoundaryError:
+            return rows, "stage"
+        if y < params.y_min:
+            return rows, "y_min"
+        rows.append((init.s + sign * i * params.step, x, y, th))
+    return rows, "smax"
+
+
+@pytest.mark.parametrize(
+    "alpha,y0,theta0,step,y_min,ends,n_states",
+    [
+        (1.3, 1.0, 0.0, 1e-3, 1e-3, ("smax", "smax"), 20001),
+        (-2.0, 0.2, 0.0, 1e-3, 0.1, ("y_min", "y_min"), None),
+        # a stage lands past y = 0 while the last state is still far above
+        # y_min: stage 2 both ways; stage 2 forward, where stages 3 and 4 and
+        # the step would land above y = 0 again; stage 3 forward and stage 4
+        # backward; stage 4 both ways
+        (-2.0, 1.0, 0.0, 1e-2, 1e-9, ("stage", "stage"), 263),
+        (-3.0, 1.0, -1.0, 0.2, 1e-9, ("stage", "stage"), 15),
+        (-0.4, 1.0, -0.5, 0.1, 1e-9, ("stage", "stage"), None),
+        (-0.5, 1.0, 0.0, 1e-2, 1e-9, ("stage", "stage"), None),
+    ],
+    ids=["reaches-smax", "cut-at-y-min", "ended-by-stage-2", "ended-by-stage-2-alone",
+         "ended-by-stage-3", "ended-by-stage-4"],
+)
+def test_march_equals_reference_rk4_bit_for_bit(alpha, y0, theta0, step, y_min, ends, n_states):
+    init = CatenaryState(s=0.0, x=0.0, y=y0, theta=theta0)
+    params = CatenaryParams(alpha=alpha, step=step, smax=10.0, y_min=y_min)
+    (fwd, end_f), (bwd, end_b) = (reference_march(init, params, sign) for sign in (1.0, -1.0))
+    assert (end_f, end_b) == ends
+    expected = np.array(bwd[::-1] + [(0.0, 0.0, y0, theta0)] + fwd)
+    traj = integrate(init, params)
+    assert n_states in (None, len(traj.states))
+    assert traj.states.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert traj.termination == (TERM_SMAX if ends == ("smax", "smax") else TERM_YMIN)
+
+
+@pytest.mark.parametrize(
+    "alpha,y0,theta0",
+    [(1.3, 1.0, 0.0), (-1.5, 0.7, 0.0), (-0.5, 1.0, 1.0), (2.0, 1.0, math.pi / 2 - 1e-9),
+     (-1.0, 1.0, -math.pi / 2 + 1e-12)],
+    ids=["catenary", "hits-y-min", "tilted-start", "near-vertical", "near-vertical-negative"],
+)
+def test_scalar_and_vectorized_fields_agree_to_an_ulp(alpha, y0, theta0):
+    # ode._f, the scalar field of the RK4 stages, and extrude._field, its
+    # vectorized twin for the dense output and the extrusion: one field,
+    # written twice
+    traj = integrate(CatenaryState(0.0, 0.0, y0, theta0),
+                     CatenaryParams(alpha=alpha, step=1e-2, smax=10.0))
+    _, _, y, theta = traj.states.T
+    scalar = np.array([_f(yk, tk, alpha)
+                       for yk, tk in zip(y.tolist(), theta.tolist())]).T
+    for one, many in zip(scalar, _field(y, theta, alpha)):
+        assert (np.abs(one - many) <= np.spacing(np.maximum(np.abs(one), np.abs(many)))).all()
 
 
 class TestParams:

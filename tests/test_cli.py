@@ -194,6 +194,13 @@ def test_config_file_defaults_and_flag_override(tmp_path, monkeypatch):
     assert rc == 1
 
 
+def test_config_key_set_twice_takes_the_last_value(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("alpha = 1\nalpha = 2\n")
+    assert run(["--config", "run.cfg", "catenary", "--smax", "0.01", "--out", "t"]) == 0
+    assert json.loads((tmp_path / "t.json").read_text())["alpha"] == "2"
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 1\n")

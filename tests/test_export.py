@@ -158,8 +158,10 @@ def test_obj_mesh_across_blocks():
         (1.0, 1.0, 1.0, 1e-2, TERM_SMAX, 201),
         (-1.5, 0.7, 10.0, 1e-2, TERM_YMIN, 197),
         (1.0, 1.0, 3.0, 1e-3, TERM_SMAX, 6001),  # more than one ROW_BLOCK
+        (1.0, 1.0, 2.048, 1e-3, TERM_SMAX, ROW_BLOCK + 1),  # the last block holds one row
     ],
-    ids=["1.0-1.0-1.0-reached-smax", "-1.5-0.7-10.0-hit-y-min", "rows-past-a-block"],
+    ids=["1.0-1.0-1.0-reached-smax", "-1.5-0.7-10.0-hit-y-min", "rows-past-a-block",
+         "one-row-last-block"],
 )
 def test_trajectory_writers_match_cell_by_cell(alpha, y0, smax, step, termination, n_states):
     traj = trajectory(alpha, y0, smax, step)
