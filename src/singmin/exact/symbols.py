@@ -21,6 +21,9 @@ class Var(enum.IntEnum):
     G = 6       # gamma = <e1, a>, first tangential component of a
     M = 7       # mu = <e2, a>, second tangential component of a
     H0 = 8      # constant mean curvature
+    # A1, A2 name the same quantities as G, M.  They stay apart because
+    # theorem 3's checkpoints render a1/a2 and theorem 1's render g/m: folding
+    # them changes perfbench/golden_prove.json, so it waits for a benchmark change
     A1 = 9      # <e1, a>
     A2 = 10     # <e2, a>
     NA = 11     # <N, a>

@@ -4,13 +4,11 @@ from .context import (
     OP_E2,
     MissingRuleError,
     apply_derivation,
-    gauss_curvature_expr,
 )
 from .report import (
     MODE_EQUAL,
     MODE_FACTOR,
     MODE_ZERO,
-    Checkpoint,
     ProofReport,
     reports_to_json,
 )
@@ -27,7 +25,6 @@ def run_all() -> list[ProofReport]:
 
 
 __all__ = [
-    "Checkpoint",
     "MUTABLE_RULES",
     "MODE_EQUAL",
     "MODE_FACTOR",
@@ -38,7 +35,6 @@ __all__ = [
     "ProofReport",
     "THEOREMS",
     "apply_derivation",
-    "gauss_curvature_expr",
     "reports_to_json",
     "run_all",
     "run_theorem1",

@@ -1,13 +1,15 @@
-"""Formal derivation operators over the exact rational-function field.
+"""Formal derivation operators and the frame model the chains share.
 
 A chain's derivation context is its rule table, a plain
 ``dict[(op, Var), RationalExpr]`` with one rule per generator for each of the
-two frame derivatives ``E1``, ``E2``, applied through the chain rule.
-A table holds only frame rules: whatever a chain will solve (a tangential
-component, a second derivative) stands in it as a symbol, and ``resolve``
-substitutes the solved value once the chain has it.  ``flip`` negates one
-rule; the mutation tests use it to show that every rule matters.  The
-generator expressions the chains share are defined here once.
+two frame derivatives ``E1``, ``E2``, applied through the chain rule; each
+chain caches its table read-only and a run works on the copy ``flip`` makes.
+Every rule comes from ``frame_model``, the structure equations of a
+lines-of-curvature frame for the components of the fixed vector a, written
+once.  Whatever a chain will solve (a tangential component, a second
+derivative, <N,a>) stands in it as a symbol, and ``resolve`` substitutes the
+solved value once the chain has it.  ``flip`` negates one rule; the mutation
+tests use it to show that every rule matters.
 ``audit_factors`` checks recorded factors and denominators against a theorem's
 registry of expressions the argument assumes nonvanishing.
 """
@@ -90,15 +92,44 @@ def apply_derivation(expr: RationalExpr, op: str, rules: Rules) -> RationalExpr:
     return total
 
 
+def frame_keys(*generators: Var) -> tuple[tuple[str, Var], ...]:
+    """The keys (E1, v), (E2, v) of each generator v, in order."""
+    return tuple((op, v) for v in generators for op in (OP_E1, OP_E2))
+
+
+def connection(rules: Rules, kappa2: RationalExpr) -> tuple[RationalExpr, RationalExpr]:
+    """Codazzi: the coefficients of nabla_e1 e1 = p*e2 and nabla_e2 e2 = q*e1,
+    p = e2(k1)/(k1 - kappa2) and q = e1(kappa2)/(kappa2 - k1)."""
+    p = apply_derivation(K, OP_E2, rules) / (K - kappa2)
+    return p, apply_derivation(kappa2, OP_E1, rules) / (kappa2 - K)
+
+
 def gauss_curvature_expr(rules: Rules, kappa2: RationalExpr) -> RationalExpr:
-    """Gauss curvature of a lines-of-curvature frame from the two principal
-    curvatures k1 and ``kappa2`` and their frame derivatives."""
-    gap = K - kappa2
-    e1_k2 = apply_derivation(kappa2, OP_E1, rules)
-    e2_k1 = apply_derivation(K, OP_E2, rules)
-    t1 = apply_derivation(e1_k2 / gap, OP_E1, rules)
-    t2 = apply_derivation(e2_k1 / gap, OP_E2, rules)
-    return -t1 + t2 - (e1_k2 ** 2 + e2_k1 ** 2) / gap ** 2
+    """Gauss curvature as the connection form e2(p) + e1(q) - p^2 - q^2."""
+    p, q = connection(rules, kappa2)
+    return apply_derivation(p, OP_E2, rules) + apply_derivation(q, OP_E1, rules) - p ** 2 - q ** 2
+
+
+def normal_height(kappa2: RationalExpr) -> RationalExpr:
+    """<N,a> from the singular minimal surface equation H*w = alpha*<N,a>."""
+    return (K + kappa2) * W / AL
+
+
+def frame_model(kappa2: RationalExpr, a1: Var, a2: Var) -> Rules:
+    """The frame rules for principal curvatures k1 and ``kappa2``, with
+    ``a1``, ``a2`` the symbols of the tangential components <e_i,a>."""
+    g, m = RationalExpr.variable(a1), RationalExpr.variable(a2)
+    p, q = connection({(OP_E1, Var.K1): U1, (OP_E2, Var.K1): U2}, kappa2)
+    table = {  # generator: (E1 rule, E2 rule)
+        Var.K1: (U1, U2),
+        Var.W: (g, m),  # height
+        Var.NA: (-K * g, -kappa2 * m),  # Weingarten
+        a1: (p * m + K * NA, -q * m),  # Gauss
+        a2: (-p * g, q * g + kappa2 * NA),
+        Var.U1: (D11, D12 + p * U1 - q * U2),  # second derivatives, frame bracket
+        Var.U2: (D12, D22),
+    }
+    return dict(zip(frame_keys(*table), (rule for pair in table.values() for rule in pair)))
 
 
 def strip_registered(p: Polynomial, registry: tuple[Polynomial, ...]) -> Polynomial:

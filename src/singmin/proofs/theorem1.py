@@ -22,11 +22,11 @@ below.
 from __future__ import annotations
 
 import functools
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_2x2, solve_linear
-from .context import AL, C, D11, D12, D22, G, K, M, U1, U2, W
-from .context import OP_E1, OP_E2, Rules, apply_derivation, flip, gauss_curvature_expr, resolve
+from .context import AL, C, D11, D22, G, K, M, U1, U2, W, OP_E1, OP_E2, Rules, apply_derivation
+from .context import flip, frame_keys, frame_model, gauss_curvature_expr, normal_height, resolve
 from .report import ProofReport, Recorder, run_chain
 
 @functools.cache
@@ -135,25 +135,19 @@ def _registry_at(a0: int) -> tuple:
     return tuple(out)
 
 
-def build_context() -> Rules:
-    """Frame rules under constant nonzero Gauss curvature.
+#: the second principal curvature, c/k1 under Gauss curvature c
+KAPPA2 = C / K
 
-    The height's tangential components stand as the symbols g, m and the
-    second derivatives of k1 as d11, d12, d22 until the chain solves them.
-    """
-    return {
-        (OP_E1, Var.K1): U1,
-        (OP_E2, Var.K1): U2,
-        (OP_E1, Var.W): G,
-        (OP_E2, Var.W): M,
-        (OP_E1, Var.U1): D11,
-        (OP_E1, Var.U2): D12,
-        (OP_E2, Var.U2): D22,
-    }
+#: rule keys accepted by the mutation hook (sign flip of one rule): this
+#: chain reads every rule of the frame model
+MUTABLE_RULES = frame_keys(Var.K1, Var.W, Var.NA, Var.G, Var.M, Var.U1, Var.U2)
 
 
-#: rule keys accepted by the mutation hook (sign flip of one rule)
-MUTABLE_RULES = tuple(build_context())
+@functools.cache
+def build_context() -> MappingProxyType:
+    """Frame rules under constant nonzero Gauss curvature, with g, m for the
+    tangential components; built on first use and read-only (``flip`` copies)."""
+    return MappingProxyType(frame_model(KAPPA2, Var.G, Var.M))
 
 
 def run_theorem1(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
@@ -167,46 +161,38 @@ def run_theorem1(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
 
 def _chain(rec: Recorder, ctx: Rules) -> None:
     tg = targets()
-    # second principal curvature, normal height and connection coefficients
-    kappa2 = C / K
-    nh = (K ** 2 + C) / K * W / AL
-    om1 = K * U2 / (K ** 2 - C)
-    om2 = -C * U1 / (K * (K ** 2 - C))
+    nh = normal_height(KAPPA2)
 
-    # tangential components gamma, mu from the height-flux equations of the
-    # frame system, then substituted for g, m
+    # tangential components gamma, mu: the derivatives of <N,a> against its
+    # Weingarten rules
     flux_e1 = apply_derivation(nh, OP_E1, ctx)
     rec.exact_equal("height-flux-gradient-e1", flux_e1, tg.grad_height_e1)
     flux_e2 = apply_derivation(nh, OP_E2, ctx)
     rec.exact_equal("height-flux-gradient-e2", flux_e2, tg.grad_height_e2)
-    gamma = solve_linear(flux_e1 + G * K, Var.G)
+    gamma = solve_linear(flux_e1 - ctx[(OP_E1, Var.NA)], Var.G)
     rec.exact_equal("gamma-closed-form", gamma, tg.gamma)
-    mu = solve_linear(flux_e2 + M * kappa2, Var.M)
+    mu = solve_linear(flux_e2 - ctx[(OP_E2, Var.NA)], Var.M)
     rec.exact_equal("mu-closed-form", mu, tg.mu)
-    ctx = resolve(ctx, {Var.G: gamma, Var.M: mu})
 
     # Gauss identity with unresolved second derivatives, cleared to the
     # quadratic-form shape
-    bb_raw = gauss_curvature_expr(ctx, kappa2)
+    bb_raw = gauss_curvature_expr(ctx, KAPPA2)
     rec.exact_equal(
         "gauss-identity-quadratic-form",
         (bb_raw - C) * (K ** 2 - C) ** 2 / K ** 2,
         tg.gauss_quadratic,
     )
 
-    # second derivatives: equate the derivative of each closed form with the
-    # frame-system expression of the same quantity, solve, substitute
-    sol_e11 = solve_linear(
-        apply_derivation(gamma, OP_E1, ctx) - (mu * om1 + nh * K), Var.D11
-    )
+    # second derivatives: substitute gamma, mu and <N,a> (the Gauss identity
+    # reads none of them), equate the derivative of each closed form with the
+    # Gauss rule for the same quantity, solve, substitute
+    closed = {Var.G: gamma, Var.M: mu, Var.NA: nh}
+    ctx = resolve(ctx, closed)
+    sol_e11 = solve_linear(apply_derivation(gamma, OP_E1, ctx) - ctx[(OP_E1, Var.G)], Var.D11)
     rec.exact_equal("second-derivative-e1e1", sol_e11, tg.e11)
-    sol_e12 = solve_linear(
-        apply_derivation(mu, OP_E1, ctx) - (-gamma * om1), Var.D12
-    )
+    sol_e12 = solve_linear(apply_derivation(mu, OP_E1, ctx) - ctx[(OP_E1, Var.M)], Var.D12)
     rec.exact_equal("second-derivative-e1e2", sol_e12, tg.e12)
-    sol_e22 = solve_linear(
-        apply_derivation(mu, OP_E2, ctx) - (-gamma * om2 + nh * kappa2), Var.D22
-    )
+    sol_e22 = solve_linear(apply_derivation(mu, OP_E2, ctx) - ctx[(OP_E2, Var.M)], Var.D22)
     rec.exact_equal("second-derivative-e2e2", sol_e22, tg.e22)
 
     # the height cancels out of all three second derivatives
@@ -220,25 +206,14 @@ def _chain(rec: Recorder, ctx: Rules) -> None:
 
     ctx = resolve(ctx, {Var.D11: sol_e11, Var.D12: sol_e12, Var.D22: sol_e22})
 
-    # redundancy: all six frame-system equations vanish in the resolved
-    # context; the second equation needs e2(u1), supplied by torsion-freeness
-    # of the frame bracket
-    e2_u1 = ctx[(OP_E1, Var.U2)] + om1 * U1 + om2 * U2
-    ctx_red = {**ctx, (OP_E2, Var.U1): e2_u1}
-    frame_equations = (
-        apply_derivation(gamma, OP_E1, ctx_red) - mu * om1 - nh * K,
-        apply_derivation(gamma, OP_E2, ctx_red) - mu * om2,
-        apply_derivation(mu, OP_E1, ctx_red) + gamma * om1,
-        apply_derivation(mu, OP_E2, ctx_red) + gamma * om2 - nh * kappa2,
-        apply_derivation(nh, OP_E1, ctx_red) + gamma * K,
-        apply_derivation(nh, OP_E2, ctx_red) + mu * kappa2,
-    )
-    for i, eq in enumerate(frame_equations, start=1):
-        rec.exact_zero(f"frame-system-eq{i}", eq)
+    # redundancy: every frame rule for gamma, mu and <N,a> holds in the
+    # resolved table, e2(u1) by the frame bracket
+    for i, (op, v) in enumerate(frame_keys(*closed), start=1):
+        rec.exact_zero(f"frame-system-eq{i}", apply_derivation(closed[v], op, ctx) - ctx[(op, v)])
 
     # quadratic constraint: substitute the resolved second derivatives into
     # the cleared Gauss identity and normalize away the overall unit
-    bb_resolved = gauss_curvature_expr(ctx, kappa2)
+    bb_resolved = gauss_curvature_expr(ctx, KAPPA2)
     constraint = (bb_resolved - C) * (K ** 2 - C) ** 2 / K ** 2
     qa, qb, qr = collect_quadratic(constraint)
     rec.nonzero_factor("constraint-scalar-term", qr, tg.r1)

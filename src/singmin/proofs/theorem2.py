@@ -11,11 +11,11 @@ coefficients.
 from __future__ import annotations
 
 import functools
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_linear
-from .context import AL, C, D22, G, K, M, U1, U2, W
-from .context import OP_E1, OP_E2, Rules, apply_derivation, flip, gauss_curvature_expr, resolve
+from .context import AL, C, D22, K, U1, U2, W, OP_E1, OP_E2, Rules, apply_derivation, flip
+from .context import frame_keys, frame_model, gauss_curvature_expr, normal_height, resolve
 from .report import ProofReport, Recorder, run_chain
 
 
@@ -55,16 +55,18 @@ REGISTRY = tuple(
 )
 
 
-def build_context() -> Rules:
-    """Frame rules under a constant second principal curvature; g, m and d22
-    stand for what the chain solves."""
-    return {
-        (OP_E1, Var.K1): U1,
-        (OP_E2, Var.K1): U2,
-        (OP_E1, Var.W): G,
-        (OP_E2, Var.W): M,
-        (OP_E2, Var.U2): D22,
-    }
+#: the second principal curvature is the constant c
+KAPPA2 = C
+
+#: rule keys accepted by the mutation hook: the frame rules this chain reads
+MUTABLE_RULES = frame_keys(Var.K1, Var.W, Var.NA) + ((OP_E2, Var.M), (OP_E2, Var.U2))
+
+
+@functools.cache
+def build_context() -> MappingProxyType:
+    """Frame rules under a constant second principal curvature, with g, m."""
+    rules = frame_model(KAPPA2, Var.G, Var.M)
+    return MappingProxyType({key: rules[key] for key in MUTABLE_RULES})
 
 
 def run_theorem2(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
@@ -78,32 +80,30 @@ def run_theorem2(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
 
 def _chain(rec: Recorder, ctx: Rules) -> None:
     tg = targets()
-    # the second principal curvature is the constant c
-    kappa2 = C
-    nh = (K + C) * W / AL
+    nh = normal_height(KAPPA2)
 
-    # tangential components from the height-flux equations, substituted for g, m
-    gamma = solve_linear(apply_derivation(nh, OP_E1, ctx) + G * K, Var.G)
+    # tangential components from the Weingarten rules for <N,a>, substituted
+    # for g, m with <N,a> itself
+    gamma = solve_linear(apply_derivation(nh, OP_E1, ctx) - ctx[(OP_E1, Var.NA)], Var.G)
     rec.exact_equal("gamma-closed-form", gamma, tg.gamma)
-    mu = solve_linear(apply_derivation(nh, OP_E2, ctx) + M * kappa2, Var.M)
+    mu = solve_linear(apply_derivation(nh, OP_E2, ctx) - ctx[(OP_E2, Var.NA)], Var.M)
     rec.exact_equal("mu-closed-form", mu, tg.mu)
-    ctx = resolve(ctx, {Var.G: gamma, Var.M: mu})
+    ctx = resolve(ctx, {Var.G: gamma, Var.M: mu, Var.NA: nh})
 
-    # e2(mu) two ways: differentiating the closed form vs the frame system
+    # e2(mu) two ways: differentiating the closed form vs its Gauss rule
     e2_mu = apply_derivation(mu, OP_E2, ctx)
     rec.exact_equal("mu-gradient-e2", e2_mu, tg.e2_mu_differentiated)
-    frame_value = C * W * (C + K) / AL
-    sol_e22 = solve_linear(e2_mu - frame_value, Var.D22)
+    sol_e22 = solve_linear(e2_mu - ctx[(OP_E2, Var.M)], Var.D22)
     rec.exact_equal("second-derivative-e2e2", sol_e22, tg.e22)
 
     # Gauss identity with the unresolved second derivative
-    bb_raw = gauss_curvature_expr(ctx, kappa2)
+    bb_raw = gauss_curvature_expr(ctx, KAPPA2)
     rec.exact_equal("gauss-identity-display", bb_raw, tg.gauss_display)
 
     ctx = resolve(ctx, {Var.D22: sol_e22})
 
     # insert the resolved second derivative; one relation in u2^2 remains
-    reduced = gauss_curvature_expr(ctx, kappa2) - C * K
+    reduced = gauss_curvature_expr(ctx, KAPPA2) - C * K
     rec.nonzero_factor("reduced-gauss-identity", reduced, tg.reduced_identity)
 
     # branch alpha = -2: the relation collapses to an explicit quadratic

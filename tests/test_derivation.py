@@ -1,7 +1,14 @@
-"""Derivation rule tables: rule dispatch, linearity, Leibniz, audits."""
+"""Derivation rule tables: rule dispatch, linearity, Leibniz, audits, and
+the frame model they are built from."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
+import singmin
 from singmin.exact import RationalExpr, Var
 from singmin.proofs import (
     OP_E1,
@@ -9,7 +16,15 @@ from singmin.proofs import (
     MissingRuleError,
     apply_derivation,
 )
-from singmin.proofs.context import audit_factors, flip, resolve, strip_registered
+from singmin.proofs import theorem1, theorem2, theorem3
+from singmin.proofs.context import (
+    audit_factors,
+    flip,
+    frame_model,
+    gauss_curvature_expr,
+    resolve,
+    strip_registered,
+)
 from singmin.proofs.theorem1 import REGISTRY, build_context, targets
 
 from conftest import rational_exprs
@@ -59,12 +74,12 @@ def test_resolve_substitutes_solved_symbols_into_a_copy():
 
 def test_missing_rule_names_operator_and_symbol():
     with pytest.raises(MissingRuleError) as err:
-        apply_derivation(RationalExpr.variable(Var.NA), OP_E1, CTX)
+        apply_derivation(RationalExpr.variable(Var.A1), OP_E1, CTX)
     assert err.value.op == OP_E1
-    assert err.value.var == Var.NA
+    assert err.value.var == Var.A1
     with pytest.raises(MissingRuleError):
-        # no e2(u1) rule on the base context
-        apply_derivation(U1, OP_E2, CTX)
+        # no rule for the unresolved second derivative d11 on the base context
+        apply_derivation(RationalExpr.variable(Var.D11), OP_E2, CTX)
 
 
 def test_missing_rule_on_an_empty_table():
@@ -82,7 +97,7 @@ def test_flip_negates_one_rule_of_a_copy():
     assert {k: v for k, v in flipped.items() if k != (OP_E1, Var.W)} == {
         k: v for k, v in CTX.items() if k != (OP_E1, Var.W)
     }
-    for key in (None, (OP_E2, Var.U1)):
+    for key in (None, (OP_E2, Var.D11)):
         same = flip(CTX, key)
         assert same == CTX and same is not CTX
 
@@ -121,3 +136,53 @@ def test_audit_factor_flags_unregistered():
         "unregistered denominator factor: 2*alpha + 3",
     )
     assert audit_factors((), numerator=bad.num) == ()
+
+
+def reference_gauss_curvature(rules, kappa2):
+    """The Gauss curvature as the chains wrote it before the connection form,
+    kept as a test-only reference."""
+    gap = K - kappa2
+    e1_k2 = apply_derivation(kappa2, OP_E1, rules)
+    e2_k1 = apply_derivation(K, OP_E2, rules)
+    t1 = apply_derivation(e1_k2 / gap, OP_E1, rules)
+    t2 = apply_derivation(e2_k1 / gap, OP_E2, rules)
+    return -t1 + t2 - (e1_k2 ** 2 + e2_k1 ** 2) / gap ** 2
+
+
+@pytest.mark.parametrize("module,kappa2", [(theorem1, C / K), (theorem2, C)],
+                         ids=["theorem1", "theorem2"])
+def test_connection_form_equals_the_reference_gauss_curvature(module, kappa2):
+    # e2(p) + e1(q) - p^2 - q^2 is the reference exactly, on the chain's
+    # table and on each of its sign flips
+    assert module.KAPPA2 == kappa2
+    for key in (None, *module.MUTABLE_RULES):
+        rules = flip(module.build_context(), key)
+        assert gauss_curvature_expr(rules, kappa2) == reference_gauss_curvature(rules, kappa2)
+
+
+@pytest.mark.parametrize("module", [theorem1, theorem2, theorem3],
+                         ids=["theorem1", "theorem2", "theorem3"])
+def test_each_table_is_the_frame_model_on_its_mutable_keys(module):
+    a1, a2 = (Var.A1, Var.A2) if module is theorem3 else (Var.G, Var.M)
+    model = frame_model(module.KAPPA2, a1, a2)
+    assert tuple(module.build_context()) == module.MUTABLE_RULES
+    assert module.build_context() == {key: model[key] for key in module.MUTABLE_RULES}
+    # the cached table is shared, so it is read-only; a mutant changes a copy
+    with pytest.raises(TypeError):
+        module.build_context()[module.MUTABLE_RULES[0]] = W
+
+
+def test_theorem1_reads_the_whole_frame_model():
+    assert tuple(frame_model(theorem1.KAPPA2, Var.G, Var.M)) == theorem1.MUTABLE_RULES
+
+
+def test_tables_are_built_on_first_use_not_at_import():
+    code = (
+        "import singmin.cli\n"
+        "from singmin.proofs import theorem1, theorem2, theorem3\n"
+        "print([m.build_context.cache_info().currsize for m in (theorem1, theorem2, theorem3)])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(singmin.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[0, 0, 0]"

@@ -279,11 +279,13 @@ def test_substitute_numbers():
 
 
 def _cold_run_all(monkeypatch):
-    """run_all() with the targets caches cleared and an empty gcd memo; the
-    memo it fills is returned."""
+    """run_all() with the targets and rule-table caches cleared and an empty
+    gcd memo; the memo it fills is returned."""
     from singmin.exact import poly as poly_module
-    from singmin.proofs import run_all, theorem1, theorem2
+    from singmin.proofs import run_all, theorem1, theorem2, theorem3
 
+    for module in (theorem1, theorem2, theorem3):
+        module.build_context.cache_clear()
     theorem1.targets.cache_clear()
     theorem2.targets.cache_clear()
     memo: dict = {}
