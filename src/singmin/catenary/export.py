@@ -78,7 +78,10 @@ def load_trajectory_json(path: Path) -> Trajectory:
         raise ParameterError(f"trajectory file {path} has no {exc} key") from None
     except (ValueError, TypeError) as exc:
         raise ParameterError(f"trajectory file {path} is malformed: {exc}") from None
-    # the Trajectory refuses fewer than two states before any state is read
+    if len(points) < 2:
+        raise ParameterError(
+            f"trajectory file {path} has fewer than two states (got {len(points)})"
+        )
     traj = Trajectory(
         alpha=alpha, states=np.ascontiguousarray(points[..., :4]), step=step,
         termination=termination,

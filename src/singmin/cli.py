@@ -110,8 +110,9 @@ def _vec(text: str) -> tuple[float, float, float]:
 
 def _pair(text: str) -> tuple[float, float]:
     lo, hi = _floats(text, "lo,hi")
-    if not lo < hi:
-        raise argparse.ArgumentTypeError(f"expected lo < hi — got {text!r}")
+    # a width that overflows to inf would put nan and inf among the samples
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise argparse.ArgumentTypeError(f"expected lo < hi with a finite hi - lo — got {text!r}")
     return lo, hi
 
 

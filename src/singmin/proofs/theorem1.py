@@ -218,29 +218,25 @@ def _chain(rec: Recorder, ctx: Rules) -> None:
     qa, qb, qr = collect_quadratic(constraint)
     rec.nonzero_factor("constraint-scalar-term", qr, tg.r1)
     unit = qr / tg.r1
-    rec.exact_equal("constraint-coeff-u1sq", qa / unit, tg.p1, factor=unit)
-    rec.exact_equal("constraint-coeff-u2sq", qb / unit, tg.q1, factor=unit)
-
-    pe1 = tg.p1 * U1 ** 2 + tg.q1 * U2 ** 2 + tg.r1
+    p1, q1, r1 = qa / unit, qb / unit, qr / unit
+    rec.exact_equal("constraint-coeff-u1sq", p1, tg.p1, factor=unit)
+    rec.exact_equal("constraint-coeff-u2sq", q1, tg.q1, factor=unit)
+    pe1 = constraint / unit
 
     # derived constraint: differentiate along e1, pull out the exact u1 factor
-    dpe1 = apply_derivation(pe1, OP_E1, ctx)
-    pe2_cofactor = dpe1 / U1
+    pe2 = apply_derivation(pe1, OP_E1, ctx) / U1
     rec.exact_zero(
         "derived-constraint-u1-divisibility",
-        RationalExpr.from_number(pe2_cofactor.den.degree_in(Var.U1)),
+        RationalExpr.from_number(pe2.den.degree_in(Var.U1)),
         note="the e1-derivative carries an exact u1 factor",
     )
-    da, db, dr = collect_quadratic(pe2_cofactor)
-    rec.exact_equal("derived-constraint-coeff-u1sq", da, tg.p2)
-    rec.exact_equal("derived-constraint-coeff-u2sq", db, tg.q2)
-    rec.exact_equal("derived-constraint-scalar-term", dr, tg.r2)
-
-    pe2 = tg.p2 * U1 ** 2 + tg.q2 * U2 ** 2 + tg.r2
+    p2, q2, r2 = collect_quadratic(pe2)
+    rec.exact_equal("derived-constraint-coeff-u1sq", p2, tg.p2)
+    rec.exact_equal("derived-constraint-coeff-u2sq", q2, tg.q2)
+    rec.exact_equal("derived-constraint-scalar-term", r2, tg.r2)
 
     # determinant of the constraint pair
-    det = tg.p1 * tg.q2 - tg.p2 * tg.q1
-    rec.nonzero_factor("constraint-pair-determinant", det, tg.determinant)
+    rec.nonzero_factor("constraint-pair-determinant", p1 * q2 - p2 * q1, tg.determinant)
 
     # degenerate branch alpha^2 = 4: the u-terms cancel and the remainder is
     # an explicit nonzero polynomial
@@ -249,8 +245,7 @@ def _chain(rec: Recorder, ctx: Rules) -> None:
         (2, tg.branch_plus2, "branch-alpha-plus-2"),
     ):
         sub = {Var.ALPHA: RationalExpr.from_number(a0)}
-        comb = (tg.p2 * pe1 - tg.p1 * pe2).substitute(sub)
-        ca, cb, cr = collect_quadratic(comb)
+        ca, cb, cr = collect_quadratic((p2 * pe1 - p1 * pe2).substitute(sub))
         rec.exact_zero(f"{label}-u1sq-cancels", ca)
         rec.exact_zero(f"{label}-u2sq-cancels", cb)
         rec.nonzero_factor(
@@ -261,33 +256,26 @@ def _chain(rec: Recorder, ctx: Rules) -> None:
         )
 
     # generic branch: solve the pair for the squared gradients
-    z1, z2, _ = solve_2x2(
-        tg.p1 * U1 + tg.q1 * U2 + tg.r1,
-        tg.p2 * U1 + tg.q2 * U2 + tg.r2,
-        (Var.U1, Var.U2),
-    )
+    z1, z2, _ = solve_2x2(p1 * U1 + q1 * U2 + r1, p2 * U1 + q2 * U2 + r2, (Var.U1, Var.U2))
     rec.exact_equal("solved-gradient-sq-e1", z1, tg.z1)
     rec.exact_equal("solved-gradient-sq-e2", z2, tg.z2)
     # both constraints vanish at u1^2 = z1, u2^2 = z2
-    rec.exact_zero("solution-residual-first", tg.p1 * z1 + tg.q1 * z2 + tg.r1)
-    rec.exact_zero("solution-residual-second", tg.p2 * z1 + tg.q2 * z2 + tg.r2)
+    rec.exact_zero("solution-residual-first", p1 * z1 + q1 * z2 + r1)
+    rec.exact_zero("solution-residual-second", p2 * z1 + q2 * z2 + r2)
 
     # differentiate the first solved square along e1 once more; the resolved
     # e11 value must agree, forcing the final polynomial
-    fa, fb, fr = collect_quadratic(tg.e11)
-    final = 2 * (fa * tg.z1 + fb * tg.z2 + fr) - tg.z1.partial(Var.K1)
+    fa, fb, fr = collect_quadratic(sol_e11)
+    final = 2 * (fa * z1 + fb * z2 + fr) - z1.partial(Var.K1)
     rec.nonzero_factor("final-curvature-polynomial", final, tg.final_polynomial)
 
     # flat branch u1 = 0: the e11 equation pins u2^2, and differentiating it
     # along e2 must agree with the frame value of e22
     flat_u2sq = solve_linear(fb * U2 + fr, Var.U2)
     rec.exact_equal("flat-branch-u2sq", flat_u2sq, tg.flat_u2sq)
-    flat_diff = tg.flat_u2sq.partial(Var.K1) / 2
+    flat_diff = flat_u2sq.partial(Var.K1) / 2
     rec.exact_equal("flat-branch-e2e2-from-derivative", flat_diff, tg.flat_e22_derivative)
-    ga, gb, gr = collect_quadratic(tg.e22)
-    flat_frame = gb * tg.flat_u2sq + gr
+    _, gb, gr = collect_quadratic(sol_e22)
+    flat_frame = gb * flat_u2sq + gr
     rec.exact_equal("flat-branch-e2e2-from-frame", flat_frame, tg.flat_e22_frame)
-    rec.nonzero_factor(
-        "flat-branch-polynomial", flat_diff - flat_frame, tg.flat_polynomial
-    )
-
+    rec.nonzero_factor("flat-branch-polynomial", flat_diff - flat_frame, tg.flat_polynomial)

@@ -117,11 +117,9 @@ def _chain(rec: Recorder, ctx: Rules) -> None:
 
     # differentiate along e2 (then simplified by u2), and compare with the
     # resolved second derivative evaluated on the solved square
-    rec.exact_equal(
-        "gradient-sq-derivative", tg.u2sq.partial(Var.K1), tg.u2sq_derivative
-    )
+    u2sq_diff = u2sq.partial(Var.K1)
+    rec.exact_equal("gradient-sq-derivative", u2sq_diff, tg.u2sq_derivative)
     ea, eb, er = collect_quadratic(sol_e22)
     rec.exact_zero("second-derivative-u1-free", ea)
-    frame_e22 = eb * tg.u2sq + er
-    final = tg.u2sq.partial(Var.K1) / 2 - frame_e22
+    final = u2sq_diff / 2 - (eb * u2sq + er)
     rec.nonzero_factor("final-curvature-polynomial", final, tg.final_polynomial)

@@ -417,6 +417,7 @@ def test_extrude_malformed_trajectory_is_usage_error(tmp_path, capsys, text, mes
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert str(traj) in err
 
 
 @pytest.mark.parametrize(
@@ -706,7 +707,7 @@ def test_unusable_path_is_usage_error(tmp_path, capsys, make_args):
     assert str(tmp_path) in err
 
 
-@pytest.mark.parametrize("t_range", ["1,1", "1,-1"])
+@pytest.mark.parametrize("t_range", ["1,1", "1,-1", "-1e308,1e308"])
 def test_extrude_t_range_must_increase(tmp_path, capsys, t_range):
     out = tmp_path / "e"
     args = ["extrude", "--alpha", "1", "--smax", "0.5", "--nu", "3", "--nv", "3",

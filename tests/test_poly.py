@@ -312,7 +312,7 @@ def test_gcd_work_per_cold_run_all_is_bounded(monkeypatch):
     monkeypatch.setattr(poly_module, "_gcd_primitive", counted)
     memo = _cold_run_all(monkeypatch)
     assert calls <= 600
-    assert len(memo) == 186
+    assert len(memo) == 184
 
 
 def test_gcd_memo_holds_what_a_recomputation_gives(monkeypatch):
