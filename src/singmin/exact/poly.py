@@ -552,7 +552,8 @@ def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial
                     power += 1
                 if rest.is_zero() and digits:
                     cand = primitive(_join(digits, v))
-                    if divides(cand, f) and divides(cand, g):
+                    # a constant primitive candidate is 1, which divides both
+                    if cand.is_one() or divides(cand, f) and divides(cand, g):
                         return cand * c
         xi = xi * 73794 // 27011 + attempt + 1
     return None

@@ -10,10 +10,16 @@ once.  Whatever a chain will solve (a tangential component, a second
 derivative, <N,a>) stands in it as a symbol, and ``resolve`` substitutes the
 solved value once the chain has it.  ``flip`` negates one rule; the mutation
 tests use it to show that every rule matters.
+``Lazy`` holds named values that are built on their first read, so a chain
+(a sign-flip mutant stopping early included) pays only for the targets and
+rules it reads.
 ``audit_factors`` checks recorded factors and denominators against a theorem's
 registry of expressions the argument assumes nonvanishing.
 """
 from __future__ import annotations
+
+import functools
+from typing import Callable
 
 from ..exact import RationalExpr, Var
 from ..exact.errors import AlgebraError
@@ -115,21 +121,56 @@ def normal_height(kappa2: RationalExpr) -> RationalExpr:
     return (K + kappa2) * W / AL
 
 
-def frame_model(kappa2: RationalExpr, a1: Var, a2: Var) -> Rules:
-    """The frame rules for principal curvatures k1 and ``kappa2``, with
-    ``a1``, ``a2`` the symbols of the tangential components <e_i,a>."""
+def frame_model(
+    kappa2: RationalExpr, a1: Var, a2: Var, keys: tuple[tuple[str, Var], ...]
+) -> Rules:
+    """The frame rules on ``keys`` for principal curvatures k1 and ``kappa2``,
+    with ``a1``, ``a2`` the symbols of the tangential components <e_i,a>.
+
+    Only the rules on ``keys`` are built, and the Codazzi connection only if
+    one of them reads it."""
     g, m = RationalExpr.variable(a1), RationalExpr.variable(a2)
-    p, q = connection({(OP_E1, Var.K1): U1, (OP_E2, Var.K1): U2}, kappa2)
-    table = {  # generator: (E1 rule, E2 rule)
-        Var.K1: (U1, U2),
-        Var.W: (g, m),  # height
-        Var.NA: (-K * g, -kappa2 * m),  # Weingarten
-        a1: (p * m + K * NA, -q * m),  # Gauss
-        a2: (-p * g, q * g + kappa2 * NA),
-        Var.U1: (D11, D12 + p * U1 - q * U2),  # second derivatives, frame bracket
-        Var.U2: (D12, D22),
+    pq = functools.cache(
+        lambda: connection({(OP_E1, Var.K1): U1, (OP_E2, Var.K1): U2}, kappa2)
+    )
+    table = {  # generator: builders of its (E1 rule, E2 rule); pq() is (p, q)
+        Var.K1: (lambda: U1, lambda: U2),
+        Var.W: (lambda: g, lambda: m),  # height
+        Var.NA: (lambda: -K * g, lambda: -kappa2 * m),  # Weingarten
+        a1: (lambda: pq()[0] * m + K * NA, lambda: -pq()[1] * m),  # Gauss
+        a2: (lambda: -pq()[0] * g, lambda: pq()[1] * g + kappa2 * NA),
+        # second derivatives, frame bracket
+        Var.U1: (lambda: D11, lambda: D12 + pq()[0] * U1 - pq()[1] * U2),
+        Var.U2: (lambda: D12, lambda: D22),
     }
-    return dict(zip(frame_keys(*table), (rule for pair in table.values() for rule in pair)))
+    build = dict(zip(frame_keys(*table), (rule for pair in table.values() for rule in pair)))
+    return {key: build[key]() for key in keys}
+
+
+class Lazy:
+    """Named values, each built by its zero-argument builder on the first read
+    of its attribute and kept from then on (a later read is a plain attribute
+    lookup)."""
+
+    def __init__(self, **builders: Callable[[], RationalExpr]):
+        self._builders = builders
+
+    def __getattr__(self, name: str) -> RationalExpr:
+        try:
+            build = self._builders[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        value = build()
+        setattr(self, name, value)
+        return value
+
+    def names(self) -> tuple[str, ...]:
+        """Every name, in the order the builders were given."""
+        return tuple(self._builders)
+
+    def built(self) -> tuple[str, ...]:
+        """The names read so far, in the order the builders were given."""
+        return tuple(name for name in self._builders if name in vars(self))
 
 
 def strip_registered(p: Polynomial, registry: tuple[Polynomial, ...]) -> Polynomial:

@@ -39,12 +39,15 @@ class Checkpoint:
     note: str = ""
 
     def to_dict(self) -> dict:
+        computed = None if self.computed is None else render(self.computed)
+        # equal canonical pairs render alike, so a passing equality renders once
+        expected = computed if self.expected == self.computed else render(self.expected)
         return {
             "name": self.name,
             "mode": self.mode,
             "status": "pass" if self.passed else "fail",
-            "computed": None if self.computed is None else render(self.computed),
-            "expected": None if self.expected is None else render(self.expected),
+            "computed": computed,
+            "expected": expected,
             "factor": None if self.factor is None else render(self.factor),
             "flags": list(self.flags),
             "note": self.note,

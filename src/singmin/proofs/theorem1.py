@@ -22,64 +22,69 @@ below.
 from __future__ import annotations
 
 import functools
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_2x2, solve_linear
-from .context import AL, C, D11, D22, G, K, M, U1, U2, W, OP_E1, OP_E2, Rules, apply_derivation
-from .context import flip, frame_keys, frame_model, gauss_curvature_expr, normal_height, resolve
+from .context import AL, C, D11, D22, G, K, M, U1, U2, W, OP_E1, OP_E2, Lazy, Rules
+from .context import apply_derivation, flip, frame_keys, frame_model, gauss_curvature_expr
+from .context import normal_height, resolve
 from .report import ProofReport, Recorder, run_chain
 
-@functools.cache
-def targets() -> SimpleNamespace:
-    """The expected expression of every checkpoint of this chain, by name."""
-    a, c, k = AL, C, K
-    A = (a + 1) * k ** 2 + c
-    B = k ** 2 + (a + 1) * c
-    m1 = (
-        (a + 1) * (a ** 2 - 4) * k ** 8
-        - (a * (a * (4 * a + 11) + 16) + 12) * k ** 6 * c
-        + (a * (a * (7 * a + 13) + 4) - 12) * k ** 4 * c ** 2
-        + (a * (a * (4 * a * (a + 5) + 39) + 16) - 4) * k ** 2 * c ** 3
-        + 2 * a ** 2 * (a + 1) * (a + 3) * c ** 4
-    )
-    m2 = (
-        -(a * (5 * a + 8) + 4) * k ** 4
-        + 2 * (a * (a * (2 * a + 5) - 4) - 4) * k ** 2 * c
-        + (a * (a * (2 * a + 15) + 24) - 4) * c ** 2
-    )
-    denom = a ** 2 * (a ** 2 - 4) * (k ** 2 - c) ** 3
 
-    return SimpleNamespace(
-        gamma=W * (c - k ** 2) * U1 / (k * A),
-        mu=W * (c - k ** 2) * U2 / (k * B),
-        grad_height_e1=(k ** 2 - c) / (a * k ** 2) * W * U1 + G * (k ** 2 + c) / (a * k),
-        grad_height_e2=(k ** 2 - c) / (a * k ** 2) * W * U2 + M * (k ** 2 + c) / (a * k),
-        gauss_quadratic=(
+@functools.cache
+def targets() -> Lazy:
+    """The expected expression of every checkpoint of this chain, by name,
+    each built on its first read."""
+    a, c, k = AL, C, K
+    s = Lazy(  # sub-expressions several targets share
+        A=lambda: (a + 1) * k ** 2 + c,
+        B=lambda: k ** 2 + (a + 1) * c,
+        m1=lambda: (
+            (a + 1) * (a ** 2 - 4) * k ** 8
+            - (a * (a * (4 * a + 11) + 16) + 12) * k ** 6 * c
+            + (a * (a * (7 * a + 13) + 4) - 12) * k ** 4 * c ** 2
+            + (a * (a * (4 * a * (a + 5) + 39) + 16) - 4) * k ** 2 * c ** 3
+            + 2 * a ** 2 * (a + 1) * (a + 3) * c ** 4
+        ),
+        m2=lambda: (
+            -(a * (5 * a + 8) + 4) * k ** 4
+            + 2 * (a * (a * (2 * a + 5) - 4) - 4) * k ** 2 * c
+            + (a * (a * (2 * a + 15) + 24) - 4) * c ** 2
+        ),
+        denom=lambda: a ** 2 * (a ** 2 - 4) * (k ** 2 - c) ** 3,
+    )
+    return Lazy(
+        gamma=lambda: W * (c - k ** 2) * U1 / (k * s.A),
+        mu=lambda: W * (c - k ** 2) * U2 / (k * s.B),
+        grad_height_e1=lambda: (k ** 2 - c) / (a * k ** 2) * W * U1 + G * (k ** 2 + c) / (a * k),
+        grad_height_e2=lambda: (k ** 2 - c) / (a * k ** 2) * W * U2 + M * (k ** 2 + c) / (a * k),
+        gauss_quadratic=lambda: (
             c * (k ** 2 - c) / k ** 3 * D11
             + (k ** 2 - c) / k * D22
             - 3 * c / k ** 2 * U1 ** 2
             - (2 * k ** 2 + c) / k ** 2 * U2 ** 2
             - c * (k ** 2 - c) ** 2 / k ** 2
         ),
-        e11=(
-            (a + 2) * k * (k ** 2 - 3 * c) / ((k ** 2 - c) * A) * U1 ** 2
-            + k * A / ((k ** 2 - c) * B) * U2 ** 2
-            - k * (k ** 2 + c) * A / (a * (k ** 2 - c))
+        e11=lambda: (
+            (a + 2) * k * (k ** 2 - 3 * c) / ((k ** 2 - c) * s.A) * U1 ** 2
+            + k * s.A / ((k ** 2 - c) * s.B) * U2 ** 2
+            - k * (k ** 2 + c) * s.A / (a * (k ** 2 - c))
         ),
-        e12=(2 * k / B + 3 * k / (c - k ** 2) - 2 * c / (k * A) + 2 / k) * U1 * U2,
-        e22=(
-            c * B / (k * (k ** 2 - c) * A) * U1 ** 2
-            + (-2 * k ** 4 + (a + 6) * k ** 2 * c + a * c ** 2) / (k * (c - k ** 2) * B) * U2 ** 2
-            - c * (k ** 2 + c) * B / (a * k * (k ** 2 - c))
+        e12=lambda: (2 * k / s.B + 3 * k / (c - k ** 2) - 2 * c / (k * s.A) + 2 / k) * U1 * U2,
+        e22=lambda: (
+            c * s.B / (k * (k ** 2 - c) * s.A) * U1 ** 2
+            + (-2 * k ** 4 + (a + 6) * k ** 2 * c + a * c ** 2)
+            / (k * (c - k ** 2) * s.B) * U2 ** 2
+            - c * (k ** 2 + c) * s.B / (a * k * (k ** 2 - c))
         ),
-        p1=(a * k ** 2 + (a + 4) * c) / A,
-        q1=((a + 4) * k ** 2 + a * c) / B,
-        r1=k ** 4 + (k ** 2 + c) ** 2 / a + c ** 2,
-        p2=(
+        p1=lambda: (a * k ** 2 + (a + 4) * c) / s.A,
+        q1=lambda: ((a + 4) * k ** 2 + a * c) / s.B,
+        r1=lambda: k ** 4 + (k ** 2 + c) ** 2 / a + c ** 2,
+        p2=lambda: (
             2 * (a + 2) * k * (a * k ** 4 + (2 - 3 * a) * k ** 2 * c - 2 * (a + 5) * c ** 2)
-            / ((k ** 2 - c) * A ** 2)
+            / ((k ** 2 - c) * s.A ** 2)
         ),
-        q2=(
+        q2=lambda: (
             2 * (a + 2) * k
             * (
                 2 * (a + 1) * k ** 6
@@ -87,24 +92,26 @@ def targets() -> SimpleNamespace:
                 - (3 * a ** 2 + 12 * a + 10) * k ** 2 * c ** 2
                 - a * (2 * a + 3) * c ** 3
             )
-            / ((k ** 2 - c) * B ** 2 * A)
+            / ((k ** 2 - c) * s.B ** 2 * s.A)
         ),
-        r2=(
+        r2=lambda: (
             2 * (a + 2) * k ** 5 - 8 * (a + 1) * k ** 3 * c - 2 * (a + 6) * c ** 2 * k
         ) / (a * (k ** 2 - c)),
-        determinant=(a ** 2 - 4) * k * (k ** 2 - c) ** 3,
-        branch_minus2=8 * c * k,
-        branch_plus2=8 * c * k * (-5 * k ** 4 + 6 * k ** 2 * c + 15 * c ** 2),
-        z1=-m1 * A / denom,
-        z2=m2 * c * B ** 2 / denom,
-        final_polynomial=k ** 2 * B * ((a + 4) * k ** 2 + a * c),
-        flat_u2sq=(k ** 2 + c) * B / a,
-        flat_e22_derivative=(2 * k ** 3 + (2 + a) * c * k) / a,
-        flat_e22_frame=(
+        determinant=lambda: (a ** 2 - 4) * k * (k ** 2 - c) ** 3,
+        branch_minus2=lambda: 8 * c * k,
+        branch_plus2=lambda: 8 * c * k * (-5 * k ** 4 + 6 * k ** 2 * c + 15 * c ** 2),
+        z1=lambda: -s.m1 * s.A / s.denom,
+        z2=lambda: s.m2 * c * s.B ** 2 / s.denom,
+        final_polynomial=lambda: k ** 2 * s.B * ((a + 4) * k ** 2 + a * c),
+        flat_u2sq=lambda: (k ** 2 + c) * s.B / a,
+        flat_e22_derivative=lambda: (2 * k ** 3 + (2 + a) * c * k) / a,
+        flat_e22_frame=lambda: (
             (k ** 2 + c) * (2 * k ** 4 - (a + 7) * k ** 2 * c - (2 * a + 1) * c ** 2)
             / (a * k * (k ** 2 - c))
         ),
-        flat_polynomial=(2 * a + 5) * k ** 4 + 2 * (a + 3) * k ** 2 * c + (2 * a + 1) * c ** 2,
+        flat_polynomial=lambda: (
+            (2 * a + 5) * k ** 4 + 2 * (a + 3) * k ** 2 * c + (2 * a + 1) * c ** 2
+        ),
     )
 
 
@@ -147,7 +154,7 @@ MUTABLE_RULES = frame_keys(Var.K1, Var.W, Var.NA, Var.G, Var.M, Var.U1, Var.U2)
 def build_context() -> MappingProxyType:
     """Frame rules under constant nonzero Gauss curvature, with g, m for the
     tangential components; built on first use and read-only (``flip`` copies)."""
-    return MappingProxyType(frame_model(KAPPA2, Var.G, Var.M))
+    return MappingProxyType(frame_model(KAPPA2, Var.G, Var.M, MUTABLE_RULES))
 
 
 def run_theorem1(flip_rule: tuple[str, Var] | None = None) -> ProofReport:

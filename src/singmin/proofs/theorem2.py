@@ -11,41 +11,42 @@ coefficients.
 from __future__ import annotations
 
 import functools
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
 from ..exact import RationalExpr, Var, collect_quadratic, solve_linear
-from .context import AL, C, D22, K, U1, U2, W, OP_E1, OP_E2, Rules, apply_derivation, flip
-from .context import frame_keys, frame_model, gauss_curvature_expr, normal_height, resolve
+from .context import AL, C, D22, K, U1, U2, W, OP_E1, OP_E2, Lazy, Rules, apply_derivation
+from .context import flip, frame_keys, frame_model, gauss_curvature_expr, normal_height, resolve
 from .report import ProofReport, Recorder, run_chain
 
 
 @functools.cache
-def targets() -> SimpleNamespace:
-    """The expected expression of every checkpoint of this chain, by name."""
+def targets() -> Lazy:
+    """The expected expression of every checkpoint of this chain, by name,
+    each built on its first read."""
     a, c, k = AL, C, K
-    bc = (a + 1) * c + k
-    return SimpleNamespace(
-        gamma=-U1 * W / (c + (1 + a) * k),
-        mu=-U2 * W / bc,
-        e2_mu_differentiated=-W / bc * D22 + 2 * W / bc ** 2 * U2 ** 2,
-        e22=bc * (2 * U2 ** 2 / bc ** 2 - c * (c + k) / a),
-        gauss_display=D22 / (k - c) - 2 * U2 ** 2 / (k - c) ** 2,
-        reduced_identity=(
+    s = Lazy(bc=lambda: (a + 1) * c + k)  # a sub-expression several targets share
+    return Lazy(
+        gamma=lambda: -U1 * W / (c + (1 + a) * k),
+        mu=lambda: -U2 * W / s.bc,
+        e2_mu_differentiated=lambda: -W / s.bc * D22 + 2 * W / s.bc ** 2 * U2 ** 2,
+        e22=lambda: s.bc * (2 * U2 ** 2 / s.bc ** 2 - c * (c + k) / a),
+        gauss_display=lambda: D22 / (k - c) - 2 * U2 ** 2 / (k - c) ** 2,
+        reduced_identity=lambda: (
             (c - k) * (a * (c ** 2 + k ** 2) + (c + k) ** 2) / a
-            - 2 * (a + 2) * U2 ** 2 / bc
+            - 2 * (a + 2) * U2 ** 2 / s.bc
         ),
-        branch_minus2=(c + k) ** 2 - 2 * (c ** 2 + k ** 2),
-        u2sq=(
-            (c - k) * bc * ((a + 1) * c ** 2 + 2 * c * k + (a + 1) * k ** 2)
+        branch_minus2=lambda: (c + k) ** 2 - 2 * (c ** 2 + k ** 2),
+        u2sq=lambda: (
+            (c - k) * s.bc * ((a + 1) * c ** 2 + 2 * c * k + (a + 1) * k ** 2)
             / (2 * a * (a + 2))
         ),
-        u2sq_derivative=(
+        u2sq_derivative=lambda: (
             (-(a ** 2) + a + 2) * c ** 3
             + 2 * (a - 1) * a * c ** 2 * k
             - 3 * (a ** 2 + a + 2) * c * k ** 2
             - 4 * (a + 1) * k ** 3
         ) / (2 * a * (a + 2)),
-        final_polynomial=-(a - 1) * k ** 2 + 2 * (a + 1) * c * k + (a + 1) * c ** 2,
+        final_polynomial=lambda: -(a - 1) * k ** 2 + 2 * (a + 1) * c * k + (a + 1) * c ** 2,
     )
 
 
@@ -65,8 +66,7 @@ MUTABLE_RULES = frame_keys(Var.K1, Var.W, Var.NA) + ((OP_E2, Var.M), (OP_E2, Var
 @functools.cache
 def build_context() -> MappingProxyType:
     """Frame rules under a constant second principal curvature, with g, m."""
-    rules = frame_model(KAPPA2, Var.G, Var.M)
-    return MappingProxyType({key: rules[key] for key in MUTABLE_RULES})
+    return MappingProxyType(frame_model(KAPPA2, Var.G, Var.M, MUTABLE_RULES))
 
 
 def run_theorem2(flip_rule: tuple[str, Var] | None = None) -> ProofReport:

@@ -25,8 +25,7 @@ MUTABLE_RULES = frame_keys(Var.W, Var.NA)
 @functools.cache
 def build_context() -> MappingProxyType:
     """Frame rules with a1, a2 for the tangential components."""
-    rules = frame_model(KAPPA2, Var.A1, Var.A2)
-    return MappingProxyType({key: rules[key] for key in MUTABLE_RULES})
+    return MappingProxyType(frame_model(KAPPA2, Var.A1, Var.A2, MUTABLE_RULES))
 
 
 def run_theorem3(flip_rule: tuple[str, Var] | None = None) -> ProofReport:

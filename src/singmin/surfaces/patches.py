@@ -48,7 +48,8 @@ def as_vec(v, name: str = "vector") -> np.ndarray:
 
 def unit_vec(v, name: str = "direction") -> np.ndarray:
     arr = as_vec(v, name)
-    n = np.sqrt(dot(arr, arr))
+    with np.errstate(over="ignore"):  # a huge component gives |v| = inf, refused below
+        n = np.sqrt(dot(arr, arr))
     if not abs(n - 1.0) <= UNIT_TOL:
         raise ParameterError(f"{name} must be a unit vector (|{name}| = {n:.12g})")
     return arr / n

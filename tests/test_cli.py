@@ -2,11 +2,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
+import singmin
 import singmin.cli
 from singmin.cli import main
 from singmin.surfaces import sphere_patch
@@ -324,6 +329,24 @@ def test_curve_that_cannot_be_integrated_is_usage_error(tmp_path, monkeypatch, c
     assert run([command, *curve]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [(["extrude", "--alpha", "1", "--smax", "2", "--v", "1e308,1e308,0", "--nu", "3", "--nv", "3"],
+      "v"),
+     (["residual", "--alpha", "-2", "--a", "1e308,1e308,0"], "a"),
+     (["residual", "--alpha", "-2", "--patch", "cylinder", "--axis", "1e308,1e308,0"], "axis")],
+    ids=["v", "a", "axis"],
+)
+def test_huge_vector_is_one_error_line(tmp_path, args, name):
+    # |v|^2 overflows to inf; numpy must not print its overflow warning first
+    env = {**os.environ, "PYTHONPATH": str(Path(singmin.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "singmin", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {name} must be a unit vector (|{name}| = inf)\n"
     assert not list(tmp_path.iterdir())
 
 

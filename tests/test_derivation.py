@@ -20,6 +20,7 @@ from singmin.proofs import theorem1, theorem2, theorem3
 from singmin.proofs.context import (
     audit_factors,
     flip,
+    frame_keys,
     frame_model,
     gauss_curvature_expr,
     resolve,
@@ -160,20 +161,38 @@ def test_connection_form_equals_the_reference_gauss_curvature(module, kappa2):
         assert gauss_curvature_expr(rules, kappa2) == reference_gauss_curvature(rules, kappa2)
 
 
+def _all_frame_keys(a1, a2):
+    return frame_keys(Var.K1, Var.W, Var.NA, a1, a2, Var.U1, Var.U2)
+
+
 @pytest.mark.parametrize("module", [theorem1, theorem2, theorem3],
                          ids=["theorem1", "theorem2", "theorem3"])
 def test_each_table_is_the_frame_model_on_its_mutable_keys(module):
+    # the model on a chain's keys holds exactly those rules, each equal to the
+    # whole 14-rule model's rule on the same key
     a1, a2 = (Var.A1, Var.A2) if module is theorem3 else (Var.G, Var.M)
-    model = frame_model(module.KAPPA2, a1, a2)
+    full = frame_model(module.KAPPA2, a1, a2, _all_frame_keys(a1, a2))
+    model = frame_model(module.KAPPA2, a1, a2, module.MUTABLE_RULES)
+    assert tuple(model) == module.MUTABLE_RULES
+    assert model == {key: full[key] for key in module.MUTABLE_RULES}
     assert tuple(module.build_context()) == module.MUTABLE_RULES
-    assert module.build_context() == {key: model[key] for key in module.MUTABLE_RULES}
+    assert module.build_context() == model
     # the cached table is shared, so it is read-only; a mutant changes a copy
     with pytest.raises(TypeError):
         module.build_context()[module.MUTABLE_RULES[0]] = W
 
 
 def test_theorem1_reads_the_whole_frame_model():
-    assert tuple(frame_model(theorem1.KAPPA2, Var.G, Var.M)) == theorem1.MUTABLE_RULES
+    assert theorem1.MUTABLE_RULES == _all_frame_keys(Var.G, Var.M)
+
+
+def test_height_and_weingarten_rules_need_no_connection(monkeypatch):
+    # theorem 3 keeps only these four, so its table never computes p and q
+    from singmin.proofs import context
+
+    monkeypatch.setattr(context, "connection", lambda *a: pytest.fail("connection was computed"))
+    rules = frame_model(theorem3.KAPPA2, Var.A1, Var.A2, theorem3.MUTABLE_RULES)
+    assert tuple(rules) == frame_keys(Var.W, Var.NA)
 
 
 def test_tables_are_built_on_first_use_not_at_import():

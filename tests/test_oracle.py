@@ -78,6 +78,22 @@ _X = Polynomial.variable(VARS[0])
 _Y = Polynomial.variable(VARS[1])
 
 
+@given(polynomials(**SMALL), polynomials(**SMALL), polynomials(**SMALL), polynomials(**SMALL))
+@example(f=_K ** 2 - _C, g=_X + 1, h=_K ** 2 + _C, k=_X - 1)
+@settings(**COMMON)
+def test_gcd_of_coprime_products_matches_sympy(f, g, h, k):
+    # the gcd of coprime products is a unit up to integer content: the
+    # heuristic reconstructs the candidate 1 and returns it without a trial
+    # division; the memo is emptied so that path runs on every draw
+    a, b = f * g, h * k
+    assume(sympy.gcd(to_sympy(a), to_sympy(b)).is_ground)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "_GCD_MEMO", {})
+        check_gcd(a, b)
+        if not (a.is_zero() or b.is_zero()):
+            assert poly_gcd(poly_module.primitive(a), poly_module.primitive(b)).is_one()
+
+
 @pytest.mark.parametrize("f,g", [
     # Knuth, TAOCP vol. 2, section 4.6.1: degrees 8, 6, 4, 2, 1, 0
     (_X ** 8 + _X ** 6 - 3 * _X ** 4 - 3 * _X ** 3 + 8 * _X ** 2 + 2 * _X - 5,

@@ -23,6 +23,8 @@ from singmin.exact.poly import (
     unpack_monomial,
 )
 
+from replay_cost import replay_cost
+
 
 def P(v: Var) -> Polynomial:
     return Polynomial.variable(v)
@@ -294,25 +296,17 @@ def _cold_run_all(monkeypatch):
     return memo
 
 
-def test_gcd_work_per_cold_run_all_is_bounded(monkeypatch):
+def test_gcd_work_per_cold_run_all_is_bounded():
     # a canonical sum or product is built without a second full gcd, and a
     # constant argument never reaches _gcd_primitive; the counts are exact and
     # repeat from run to run (3,300 calls before either short-cut).  Each memo
     # miss adds one entry, so the memo's size is the number of gcds computed.
-    from singmin.exact import poly as poly_module
-
-    calls = 0
-    inner = poly_module._gcd_primitive
-
-    def counted(f, g):
-        nonlocal calls
-        calls += 1
-        return inner(f, g)
-
-    monkeypatch.setattr(poly_module, "_gcd_primitive", counted)
-    memo = _cold_run_all(monkeypatch)
-    assert calls <= 600
-    assert len(memo) == 184
+    # A reconstructed heuristic candidate of 1 is returned without the two
+    # trial divisions (982 before that short-cut).
+    gcd = replay_cost("run_all")["gcd"]
+    assert gcd["calls"] <= 600
+    assert gcd["computed"] == 184
+    assert gcd["trial_divisions"] == 448
 
 
 def test_gcd_memo_holds_what_a_recomputation_gives(monkeypatch):
