@@ -10,9 +10,10 @@ once.  Whatever a chain will solve (a tangential component, a second
 derivative, <N,a>) stands in it as a symbol, and ``resolve`` substitutes the
 solved value once the chain has it.  ``flip`` negates one rule; the mutation
 tests use it to show that every rule matters.
-``Lazy`` holds named values that are built on their first read, so a chain
-(a sign-flip mutant stopping early included) pays only for the targets and
-rules it reads.
+``Lazy`` is a mapping whose values are built on their first read; a chain's
+expected values sit in one, keyed by checkpoint name, so a chain (a sign-flip
+mutant stopping early included) pays only for the expected values and rules
+it reads.
 ``audit_factors`` checks recorded factors and denominators against a theorem's
 registry of expressions the argument assumes nonvanishing.
 """
@@ -147,30 +148,17 @@ def frame_model(
     return {key: build[key]() for key in keys}
 
 
-class Lazy:
-    """Named values, each built by its zero-argument builder on the first read
-    of its attribute and kept from then on (a later read is a plain attribute
-    lookup)."""
+class Lazy(dict):
+    """Named values, each built by its zero-argument builder in ``builders``
+    on its first read and stored from then on, so the keys present are the
+    names read so far."""
 
-    def __init__(self, **builders: Callable[[], RationalExpr]):
-        self._builders = builders
+    def __init__(self, builders: dict[str, Callable[[], RationalExpr]]):
+        self.builders = builders
 
-    def __getattr__(self, name: str) -> RationalExpr:
-        try:
-            build = self._builders[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        value = build()
-        setattr(self, name, value)
+    def __missing__(self, name: str) -> RationalExpr:
+        value = self[name] = self.builders[name]()
         return value
-
-    def names(self) -> tuple[str, ...]:
-        """Every name, in the order the builders were given."""
-        return tuple(self._builders)
-
-    def built(self) -> tuple[str, ...]:
-        """The names read so far, in the order the builders were given."""
-        return tuple(name for name in self._builders if name in vars(self))
 
 
 def strip_registered(p: Polynomial, registry: tuple[Polynomial, ...]) -> Polynomial:

@@ -2,16 +2,18 @@
 
 Every verified identity becomes a named ``Checkpoint`` in one of three modes:
 ``exact-zero``, ``exact-equal``, or ``equal-up-to-nonzero-factor`` (the factor
-must be a nonzero expression free of the gradient and height symbols and is
-always recorded).  A chain stops at its first failed checkpoint; the report
-carries whatever was established up to that point.  ``run_chain`` is the one
-runner the theorem chains share.
+must be a nonzero expression in the constants and k1 alone and is always
+recorded).  A chain passes each checkpoint its name and computed value; the
+``Recorder`` looks up the expected value by that name in the theorem's table.
+A chain stops at its first failed checkpoint; the report carries whatever was
+established up to that point.  ``run_chain`` is the one runner the theorem
+chains share.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from ..exact import RationalExpr, Var, render
 from ..exact.errors import AlgebraError
@@ -24,7 +26,9 @@ MODE_FACTOR = "equal-up-to-nonzero-factor"
 
 REPORT_SCHEMA_VERSION = 2
 
-_FACTOR_FORBIDDEN = (Var.U1, Var.U2, Var.W, Var.G, Var.M)
+#: the symbols a nonzero factor may hold: the constants and k1, never a
+#: quantity that can vanish on the surface
+_FACTOR_ALLOWED = frozenset({Var.ALPHA, Var.C, Var.H0, Var.K1})
 
 
 @dataclass
@@ -103,11 +107,15 @@ class ChainAborted(Exception):
 
 
 class Recorder:
-    """Collects checkpoints; aborts the chain on the first failure."""
+    """Collects checkpoints; aborts the chain on the first failure.
 
-    def __init__(self, registry: tuple[Polynomial, ...] = ()):
+    ``expected`` maps each checkpoint name to its expected value, so a chain
+    passes only what it computed."""
+
+    def __init__(self, registry: tuple[Polynomial, ...], expected: Mapping[str, RationalExpr]):
         self.checkpoints: list[Checkpoint] = []
         self.registry = registry
+        self.expected = expected
 
     def _add(self, cp: Checkpoint) -> None:
         self.checkpoints.append(cp)
@@ -127,12 +135,9 @@ class Recorder:
         )
 
     def exact_equal(
-        self,
-        name: str,
-        computed: RationalExpr,
-        expected: RationalExpr,
-        factor: Optional[RationalExpr] = None,
+        self, name: str, computed: RationalExpr, factor: Optional[RationalExpr] = None
     ) -> None:
+        expected = self.expected[name]
         flags = audit_factors(self.registry, denominator=computed.den)
         self._add(
             Checkpoint(
@@ -150,11 +155,12 @@ class Recorder:
         self,
         name: str,
         computed: RationalExpr,
-        expected: RationalExpr,
         extra_registry: tuple[Polynomial, ...] = (),
-    ) -> None:
-        """Pass iff computed == factor * expected with factor nonzero and free
-        of the gradient/height symbols; the factor is recorded."""
+    ) -> Optional[RationalExpr]:
+        """Pass iff computed == factor * expected with factor nonzero and
+        built from constants and k1 alone; the factor is recorded and
+        returned."""
+        expected = self.expected[name]
         factor, flags, note = None, (), ""
         if computed.is_zero():
             note = "computed expression is identically zero"
@@ -164,7 +170,7 @@ class Recorder:
             factor = computed / expected
             registry = self.registry + extra_registry
             flags = audit_factors(registry, numerator=factor.num, denominator=factor.den)
-            if not factor.free_of(*_FACTOR_FORBIDDEN):
+            if not _FACTOR_ALLOWED.issuperset(factor.variables()):
                 note = "factor involves gradient or height symbols"
         self._add(
             Checkpoint(
@@ -178,29 +184,30 @@ class Recorder:
                 note=note,
             )
         )
-
-    def error(self, name: str, message: str) -> None:
-        self.checkpoints.append(
-            Checkpoint(name=name, mode=MODE_ZERO, passed=False, note=message)
-        )
+        return factor
 
 
 def run_chain(
     theorem: str,
     chain: Callable[[Recorder], None],
-    registry: tuple[Polynomial, ...] = (),
+    registry: tuple[Polynomial, ...],
+    expected: Mapping[str, RationalExpr],
 ) -> ProofReport:
-    """Run one checkpoint chain against a fresh Recorder.
+    """Run one checkpoint chain against a fresh Recorder holding the
+    theorem's registry and expected values.
 
     The chain stops at its first failed checkpoint.  An algebra error (a
     ``MissingRuleError`` included) becomes a failed ``chain-error`` checkpoint
     that names it, so every outcome is a report.
     """
-    rec = Recorder(registry)
+    rec = Recorder(registry, expected)
     try:
         chain(rec)
     except ChainAborted:
         pass
     except AlgebraError as exc:
-        rec.error("chain-error", f"{type(exc).__name__}: {exc}")
+        note = f"{type(exc).__name__}: {exc}"
+        rec.checkpoints.append(
+            Checkpoint(name="chain-error", mode=MODE_ZERO, passed=False, note=note)
+        )
     return ProofReport(theorem=theorem, checkpoints=rec.checkpoints)

@@ -21,33 +21,35 @@ from .report import ProofReport, Recorder, run_chain
 
 @functools.cache
 def targets() -> Lazy:
-    """The expected expression of every checkpoint of this chain, by name,
-    each built on its first read."""
+    """The expected value of every checkpoint of this chain, by checkpoint
+    name, each built on its first read."""
     a, c, k = AL, C, K
-    s = Lazy(bc=lambda: (a + 1) * c + k)  # a sub-expression several targets share
-    return Lazy(
-        gamma=lambda: -U1 * W / (c + (1 + a) * k),
-        mu=lambda: -U2 * W / s.bc,
-        e2_mu_differentiated=lambda: -W / s.bc * D22 + 2 * W / s.bc ** 2 * U2 ** 2,
-        e22=lambda: s.bc * (2 * U2 ** 2 / s.bc ** 2 - c * (c + k) / a),
-        gauss_display=lambda: D22 / (k - c) - 2 * U2 ** 2 / (k - c) ** 2,
-        reduced_identity=lambda: (
+    s = Lazy({"bc": lambda: (a + 1) * c + k})  # a sub-expression several values share
+    return Lazy({
+        "gamma-closed-form": lambda: -U1 * W / (c + (1 + a) * k),
+        "mu-closed-form": lambda: -U2 * W / s["bc"],
+        "mu-gradient-e2": lambda: -W / s["bc"] * D22 + 2 * W / s["bc"] ** 2 * U2 ** 2,
+        "second-derivative-e2e2": lambda: s["bc"] * (2 * U2 ** 2 / s["bc"] ** 2 - c * (c + k) / a),
+        "gauss-identity-display": lambda: D22 / (k - c) - 2 * U2 ** 2 / (k - c) ** 2,
+        "reduced-gauss-identity": lambda: (
             (c - k) * (a * (c ** 2 + k ** 2) + (c + k) ** 2) / a
-            - 2 * (a + 2) * U2 ** 2 / s.bc
+            - 2 * (a + 2) * U2 ** 2 / s["bc"]
         ),
-        branch_minus2=lambda: (c + k) ** 2 - 2 * (c ** 2 + k ** 2),
-        u2sq=lambda: (
-            (c - k) * s.bc * ((a + 1) * c ** 2 + 2 * c * k + (a + 1) * k ** 2)
+        "branch-alpha-minus-2": lambda: (c + k) ** 2 - 2 * (c ** 2 + k ** 2),
+        "gradient-sq-e2": lambda: (
+            (c - k) * s["bc"] * ((a + 1) * c ** 2 + 2 * c * k + (a + 1) * k ** 2)
             / (2 * a * (a + 2))
         ),
-        u2sq_derivative=lambda: (
+        "gradient-sq-derivative": lambda: (
             (-(a ** 2) + a + 2) * c ** 3
             + 2 * (a - 1) * a * c ** 2 * k
             - 3 * (a ** 2 + a + 2) * c * k ** 2
             - 4 * (a + 1) * k ** 3
         ) / (2 * a * (a + 2)),
-        final_polynomial=lambda: -(a - 1) * k ** 2 + 2 * (a + 1) * c * k + (a + 1) * c ** 2,
-    )
+        "final-curvature-polynomial": lambda: (
+            -(a - 1) * k ** 2 + 2 * (a + 1) * c * k + (a + 1) * c ** 2
+        ),
+    })
 
 
 # expressions the argument assumes nonvanishing
@@ -75,51 +77,51 @@ def run_theorem2(flip_rule: tuple[str, Var] | None = None) -> ProofReport:
         "theorem-2-constant-principal-curvature",
         lambda rec: _chain(rec, rules),
         REGISTRY,
+        targets(),
     )
 
 
 def _chain(rec: Recorder, ctx: Rules) -> None:
-    tg = targets()
     nh = normal_height(KAPPA2)
 
     # tangential components from the Weingarten rules for <N,a>, substituted
     # for g, m with <N,a> itself
     gamma = solve_linear(apply_derivation(nh, OP_E1, ctx) - ctx[(OP_E1, Var.NA)], Var.G)
-    rec.exact_equal("gamma-closed-form", gamma, tg.gamma)
+    rec.exact_equal("gamma-closed-form", gamma)
     mu = solve_linear(apply_derivation(nh, OP_E2, ctx) - ctx[(OP_E2, Var.NA)], Var.M)
-    rec.exact_equal("mu-closed-form", mu, tg.mu)
+    rec.exact_equal("mu-closed-form", mu)
     ctx = resolve(ctx, {Var.G: gamma, Var.M: mu, Var.NA: nh})
 
     # e2(mu) two ways: differentiating the closed form vs its Gauss rule
     e2_mu = apply_derivation(mu, OP_E2, ctx)
-    rec.exact_equal("mu-gradient-e2", e2_mu, tg.e2_mu_differentiated)
+    rec.exact_equal("mu-gradient-e2", e2_mu)
     sol_e22 = solve_linear(e2_mu - ctx[(OP_E2, Var.M)], Var.D22)
-    rec.exact_equal("second-derivative-e2e2", sol_e22, tg.e22)
+    rec.exact_equal("second-derivative-e2e2", sol_e22)
 
     # Gauss identity with the unresolved second derivative
     bb_raw = gauss_curvature_expr(ctx, KAPPA2)
-    rec.exact_equal("gauss-identity-display", bb_raw, tg.gauss_display)
+    rec.exact_equal("gauss-identity-display", bb_raw)
 
     ctx = resolve(ctx, {Var.D22: sol_e22})
 
     # insert the resolved second derivative; one relation in u2^2 remains
     reduced = gauss_curvature_expr(ctx, KAPPA2) - C * K
-    rec.nonzero_factor("reduced-gauss-identity", reduced, tg.reduced_identity)
+    rec.nonzero_factor("reduced-gauss-identity", reduced)
 
     # branch alpha = -2: the relation collapses to an explicit quadratic
     minus2 = reduced.substitute({Var.ALPHA: RationalExpr.from_number(-2)})
-    rec.nonzero_factor("branch-alpha-minus-2", minus2, tg.branch_minus2)
+    rec.nonzero_factor("branch-alpha-minus-2", minus2)
 
     # generic branch: solve for u2^2
     _, qb, qr = collect_quadratic(reduced)
     u2sq = solve_linear(qb * U2 + qr, Var.U2)
-    rec.exact_equal("gradient-sq-e2", u2sq, tg.u2sq)
+    rec.exact_equal("gradient-sq-e2", u2sq)
 
     # differentiate along e2 (then simplified by u2), and compare with the
     # resolved second derivative evaluated on the solved square
     u2sq_diff = u2sq.partial(Var.K1)
-    rec.exact_equal("gradient-sq-derivative", u2sq_diff, tg.u2sq_derivative)
+    rec.exact_equal("gradient-sq-derivative", u2sq_diff)
     ea, eb, er = collect_quadratic(sol_e22)
     rec.exact_zero("second-derivative-u1-free", ea)
     final = u2sq_diff / 2 - (eb * u2sq + er)
-    rec.nonzero_factor("final-curvature-polynomial", final, tg.final_polynomial)
+    rec.nonzero_factor("final-curvature-polynomial", final)

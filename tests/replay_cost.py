@@ -4,8 +4,9 @@
 
 runs one op with the process-wide caches (the targets, the rule tables and
 the gcd memo) empty, and prints one JSON object: the op's wall time, the
-targets each theorem has built by its end, and the gcd counters (calls of
-``_gcd_primitive``, gcds computed, trial divisions made by ``_gcdheu``).
+checkpoint names whose expected value each theorem has built by its end (in
+the order built), and the gcd counters (calls of ``_gcd_primitive``, gcds
+computed, trial divisions made by ``_gcdheu``).
 ``run_all`` is one ``run_all()``; ``mutants`` is the sweep of sign-flip
 mutants that the benchmark's ``proof-replay`` workload times (``MUTANTS`` in
 ``perfbench/run.py``).  With PROVE_JSON, ``singmin prove --json PROVE_JSON``
@@ -83,8 +84,8 @@ def _measure(op: str, prove_json: str | None) -> dict:
     result = {
         "op": op,
         "wall_s": time.perf_counter() - start,
-        "built": {name: list(m.targets().built()) for name, m in
-                  (("theorem1", theorem1), ("theorem2", theorem2))},
+        "built": {name: list(m.targets()) for name, m in
+                  (("theorem1", theorem1), ("theorem2", theorem2), ("theorem3", theorem3))},
         "gcd": {**counts, "computed": len(memo)},
     }
     if prove_json is not None:

@@ -61,7 +61,7 @@ def test_tangential_component_of_height_gradient():
 
 
 def test_resolve_substitutes_solved_symbols_into_a_copy():
-    gamma, mu = targets().gamma, targets().mu
+    gamma, mu = targets()["gamma-closed-form"], targets()["mu-closed-form"]
     flipped = flip(CTX, (OP_E1, Var.W))
     got = resolve(flipped, {Var.G: gamma, Var.M: mu})
     assert flipped[(OP_E1, Var.W)] == -G

@@ -141,7 +141,7 @@ _MODULES = {"theorem1": theorem1, "theorem2": theorem2, "theorem3": theorem3}
 def _computed(chain, rule=None):
     """Each checkpoint's rendered computed value, the chain run to its end."""
     module = _MODULES[chain]
-    rec = _RecordAll()
+    rec = _RecordAll((), module.targets())
     module._chain(rec, flip(module.build_context(), rule))
     return {cp.name: render(cp.computed) for cp in rec.checkpoints}
 

@@ -288,8 +288,7 @@ def _cold_run_all(monkeypatch):
 
     for module in (theorem1, theorem2, theorem3):
         module.build_context.cache_clear()
-    theorem1.targets.cache_clear()
-    theorem2.targets.cache_clear()
+        module.targets.cache_clear()
     memo: dict = {}
     monkeypatch.setattr(poly_module, "_GCD_MEMO", memo)
     run_all()

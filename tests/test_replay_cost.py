@@ -1,10 +1,11 @@
 """The proof replay builds only what its checkpoints read.
 
-A target is built on its first read and kept, so the benchmark's sign-flip
-mutants, which stop at checkpoints 1-7, build only the targets those
-checkpoints compare against, and a value does not depend on when (or in which
-order) it was built.
+An expected value is built on its first read and kept, under its
+checkpoint's name, so the benchmark's sign-flip mutants, which stop at
+checkpoints 1-7, build only the values those checkpoints compare against, and
+a value does not depend on when (or in which order) it was built.
 """
+import copy
 import json
 import os
 import subprocess
@@ -14,57 +15,27 @@ from pathlib import Path
 import pytest
 
 import singmin
-from singmin.exact import RationalExpr, Var, render
-from singmin.proofs import theorem1, theorem2
+from singmin.exact import render
+from singmin.proofs import MODE_ZERO, theorem1, theorem2, theorem3
 
 from replay_cost import replay_cost
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_prove.json"
 THEOREM = {theorem1: "theorem-1-constant-gauss-curvature",
-           theorem2: "theorem-2-constant-principal-curvature"}
+           theorem2: "theorem-2-constant-principal-curvature",
+           theorem3: "theorem-3-constant-mean-curvature"}
+MODULES = pytest.mark.parametrize("module", list(THEOREM),
+                                  ids=["theorem1", "theorem2", "theorem3"])
 
-# target name -> the checkpoint whose expected side it is, with the alpha
-# value a branch checkpoint substitutes first
-CHECKPOINT_OF = {
-    theorem1: {
-        "gamma": ("gamma-closed-form", None),
-        "mu": ("mu-closed-form", None),
-        "grad_height_e1": ("height-flux-gradient-e1", None),
-        "grad_height_e2": ("height-flux-gradient-e2", None),
-        "gauss_quadratic": ("gauss-identity-quadratic-form", None),
-        "e11": ("second-derivative-e1e1", None),
-        "e12": ("second-derivative-e1e2", None),
-        "e22": ("second-derivative-e2e2", None),
-        "p1": ("constraint-coeff-u1sq", None),
-        "q1": ("constraint-coeff-u2sq", None),
-        "r1": ("constraint-scalar-term", None),
-        "p2": ("derived-constraint-coeff-u1sq", None),
-        "q2": ("derived-constraint-coeff-u2sq", None),
-        "r2": ("derived-constraint-scalar-term", None),
-        "determinant": ("constraint-pair-determinant", None),
-        "branch_minus2": ("branch-alpha-minus-2-remainder", -2),
-        "branch_plus2": ("branch-alpha-plus-2-remainder", 2),
-        "z1": ("solved-gradient-sq-e1", None),
-        "z2": ("solved-gradient-sq-e2", None),
-        "final_polynomial": ("final-curvature-polynomial", None),
-        "flat_u2sq": ("flat-branch-u2sq", None),
-        "flat_e22_derivative": ("flat-branch-e2e2-from-derivative", None),
-        "flat_e22_frame": ("flat-branch-e2e2-from-frame", None),
-        "flat_polynomial": ("flat-branch-polynomial", None),
-    },
-    theorem2: {
-        "gamma": ("gamma-closed-form", None),
-        "mu": ("mu-closed-form", None),
-        "e2_mu_differentiated": ("mu-gradient-e2", None),
-        "e22": ("second-derivative-e2e2", None),
-        "gauss_display": ("gauss-identity-display", None),
-        "reduced_identity": ("reduced-gauss-identity", None),
-        "branch_minus2": ("branch-alpha-minus-2", None),
-        "u2sq": ("gradient-sq-e2", None),
-        "u2sq_derivative": ("gradient-sq-derivative", None),
-        "final_polynomial": ("final-curvature-polynomial", None),
-    },
-}
+
+def golden_expected(module):
+    """The golden expected side of each of the theorem's checkpoints that
+    compares against a value (exact-equal or equal up to a nonzero factor)."""
+    return {
+        cp["name"]: cp["expected"]
+        for cp in json.loads(GOLDEN.read_text())["checkpoints"]
+        if cp["theorem"] == THEOREM[module] and cp["mode"] != MODE_ZERO
+    }
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +49,11 @@ def sweep(tmp_path_factory):
 def test_mutant_sweep_builds_only_the_targets_it_reads(sweep):
     cost, _ = sweep
     assert {name: set(built) for name, built in cost["built"].items()} == {
-        "theorem1": {"grad_height_e1", "grad_height_e2", "gamma", "mu", "gauss_quadratic",
-                     "e11", "e12"},
-        "theorem2": {"gamma", "mu"},
+        "theorem1": {"height-flux-gradient-e1", "height-flux-gradient-e2", "gamma-closed-form",
+                     "mu-closed-form", "gauss-identity-quadratic-form", "second-derivative-e1e1",
+                     "second-derivative-e1e2"},
+        "theorem2": {"gamma-closed-form", "mu-closed-form"},
+        "theorem3": {"cmc-gradient-e1"},
     }
 
 
@@ -94,24 +67,28 @@ def test_prove_json_after_the_sweep_matches_a_cold_one(sweep, tmp_path):
 
 
 def test_a_cold_run_all_builds_every_target():
+    # in table order: each table lists its checkpoints in the order the chain reaches them
     built = replay_cost("run_all")["built"]
-    assert built == {"theorem1": list(theorem1.targets().names()),
-                     "theorem2": list(theorem2.targets().names())}
+    assert built == {m.__name__.rpartition(".")[2]: list(m.targets().builders) for m in THEOREM}
 
 
-@pytest.mark.parametrize("module", [theorem1, theorem2], ids=["theorem1", "theorem2"])
+@MODULES
+def test_each_table_holds_the_checkpoints_that_compare_against_a_value(module):
+    assert set(module.targets().builders) == set(golden_expected(module))
+
+
+@MODULES
 def test_targets_read_in_any_order_render_as_the_golden(module):
-    golden = {
-        cp["name"]: cp["expected"]
-        for cp in json.loads(GOLDEN.read_text())["checkpoints"]
-        if cp["theorem"] == THEOREM[module]
-    }
-    tg = module.targets.__wrapped__()  # a fresh set, past the process-wide cache
-    assert set(tg.names()) == set(CHECKPOINT_OF[module])
-    for name in sorted(tg.names(), reverse=True):
-        checkpoint, alpha = CHECKPOINT_OF[module][name]
-        value = getattr(tg, name)
-        if alpha is not None:
-            value = value.substitute({Var.ALPHA: RationalExpr.from_number(alpha)})
-        assert render(value) == golden[checkpoint], name
-    assert tg.built() == tg.names()
+    golden = golden_expected(module)
+    tg = module.targets.__wrapped__()  # a fresh table, past the process-wide cache
+    for name in sorted(tg.builders, reverse=True):
+        assert render(tg[name]) == golden[name], name
+    assert set(tg) == set(tg.builders)
+
+
+def test_a_copy_of_a_table_keeps_what_is_built_and_builds_the_rest():
+    tg = theorem1.targets.__wrapped__()
+    first = tg["gamma-closed-form"]
+    dup = copy.copy(tg)
+    assert list(dup) == ["gamma-closed-form"] and dup["gamma-closed-form"] is first
+    assert dup["mu-closed-form"] == tg["mu-closed-form"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from singmin.exact import RationalExpr, Var, divides, exact_div
-from singmin.proofs import OP_E1, OP_E2, run_theorem1
+from singmin.proofs import OP_E1, run_theorem1
 from singmin.proofs.theorem1 import MUTABLE_RULES, targets
 
 AL = RationalExpr.variable(Var.ALPHA)
@@ -78,14 +78,17 @@ def at(expr: RationalExpr, point: dict) -> RationalExpr:
 
 def test_determinant_numeric_spot_values():
     tg = targets()
-    det = tg.p1 * tg.q2 - tg.p2 * tg.q1
+    p1, q1 = tg["constraint-coeff-u1sq"], tg["constraint-coeff-u2sq"]
+    p2, q2 = tg["derived-constraint-coeff-u1sq"], tg["derived-constraint-coeff-u2sq"]
+    determinant = tg["constraint-pair-determinant"]
+    det = p1 * q2 - p2 * q1
     # the target polynomial at (alpha, c, k1) = (3, 1, 2) is 5 * 2 * 27
     pt = {Var.ALPHA: 3, Var.C: 1, Var.K1: 2}
-    assert at(tg.determinant, pt) == 270
+    assert at(determinant, pt) == 270
     # hand Cramer evaluation of the coefficient functions at the same point
     assert at(det, pt) == Fraction(405, 4624)
     # the displayed determinant vanishes at alpha = 2
-    assert tg.determinant.substitute({Var.ALPHA: RationalExpr.from_number(2)}).is_zero()
+    assert determinant.substitute({Var.ALPHA: RationalExpr.from_number(2)}).is_zero()
 
 
 def test_branch_remainder_factors(by_name):
@@ -96,9 +99,9 @@ def test_branch_remainder_factors(by_name):
 
 
 def test_final_polynomial_spot_values():
-    tg = targets()
-    assert at(tg.final_polynomial, {Var.ALPHA: 1, Var.C: 1, Var.K1: 1}) == 18
-    assert at(tg.final_polynomial, {Var.ALPHA: 1, Var.C: 1, Var.K1: 0}) == 0
+    final = targets()["final-curvature-polynomial"]
+    assert at(final, {Var.ALPHA: 1, Var.C: 1, Var.K1: 1}) == 18
+    assert at(final, {Var.ALPHA: 1, Var.C: 1, Var.K1: 0}) == 0
 
 
 def test_final_factor_genericity_is_flagged(by_name):
@@ -109,32 +112,35 @@ def test_final_factor_genericity_is_flagged(by_name):
 
 def test_solved_square_structure():
     tg = targets()
+    terms = ("coeff-u1sq", "coeff-u2sq", "scalar-term")
+    p1, q1, r1 = (tg[f"constraint-{n}"] for n in terms)
+    p2, q2, r2 = (tg[f"derived-constraint-{n}"] for n in terms)
+    z1, z2 = tg["solved-gradient-sq-e1"], tg["solved-gradient-sq-e2"]
     # the second solved square carries the factor c * (k1^2 + (1+alpha)c)^2
     B = K ** 2 + (AL + 1) * C
-    assert exact_div(tg.z2.num, (C * B ** 2).num) is not None
+    assert exact_div(z2.num, (C * B ** 2).num) is not None
     # back-substitution solves the pair exactly
-    val1 = tg.p1 * tg.z1 + tg.q1 * tg.z2 + tg.r1
-    val2 = tg.p2 * tg.z1 + tg.q2 * tg.z2 + tg.r2
+    val1 = p1 * z1 + q1 * z2 + r1
+    val2 = p2 * z1 + q2 * z2 + r2
     assert val1.is_zero() and val2.is_zero()
 
 
 def test_mixed_second_derivative_divisible_by_gradients():
-    tg = targets()
-    assert divides((U1 * U2).num, tg.e12.num)
-    assert tg.e12.den.degree_in(Var.U1) == 0
-    assert tg.e12.den.degree_in(Var.U2) == 0
+    e12 = targets()["second-derivative-e1e2"]
+    assert divides((U1 * U2).num, e12.num)
+    assert e12.den.degree_in(Var.U1) == 0
+    assert e12.den.degree_in(Var.U2) == 0
 
 
 def test_second_derivatives_height_free():
     tg = targets()
-    for e in (tg.e11, tg.e12, tg.e22):
-        assert e.free_of(Var.W)
+    for nm in ("e1e1", "e1e2", "e2e2"):
+        assert tg[f"second-derivative-{nm}"].free_of(Var.W)
 
 
-@pytest.mark.parametrize("poly_name", ["final_polynomial", "flat_polynomial"])
-def test_contradiction_polynomials_are_nonzero_in_k1(poly_name):
-    tg = targets()
-    poly = getattr(tg, poly_name)
+@pytest.mark.parametrize("name", ["final-curvature-polynomial", "flat-branch-polynomial"])
+def test_contradiction_polynomials_are_nonzero_in_k1(name):
+    poly = targets()[name]
     # genuine polynomial in k1 with coefficients free of k1, not identically 0
     assert poly.den.degree_in(Var.K1) == 0
     groups = poly.num.coeffs_in(Var.K1)
@@ -144,7 +150,6 @@ def test_contradiction_polynomials_are_nonzero_in_k1(poly_name):
 
 
 def test_flat_branch_values(by_name):
-    tg = targets()
     assert by_name["flat-branch-u2sq"].expected == (K ** 2 + C) * (K ** 2 + (AL + 1) * C) / AL
     assert by_name["flat-branch-e2e2-from-derivative"].expected == (
         2 * K ** 3 + (2 + AL) * C * K

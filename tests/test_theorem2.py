@@ -32,7 +32,7 @@ def test_gradient_square_display(by_name):
         * ((AL + 1) * C ** 2 + 2 * C * K + (AL + 1) * K ** 2)
         / (2 * AL * (AL + 2))
     )
-    assert tg.u2sq == expected
+    assert tg["gradient-sq-e2"] == expected
     assert by_name["gradient-sq-e2"].passed
 
 
@@ -44,7 +44,7 @@ def test_reduction_factors(by_name):
 
 def test_final_quadratic_structure():
     tg = targets()
-    quad = tg.final_polynomial
+    quad = tg["final-curvature-polynomial"]
     assert quad == -(AL - 1) * K ** 2 + 2 * (AL + 1) * C * K + (AL + 1) * C ** 2
     assert quad.den.degree_in(Var.K1) == 0
     groups = quad.num.coeffs_in(Var.K1)
