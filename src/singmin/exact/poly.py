@@ -232,15 +232,15 @@ class Polynomial:
             raise ValueError("negative power of a polynomial")
         if self._t:
             _check_degree(n * (max(self._t) >> _DEG_SHIFT))
-        result = Polynomial.one()
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return Polynomial.one() if result is None else result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -337,13 +337,18 @@ def exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
                 return None
         return Polynomial._raw(q)
     lead_b = max(bt)
+    # in graded lex order the largest and the smallest monomial of a product
+    # are the products of the factors' own, so either may refuse at once
+    at = a._t
+    if mono_div(max(at), lead_b) is None or mono_div(min(at), min(bt)) is None:
+        return None
     lc_b = bt[lead_b]
     tail_b = [(m, c) for m, c in bt.items() if m != lead_b]
     # The remainder r is one private copy updated in place; its monomials sit
     # negated in a min-heap, and an entry whose monomial has cancelled since
     # it was pushed is skipped when it surfaces.  A processed leading monomial
     # never comes back: every term it spawns is smaller in grlex order.
-    r = dict(a._t)
+    r = dict(at)
     heap = [-m for m in r]
     heapq.heapify(heap)
     q = {}
@@ -559,27 +564,12 @@ def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial
     return None
 
 
-# (f, g) -> _gcd_primitive(f, g) for every pair past the trivial exits, kept
-# for the life of the process: the gcd of two primitive polynomials is unique
-# once its leading coefficient is positive, so a hit is exactly the value a
-# recomputation would give.  A cold run_all() leaves 184 pairs here.
-_GCD_MEMO: dict = {}
-
-
 def _gcd_primitive(f: Polynomial, g: Polynomial) -> Polynomial:
     """gcd of integer-primitive polynomials, primitive positive result."""
     if f._t == g._t:
         return f
     if f.is_constant() or g.is_constant():
         return Polynomial.one()
-    key = (f, g)
-    out = _GCD_MEMO.get(key)
-    if out is None:
-        out = _GCD_MEMO[key] = _gcd_primitive_work(f, g)
-    return out
-
-
-def _gcd_primitive_work(f: Polynomial, g: Polynomial) -> Polynomial:
     fv = f.variables()
     gv = g.variables()
     common = [v for v in fv if v in gv]

@@ -58,9 +58,9 @@ def fd_jet_oracle(patch: SurfacePatch, u, v, h: float) -> Jet2Vec3:
         value=c,
         du=(pu - mu) / (2.0 * h),
         dv=(pv - mv) / (2.0 * h),
-        duu=(pu - 2.0 * c + mu) / (h * h),
+        duu=((pu - c) - (c - mu)) / (h * h),
         duv=(pp - pm - mp + mm) / (4.0 * h * h),
-        dvv=(pv - 2.0 * c + mv) / (h * h),
+        dvv=((pv - c) - (c - mv)) / (h * h),
     )
 
 

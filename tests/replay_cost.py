@@ -3,10 +3,12 @@
     python tests/replay_cost.py {run_all,mutants} [PROVE_JSON]
 
 runs one op with the process-wide caches (the targets, the rule tables and
-the gcd memo) empty, and prints one JSON object: the op's wall time, the
+the factor base) empty, and prints one JSON object: the op's wall time, the
 checkpoint names whose expected value each theorem has built by its end (in
-the order built), and the gcd counters (calls of ``_gcd_primitive``, gcds
-computed, trial divisions made by ``_gcdheu``).
+the order built), the gcd counters (gcds computed, as calls of
+``_gcd_primitive``, and trial divisions made by ``_gcdheu``) and the factor
+base counters (its size at the end, trial divisions by its factors, and the
+gcds it runs to test a new factor for irreducibility or to refine the base).
 ``run_all`` is one ``run_all()``; ``mutants`` is the sweep of sign-flip
 mutants that the benchmark's ``proof-replay`` workload times (``MUTANTS`` in
 ``perfbench/run.py``).  With PROVE_JSON, ``singmin prove --json PROVE_JSON``
@@ -52,10 +54,11 @@ def _measure(op: str, prove_json: str | None) -> dict:
     import io
     import time
 
-    from singmin.exact import Var, poly
+    from singmin.exact import Var, poly, ratexpr
     from singmin.proofs import run_all, theorem1, theorem2, theorem3
 
-    counts = {"calls": 0, "trial_divisions": 0}
+    counts = {"computed": 0, "trial_divisions": 0, "base_trial_divisions": 0,
+              "refinement_gcds": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -64,10 +67,12 @@ def _measure(op: str, prove_json: str | None) -> dict:
 
         return wrapper
 
-    # _gcdheu is the only caller of divides
-    poly._gcd_primitive = counted("calls", poly._gcd_primitive)
+    # _gcdheu is the only caller of divides, and the factor base the only
+    # caller of poly_gcd in ratexpr
+    poly._gcd_primitive = counted("computed", poly._gcd_primitive)
     poly.divides = counted("trial_divisions", poly.divides)
-    poly._GCD_MEMO = memo = {}  # each miss adds one entry
+    ratexpr._trial = counted("base_trial_divisions", ratexpr._trial)
+    ratexpr.poly_gcd = counted("refinement_gcds", ratexpr.poly_gcd)
 
     runners = {"theorem1": theorem1.run_theorem1, "theorem2": theorem2.run_theorem2,
                "theorem3": theorem3.run_theorem3}
@@ -86,7 +91,9 @@ def _measure(op: str, prove_json: str | None) -> dict:
         "wall_s": time.perf_counter() - start,
         "built": {name: list(m.targets()) for name, m in
                   (("theorem1", theorem1), ("theorem2", theorem2), ("theorem3", theorem3))},
-        "gcd": {**counts, "computed": len(memo)},
+        "gcd": {"computed": counts["computed"], "trial_divisions": counts["trial_divisions"]},
+        "base": {"size": len(ratexpr._BASE), "trial_divisions": counts["base_trial_divisions"],
+                 "refinement_gcds": counts["refinement_gcds"]},
     }
     if prove_json is not None:
         from singmin.cli import main

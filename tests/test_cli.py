@@ -705,6 +705,18 @@ def test_mean_of_finite_residuals_does_not_overflow(tmp_path, capsys):
     assert math.isfinite(mean) and mean <= top
 
 
+def test_fd_oracle_second_differences_do_not_overflow(tmp_path, capsys):
+    # pu - 2*c + mu overflows when the positions are near the largest float;
+    # (pu - c) - (c - mu) subtracts first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["curvature", "--center=1e308,1e308,0", "--nu", "4", "--nv", "4",
+                    "--out", str(tmp_path / "X")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == "sphere: fd max deviation 0.73830789345271908 at h=0.001\n"
+
+
 @pytest.mark.parametrize(
     "make_args",
     [

@@ -68,8 +68,6 @@ def test_subresultant_gcd_matches_sympy(f, c, g, h):
     # so the gcd has a content part there too
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly_module, "_gcdheu", lambda f, g, depth=0: None)
-        # a pair the heuristic already solved must not come back from the memo
-        mp.setattr(poly_module, "_GCD_MEMO", {})
         check_gcd(f * c * g, f * c * h)
         check_gcd(g, h)
 
@@ -84,14 +82,12 @@ _Y = Polynomial.variable(VARS[1])
 def test_gcd_of_coprime_products_matches_sympy(f, g, h, k):
     # the gcd of coprime products is a unit up to integer content: the
     # heuristic reconstructs the candidate 1 and returns it without a trial
-    # division; the memo is emptied so that path runs on every draw
+    # division
     a, b = f * g, h * k
     assume(sympy.gcd(to_sympy(a), to_sympy(b)).is_ground)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly_module, "_GCD_MEMO", {})
-        check_gcd(a, b)
-        if not (a.is_zero() or b.is_zero()):
-            assert poly_gcd(poly_module.primitive(a), poly_module.primitive(b)).is_one()
+    check_gcd(a, b)
+    if not (a.is_zero() or b.is_zero()):
+        assert poly_gcd(poly_module.primitive(a), poly_module.primitive(b)).is_one()
 
 
 @pytest.mark.parametrize("f,g", [
@@ -114,7 +110,6 @@ def test_subresultant_sequence_matches_sympy(f, g):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly_module, "_gcdheu", lambda f, g, depth=0: None)
-        mp.setattr(poly_module, "_GCD_MEMO", {})
         mp.setattr(poly_module, "_prem", recording_prem)
         assert poly_gcd(f, g) == Polynomial.one()
     sequence = sympy.subresultants(to_sympy(f), to_sympy(g))

@@ -280,40 +280,11 @@ def test_substitute_numbers():
     assert p.substitute({Var.K1: n(3), Var.C: n(2)}) == Fraction(7)
 
 
-def _cold_run_all(monkeypatch):
-    """run_all() with the targets and rule-table caches cleared and an empty
-    gcd memo; the memo it fills is returned."""
-    from singmin.exact import poly as poly_module
-    from singmin.proofs import run_all, theorem1, theorem2, theorem3
-
-    for module in (theorem1, theorem2, theorem3):
-        module.build_context.cache_clear()
-        module.targets.cache_clear()
-    memo: dict = {}
-    monkeypatch.setattr(poly_module, "_GCD_MEMO", memo)
-    run_all()
-    return memo
-
-
 def test_gcd_work_per_cold_run_all_is_bounded():
-    # a canonical sum or product is built without a second full gcd, and a
-    # constant argument never reaches _gcd_primitive; the counts are exact and
-    # repeat from run to run (3,300 calls before either short-cut).  Each memo
-    # miss adds one entry, so the memo's size is the number of gcds computed.
-    # A reconstructed heuristic candidate of 1 is returned without the two
-    # trial divisions (982 before that short-cut).
-    gcd = replay_cost("run_all")["gcd"]
-    assert gcd["calls"] <= 600
-    assert gcd["computed"] == 184
-    assert gcd["trial_divisions"] == 448
-
-
-def test_gcd_memo_holds_what_a_recomputation_gives(monkeypatch):
-    from singmin.exact import poly as poly_module
-
-    cached = dict(_cold_run_all(monkeypatch))
-    assert cached
-    for (f, g), want in cached.items():
-        monkeypatch.setattr(poly_module, "_GCD_MEMO", {})
-        assert poly_module._gcd_primitive(f, g) == want
-        assert poly_gcd(f, g) == poly_gcd(g, f) == want
+    # every denominator is kept factored over the factor base, so sums and
+    # products cancel by trial division, and a gcd runs only to test a new
+    # base factor for irreducibility or to refine the base.  The counts are
+    # exact and repeat from run to run.
+    cost = replay_cost("run_all")
+    assert cost["gcd"] == {"computed": 24, "trial_divisions": 6}
+    assert cost["base"] == {"size": 22, "trial_divisions": 1861, "refinement_gcds": 27}
