@@ -320,9 +320,12 @@ class _Factor:
 
     __slots__ = ("poly", "irreducible", "parts")
 
-    def __init__(self, poly: Polynomial):
+    def __init__(self, poly: Polynomial, irreducible: bool | None = None):
         self.poly = poly
-        self.irreducible = _linear_irreducible(poly)
+        if irreducible is None:
+            g = _linear_gcd(poly)
+            irreducible = g is not None and g.is_constant()
+        self.irreducible = irreducible
         self.parts: list[tuple[_Factor, int]] | None = None
 
 
@@ -331,9 +334,10 @@ class _Factor:
 _BASE: list[_Factor] = []
 
 
-def _linear_irreducible(p: Polynomial) -> bool:
-    """True when primitive p is a*x + b in some variable x with gcd(a, b) = 1,
-    which makes p irreducible: a factor free of x would divide a and b."""
+def _linear_gcd(p: Polynomial) -> Polynomial | None:
+    """gcd(a, b) when primitive p is a*x + b in some variable x, else None.
+    p / gcd(a, b) is then irreducible: a factor free of x would divide both
+    of its coefficients, which are coprime."""
     pairs = []
     for x in p.variables():
         if p.degree_in(x) == 1:
@@ -341,10 +345,10 @@ def _linear_irreducible(p: Polynomial) -> bool:
             a, b = groups[1], groups.get(0, Polynomial.zero())
             # a constant a or b is coprime to the other, p being primitive
             if a.is_constant() or b.is_constant() and not b.is_zero():
-                return True
+                return Polynomial.one()
             pairs.append((a, b))
     # a common factor of a and b divides p, so one gcd settles it either way
-    return bool(pairs) and poly_gcd(*pairs[0]).is_constant()
+    return poly_gcd(*pairs[0]) if pairs else None
 
 
 def _trial(p: Polynomial, f: _Factor) -> Polynomial | None:
@@ -406,8 +410,13 @@ def _factor(p: Polynomial) -> tuple[int, Factored]:
 def _enter(p: Polynomial) -> list[tuple[_Factor, int]]:
     """The base factorization of p, primitive, non-constant and coprime to
     every irreducible entry, after its new factors have joined the base."""
+    g = _linear_gcd(p)
+    if g is not None and not g.is_constant():
+        # p = g * q with q linear in x and irreducible, and g free of x: q
+        # joins as it is, and g is factored over the base q has joined
+        return _enter(exact_div(p, g)) + list(_factor(g)[1].items())
     reducible = [f for f in _BASE if not f.irreducible]
-    new = _Factor(p)
+    new = _Factor(p, g is not None)
     if new.irreducible:
         # p joins as it is; an entry that p divides is split
         for f in reducible:

@@ -27,9 +27,19 @@ from singmin.surfaces import (
     obj_mesh,
     sphere_patch,
 )
-from singmin.surfaces.export import FLOAT_SPEC, ROW_BLOCK, blocks, fmt, format_rows, table_csv
+from singmin.surfaces import export
+from singmin.surfaces.export import (
+    FLOAT_SPEC,
+    ROW_BLOCK,
+    VECTOR_CUTOVER,
+    blocks,
+    fmt,
+    format_rows,
+    table_csv,
+)
 
 from conftest import collect
+from writer_cost import writer_cost
 
 SPECIAL = np.array(
     [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0]
@@ -42,7 +52,7 @@ BITS = st.sampled_from(SPECIAL) | st.integers(min_value=0, max_value=2**64 - 1)
 
 
 @st.composite
-def tables(draw):
+def small_tables(draw):
     """Float tables whose cells repeat a few values, built from raw bit patterns."""
     rows = draw(st.integers(min_value=0, max_value=40))
     cols = draw(st.integers(min_value=1, max_value=4))
@@ -50,6 +60,38 @@ def tables(draw):
     cells = draw(st.lists(st.sampled_from(pool) | BITS, min_size=rows * cols,
                           max_size=rows * cols))
     return np.array(cells, dtype=np.uint64).view(np.float64).reshape(rows, cols)
+
+
+@st.composite
+def large_tables(draw):
+    """Float tables of over ``VECTOR_CUTOVER`` distinct values in the range
+    that ``format_rows`` formats by its numpy path, from a drawn seed:
+    magnitudes log-uniform over [1e-5, 1e18] (that range and a decade past
+    each end) of either sign, some rounded to a few decimals, some integers
+    times a power of two (short texts and exact ties), some raw bit
+    patterns, some cells repeating others, some a few ulps from a power of
+    ten (where the first guess of the decimal exponent can be one off), and
+    a few drawn bit patterns."""
+    rows = draw(st.integers(min_value=2 * VECTOR_CUTOVER, max_value=3 * VECTOR_CUTOVER))
+    cols = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    size = rows * cols
+    x = 10.0 ** rng.uniform(-5.0, 18.0, size) * rng.choice([-1.0, 1.0], size)
+    kind = rng.integers(0, 10, size)
+    x = np.select([kind == 0, kind == 1, kind == 2, kind == 3], [
+        np.round(x, rng.integers(0, 8)),
+        np.ldexp(rng.integers(-2**53, 2**53, size).astype(float), rng.integers(-75, 10, size)),
+        rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.integers(-5, 19, size) * (1.0 + rng.integers(-4, 5, size) * 2.0**-53),
+    ], x)
+    x[kind == 4] = x[rng.integers(0, size, np.count_nonzero(kind == 4))]
+    drawn = draw(st.lists(BITS, max_size=8))
+    x[rng.integers(0, size, len(drawn))] = np.array(drawn, dtype=np.uint64).view(np.float64)
+    return x.reshape(rows, cols)
+
+
+def tables():
+    return small_tables() | large_tables()
 
 
 def cell_by_cell(table) -> list[list[str]]:
@@ -78,6 +120,63 @@ def test_float_spec_matches_the_format_spec(bits):
 @settings(max_examples=200, deadline=None)
 def test_format_rows_matches_fmt_per_cell(table):
     assert format_rows(table.T, " ", "v ") == lines(cell_by_cell(table), " ", "v ")
+
+
+def decade_neighbours() -> list[float]:
+    """10**k for k in -6..18 and the four doubles on either side of it.
+
+    In [1e-4, 1e17) a log10 of these is where the first guess of the
+    decimal exponent is one off, which the decade check corrects.  (No
+    double there rounds to 17 digits across a power of ten: none lies
+    within half a 17th digit below one.)"""
+    out = []
+    for k in range(-6, 19):
+        power = float(f"1e{k}")
+        below = above = power
+        out.append(power)
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            out += [float(below), float(above)]
+    return out
+
+
+def exact_ties() -> list[float]:
+    """Doubles whose exact decimal has 18 significant digits, the last a 5,
+    so that ``%.17g`` rounds a tie: odd k over 2**n with k * 5**n in
+    [10**17, 10**18) and k below 2**53, the first and last two such k for
+    every n that puts k / 2**n in [1e-4, 1e17).  Two odd k in a row differ
+    in the parity of their 17th digit."""
+    out = []
+    for n in range(2, 22):
+        lo, hi = -(-10**17 // 5**n), min(-(-10**18 // 5**n), 2**53)
+        out += [k / 2**n for k in (*range(lo, lo + 4), *range(hi - 4, hi)) if k % 2]
+    return out
+
+
+EDGES = np.array(decade_neighbours() + exact_ties() + [
+    float(np.nextafter(1e17, 0.0)),  # the largest double below 1e17
+    2.0**-14, 2.0**53 - 1, 2.0**53 + 2, 0.5, 0.125, 3.0 / 2**13, 7.0 / 2**20,
+])
+ADVERSARIAL = np.concatenate([EDGES, -EDGES, np.array(SPECIAL, dtype=np.uint64).view(np.float64)])
+
+
+def test_format_rows_matches_fmt_on_adversarial_values(monkeypatch):
+    # with a cutover of 0 every value in range takes the numpy path
+    monkeypatch.setattr(export, "VECTOR_CUTOVER", 0)
+    table = np.column_stack([ADVERSARIAL, ADVERSARIAL[::-1]])
+    assert format_rows(table.T) == lines(cell_by_cell(table))
+
+
+def test_writer_path_per_block():
+    # the residual sphere and catenary blocks take the numpy path for every
+    # value in its range; the curvature block, with fewer distinct values
+    # than the cutover, stays on ``%``
+    cost = writer_cost(repeat=1)
+    assert {name: (c["distinct"], c["numpy"]) for name, c in cost.items()} == {
+        "residual sphere 200x200": (8070, 8037),
+        "catenary": (16657, 16657),
+        "curvature sphere 100x100": (600, 0),
+    }
 
 
 def test_rows_across_blocks():

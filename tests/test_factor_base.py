@@ -121,7 +121,7 @@ SPLITS = {
 SPLIT_SCRIPT = """
 import json, sys
 from singmin.exact import RationalExpr, Var, ratexpr, render_poly
-K = RationalExpr.variable(Var.K1)
+K, U = RationalExpr.variable(Var.K1), RationalExpr.variable(Var.U1)
 a = 1 / (K ** 2 - 1)
 base = lambda: sorted((render_poly(f.poly), f.irreducible) for f in ratexpr._BASE)
 before = base()
@@ -144,6 +144,23 @@ def test_a_later_factor_splits_a_reducible_entry(second):
     assert got["before"] == [["k1^2 - 1", False]]
     assert got["after"] == [["k1 + 1", True], ["k1 - 1", True]]
     K = RationalExpr.variable(Var.K1)
+    a, b = 1 / (K ** 2 - 1), eval(second)
+    assert (got["product"], got["sum"]) == (str(a * b), str(a + b))
+
+
+@pytest.mark.parametrize("second,after", [
+    # u1*(k1 + 2) is linear in k1 and in u1, and the coefficients in either
+    # have a common factor: both factors join as irreducible, and no later
+    # gcd has to split the product
+    ("1 / (U * (K + 2))", [["k1 + 2", True], ["k1^2 - 1", False], ["u1", True]]),
+    # (k1 + 1)*(k1*u1 + 1) has the coefficients k1^2 + k1 and k1 + 1 in u1:
+    # their gcd k1 + 1 splits the entry k1^2 - 1, and the cofactor joins
+    ("1 / ((K + 1) * (U * K + 1))", [["k1 + 1", True], ["k1 - 1", True], ["k1*u1 + 1", True]]),
+], ids=["coprime-to-the-base", "splits-an-entry"])
+def test_a_linear_factor_and_the_gcd_of_its_coefficients_enter_apart(second, after):
+    got = json.loads(fresh(SPLIT_SCRIPT, second))
+    assert got["after"] == after
+    K, U = RationalExpr.variable(Var.K1), RationalExpr.variable(Var.U1)
     a, b = 1 / (K ** 2 - 1), eval(second)
     assert (got["product"], got["sum"]) == (str(a * b), str(a + b))
 

@@ -287,4 +287,4 @@ def test_gcd_work_per_cold_run_all_is_bounded():
     # exact and repeat from run to run.
     cost = replay_cost("run_all")
     assert cost["gcd"] == {"computed": 24, "trial_divisions": 6}
-    assert cost["base"] == {"size": 22, "trial_divisions": 1861, "refinement_gcds": 27}
+    assert cost["base"] == {"size": 22, "trial_divisions": 1871, "refinement_gcds": 26}
