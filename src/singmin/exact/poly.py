@@ -5,7 +5,7 @@ packed exponent vector of Monagan and Pearce, CASC 2007).  Dense exponent
 tuples over the registered indeterminates appear only at the boundary: the
 constructor packs them and ``items`` unpacks them.  Grouping by one
 variable's exponent is ``coeffs_in`` and its inverse ``_join``; dividing by
-a known integer (and monomial) is ``_deflate``.
+a known integer is ``_deflate``.
 Coefficients are Python ``int``s, and any other coefficient type (floats and
 ``fractions.Fraction`` included) is a ``TypeError``.
 Division is in Z[vars] too: ``exact_div`` returns None unless the quotient
@@ -43,7 +43,6 @@ MAX_DEGREE = (1 << (_FIELD - 1)) - 1
 _DEG_SHIFT = _FIELD * NVARS
 _SHIFT = tuple(_FIELD * (NVARS - 1 - i) for i in range(NVARS))
 _UNIT = tuple(1 << _DEG_SHIFT | 1 << s for s in _SHIFT)
-_EXPS = (1 << _DEG_SHIFT) - 1
 _GUARD = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(NVARS + 1))
 _VARS = tuple(Var)
 _FIELDS = struct.Struct(f">{NVARS + 1}H")
@@ -83,7 +82,7 @@ class Polynomial:
     """Immutable sparse polynomial with integer coefficients, built from a
     mapping of exponent tuples to ``int``s."""
 
-    __slots__ = ("_t", "_hash")
+    __slots__ = ("_t",)
 
     def __init__(self, terms: Optional[Mapping] = None):
         t: dict = {}
@@ -93,13 +92,11 @@ class Polynomial:
                 if _check_coeff(c):
                     t[key] = c
         self._t = t
-        self._hash = None
 
     @classmethod
     def _raw(cls, t: dict) -> "Polynomial":
         p = object.__new__(cls)
         p._t = t
-        p._hash = None
         return p
 
     # -- constructors -------------------------------------------------------
@@ -250,9 +247,7 @@ class Polynomial:
         return self._t == other._t
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._t.items()))
-        return self._hash
+        return hash(frozenset(self._t.items()))
 
     def __repr__(self) -> str:
         from .textio import render_poly
@@ -311,14 +306,14 @@ def content(p: Polynomial) -> int:
 
 def primitive(p: Polynomial) -> Polynomial:
     """Primitive part: integer content 1, positive leading coefficient."""
-    return _deflate(p, content(p), 0)
+    return _deflate(p, content(p))
 
 
-def _deflate(p: Polynomial, c: int, m0: int) -> Polynomial:
-    """p / (c * x^m0), where both divide p."""
-    if c == 1 and not m0:
+def _deflate(p: Polynomial, c: int) -> Polynomial:
+    """p / c, where the integer c divides p."""
+    if c == 1:
         return p
-    return Polynomial._raw({m - m0: v // c for m, v in p._t.items()})
+    return Polynomial._raw({m: v // c for m, v in p._t.items()})
 
 
 def exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
@@ -386,22 +381,6 @@ def divides(b: Polynomial, a: Polynomial) -> bool:
 
 # -- multivariate gcd ----------------------------------------------------------
 
-def _mono_content(monos) -> int:
-    """Fieldwise minimum of nonempty packed monomials: the largest monomial
-    dividing each of them."""
-    it = iter(monos)
-    low = next(it)
-    for m in it:
-        # the guard bit of (low | G) - m survives in the fields where low >= m
-        ge = ((low | _GUARD) - m) & _GUARD
-        take = (ge << 1) - (ge >> (_FIELD - 1))
-        low = m & take | low & ~take
-        if not low & _EXPS:
-            return 0
-    low &= _EXPS
-    return low | sum(unpack_monomial(low)) << _DEG_SHIFT
-
-
 def _prem(f: dict[int, Polynomial], g: dict[int, Polynomial]) -> dict[int, Polynomial]:
     """Pseudo-remainder of grouped univariate forms: lc(g)^(df-dg+1) f mod g."""
     dg = max(g)
@@ -465,15 +444,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     cb = content(b)
     if a.is_constant() or b.is_constant():
         return Polynomial.const(math.gcd(ca, cb))
-    ma = _mono_content(a._t)
-    mb = _mono_content(b._t)
-    mg = _mono_content((ma, mb))
-
-    g = _gcd_primitive(_deflate(a, ca, ma), _deflate(b, cb, mb))
-    out = g * math.gcd(ca, cb)
-    if mg:
-        out = out * Polynomial._raw({mg: 1})
-    return out
+    return _gcd_primitive(_deflate(a, ca), _deflate(b, cb)) * math.gcd(ca, cb)
 
 
 def _max_norm(p: Polynomial) -> int:
@@ -529,8 +500,8 @@ def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial
     cf = abs(content(f))
     cg = abs(content(g))
     c = math.gcd(cf, cg)
-    f = _deflate(f, cf, 0)
-    g = _deflate(g, cg, 0)
+    f = _deflate(f, cf)
+    g = _deflate(g, cg)
 
     common = [v for v in f.variables() if g.degree_in(v) > 0]
     if not common:
@@ -553,7 +524,7 @@ def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial
                     digit = _balanced_digit(rest, xi)
                     if not digit.is_zero():
                         digits[power] = digit
-                    rest = _deflate(rest - digit, xi, 0)
+                    rest = _deflate(rest - digit, xi)
                     power += 1
                 if rest.is_zero() and digits:
                     cand = primitive(_join(digits, v))

@@ -55,7 +55,7 @@ Factored = dict  # base factor -> exponent
 class RationalExpr:
     """Exact multivariate rational function in canonical form."""
 
-    __slots__ = ("num", "den", "_dc", "_fac", "_hash")
+    __slots__ = ("num", "den", "_dc", "_fac")
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
@@ -73,7 +73,6 @@ class RationalExpr:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_dc", dc)
         object.__setattr__(self, "_fac", fac)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *args):
         raise AttributeError("RationalExpr is immutable")
@@ -89,7 +88,6 @@ class RationalExpr:
         object.__setattr__(obj, "den", den)
         object.__setattr__(obj, "_dc", dc)
         object.__setattr__(obj, "_fac", fac)
-        object.__setattr__(obj, "_hash", None)
         return obj
 
     def _factors(self) -> Factored:
@@ -248,11 +246,7 @@ class RationalExpr:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.num, self.den))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         return render(self)

@@ -6,12 +6,11 @@ byte-deterministic for fixed inputs.  Every float table is written one
 write one block of samples before the next, and a pull writer such as
 ``obj_mesh`` takes the first row of a block and returns that block's text,
 ``""`` past the last block, which ``blocks`` calls until then.
-``format_rows`` formats each distinct value of a block's column once.  When
-a block holds at least ``VECTOR_CUTOVER`` distinct values with
-``1e-4 <= |x| < 1e17``, where ``%.17g`` writes fixed notation, those values
-get their digits from exact uint64 arithmetic in numpy, all columns in one
-batch; every other value, and every value of a smaller block, gets
-CPython's ``%`` text.  Both give the same bytes.
+``format_rows`` formats each distinct value of a block's column once.  The
+distinct values with ``1e-4 <= |x| < 1e17``, where ``%.17g`` writes fixed
+notation, get their digits from exact uint64 arithmetic in numpy, all
+columns in one batch; every other value gets CPython's ``%`` text.  Both
+give the same bytes.
 """
 from __future__ import annotations
 
@@ -30,12 +29,6 @@ ROW_BLOCK = 4096
 #: the one float format: 17 significant digits, enough for every float64 to
 #: read back to the same bits
 FLOAT_SPEC = "%.17g"
-
-# a batch of fewer distinct values than this in ``_fixed_rows``'s range is
-# formatted by ``%`` alone: the numpy steps cost about 0.3 ms a block more
-# whatever its size, and the two paths broke even at 700-900 values (blocks
-# of 10 columns by 4,096 rows; CPython 3.11, numpy 2.4, 2-vCPU Xeon VM)
-VECTOR_CUTOVER = 1000
 
 _POW5 = np.array([5**p for p in range(22)], dtype=np.uint64)
 _LOW32 = np.uint64(2**32 - 1)
@@ -72,11 +65,11 @@ def format_rows(columns, sep: str = ",", prefix: str = "") -> str:
     Values are told apart by their bit pattern, not by float equality, so
     ``0.0`` and ``-0.0`` and NaNs of any sign or payload each keep the text
     ``fmt`` gives them.  The distinct values of all columns go to
-    ``_fixed_rows`` as one batch: with at least ``VECTOR_CUTOVER`` of them in
-    its range it writes their text as byte rows, which lose their NUL slots
-    and are split into cells.  Any other value, and every value of a smaller
-    batch, is formatted by one ``%`` over a template that repeats the
-    column's cell format, closed by a NUL to split the copies apart.
+    ``_fixed_rows`` as one batch, which writes the text of those in its
+    range as byte rows; the rows lose their NUL slots and are split into
+    cells.  Any other value is formatted by one ``%`` over a template that
+    repeats the column's cell format, closed by a NUL to split the copies
+    apart.
     """
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
     grid = np.empty((len(columns[0]), len(columns)), dtype=object)
@@ -88,15 +81,12 @@ def format_rows(columns, sep: str = ",", prefix: str = "") -> str:
     for k, ((distinct, inverse), end) in enumerate(zip(found, ends)):
         lo, hi = hi, hi + len(distinct)
         head = prefix if k == 0 else ""
-        if rows is None:
-            cells = _cells(values[lo:hi], head, end)
-        else:
-            text = rows[lo:hi].tobytes().translate(None, b"\0").decode()
-            cells = np.array((head + text.replace("|", end + "\0" + head)).split("\0")[:-1],
-                             dtype=object)
-            slow = np.flatnonzero(~fixed[lo:hi])
-            if len(slow):
-                cells[slow] = _cells(values[lo:hi][slow], head, end)
+        text = rows[lo:hi].tobytes().translate(None, b"\0").decode()
+        cells = np.array((head + text.replace("|", end + "\0" + head)).split("\0")[:-1],
+                         dtype=object)
+        slow = np.flatnonzero(~fixed[lo:hi])
+        if len(slow):
+            cells[slow] = _cells(values[lo:hi][slow], head, end)
         grid[:, k] = cells[inverse]
     return "".join(grid.ravel().tolist())
 
@@ -110,8 +100,7 @@ def _cells(values, head: str, end: str):
 def _fixed_rows(x):
     """The ``%.17g`` text of each value of ``x`` with ``1e-4 <= |x| < 1e17``
     as one 40-byte row of a ``(len(x), 40)`` uint8 array, and the mask of
-    those values; the rows are None when there are fewer than
-    ``VECTOR_CUTOVER`` of them.
+    those values.
 
     Such a value is written in fixed notation with its 17 significant digits
     ``d0 d1 ... d16`` (``x`` rounded half to even), less the trailing zeros
@@ -123,8 +112,6 @@ def _fixed_rows(x):
     """
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e17)
-    if np.count_nonzero(fixed) < VECTOR_CUTOVER:
-        return None, fixed
     idx = np.flatnonzero(fixed)
     bits = x[idx].view(np.uint64)
     # x = m * 2**e, and the digits are N = round(|x| * 10**p) for the p that

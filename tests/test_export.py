@@ -27,11 +27,9 @@ from singmin.surfaces import (
     obj_mesh,
     sphere_patch,
 )
-from singmin.surfaces import export
 from singmin.surfaces.export import (
     FLOAT_SPEC,
     ROW_BLOCK,
-    VECTOR_CUTOVER,
     blocks,
     fmt,
     format_rows,
@@ -64,15 +62,15 @@ def small_tables(draw):
 
 @st.composite
 def large_tables(draw):
-    """Float tables of over ``VECTOR_CUTOVER`` distinct values in the range
-    that ``format_rows`` formats by its numpy path, from a drawn seed:
+    """Float tables of thousands of values, most in the range that
+    ``format_rows`` formats by its numpy path, from a drawn seed:
     magnitudes log-uniform over [1e-5, 1e18] (that range and a decade past
     each end) of either sign, some rounded to a few decimals, some integers
     times a power of two (short texts and exact ties), some raw bit
     patterns, some cells repeating others, some a few ulps from a power of
     ten (where the first guess of the decimal exponent can be one off), and
     a few drawn bit patterns."""
-    rows = draw(st.integers(min_value=2 * VECTOR_CUTOVER, max_value=3 * VECTOR_CUTOVER))
+    rows = draw(st.integers(min_value=2000, max_value=3000))
     cols = draw(st.integers(min_value=1, max_value=3))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     size = rows * cols
@@ -160,22 +158,29 @@ EDGES = np.array(decade_neighbours() + exact_ties() + [
 ADVERSARIAL = np.concatenate([EDGES, -EDGES, np.array(SPECIAL, dtype=np.uint64).view(np.float64)])
 
 
-def test_format_rows_matches_fmt_on_adversarial_values(monkeypatch):
-    # with a cutover of 0 every value in range takes the numpy path
-    monkeypatch.setattr(export, "VECTOR_CUTOVER", 0)
+def test_format_rows_matches_fmt_on_adversarial_values():
     table = np.column_stack([ADVERSARIAL, ADVERSARIAL[::-1]])
     assert format_rows(table.T) == lines(cell_by_cell(table))
 
 
+@pytest.mark.parametrize("table", [
+    np.empty((0, 2)),
+    np.array([[3.25]]),
+    # no value in the numpy path's range
+    np.array([[0.0, -0.0, 1e-300, np.nan, np.inf, 1e20]]).T,
+    np.array([[0.1, -7e-5]]),
+], ids=["empty", "one-value-in-range", "none-in-range", "one-row-two-columns"])
+def test_format_rows_matches_fmt_on_boundary_tables(table):
+    assert format_rows(table.T) == lines(cell_by_cell(table))
+
+
 def test_writer_path_per_block():
-    # the residual sphere and catenary blocks take the numpy path for every
-    # value in its range; the curvature block, with fewer distinct values
-    # than the cutover, stays on ``%``
+    # each block's values in the numpy path's range take it, whatever the block's size
     cost = writer_cost(repeat=1)
     assert {name: (c["distinct"], c["numpy"]) for name, c in cost.items()} == {
         "residual sphere 200x200": (8070, 8037),
         "catenary": (16657, 16657),
-        "curvature sphere 100x100": (600, 0),
+        "curvature sphere 100x100": (600, 541),
     }
 
 

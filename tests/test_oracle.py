@@ -12,7 +12,8 @@ from singmin.exact import poly as poly_module
 from conftest import SMALL_VARS, nonzero_polynomials, polynomials, rational_exprs
 
 VARS = SMALL_VARS[:3]
-GENS = sympy.symbols("x0:%d" % len(VARS))
+# sympy sees every small variable: the hand-written examples use U1 too
+GENS = sympy.symbols("x0:%d" % len(SMALL_VARS))
 COMMON = dict(max_examples=80, deadline=None)
 SMALL = dict(variables=VARS, max_terms=3, max_degree=2, coeff_bound=6)
 # polynomials free of VARS[0], the variable the subresultant sequence eliminates
@@ -20,7 +21,7 @@ REST = dict(variables=VARS[1:], max_terms=2, max_degree=1, coeff_bound=4)
 
 
 def to_sympy(p):
-    terms = {tuple(m[int(v)] for v in VARS): c for m, c in p.items()}
+    terms = {tuple(m[int(v)] for v in SMALL_VARS): c for m, c in p.items()}
     return sympy.Poly.from_dict(terms or {(0,) * len(GENS): 0}, *GENS, domain=sympy.ZZ)
 
 
@@ -33,7 +34,23 @@ def check_gcd(a, b):
     assert same_up_to_sign(g, sympy.gcd(to_sympy(a), to_sympy(b)))
 
 
+_A = Polynomial.variable(Var.ALPHA)
+_C = Polynomial.variable(Var.C)
+_K = Polynomial.variable(Var.K1)
+_U = Polynomial.variable(Var.U1)
+_ONE = Polynomial.one()
+# pairs that share a monomial factor, which both gcd paths must find
+SHARED_MONOMIAL = [
+    (_K ** 3 * _C * (_K + 1), _K * _C ** 2 * (_K - 1)),
+    (_A ** 2 * _K, _A * _K ** 3),
+    (_U ** 2 * _K * (_K - _C), _U * _K ** 2 * (_K + _C)),
+]
+
+
 @given(polynomials(**SMALL), polynomials(**SMALL), polynomials(**SMALL), st.integers(-12, 12))
+@example(f=_ONE, g=SHARED_MONOMIAL[0][0], h=SHARED_MONOMIAL[0][1], k=0)
+@example(f=_ONE, g=SHARED_MONOMIAL[1][0], h=SHARED_MONOMIAL[1][1], k=0)
+@example(f=_ONE, g=SHARED_MONOMIAL[2][0], h=SHARED_MONOMIAL[2][1], k=0)
 @settings(**COMMON)
 def test_gcd_matches_sympy(f, g, h, k):
     check_gcd(f * g, f * h)
@@ -52,15 +69,14 @@ def in_main_variable(draw):
     return sum((draw(polynomials(**REST)) * x ** i for i in range(degree)), lead)
 
 
-_C = Polynomial.variable(Var.C)
-_K = Polynomial.variable(Var.K1)
-
-
 @given(in_main_variable(), polynomials(**REST), in_main_variable(), in_main_variable())
 # remainder sequences whose degree drops by more than one, which the draws
 # above (degree at most 2) never reach: the subresultant h update for delta > 1
 @example(f=_C + _K, c=Polynomial.one(), g=_C ** 4 + _K, h=_C ** 2 + 3)
 @example(f=_C - 2 * _K, c=_K + 1, g=_C ** 5 + _K, h=_C ** 2 + _K)
+@example(f=_ONE, c=_ONE, g=SHARED_MONOMIAL[0][0], h=SHARED_MONOMIAL[0][1])
+@example(f=_ONE, c=_ONE, g=SHARED_MONOMIAL[1][0], h=SHARED_MONOMIAL[1][1])
+@example(f=_ONE, c=_ONE, g=SHARED_MONOMIAL[2][0], h=SHARED_MONOMIAL[2][1])
 @settings(**COMMON)
 def test_subresultant_gcd_matches_sympy(f, c, g, h):
     # the heuristic gcd succeeds on nearly every input, so without it the
@@ -141,7 +157,7 @@ def from_sympy(p):
     out = {}
     for exps, c in p.terms():
         m = [0] * NVARS
-        for v, e in zip(VARS, exps):
+        for v, e in zip(SMALL_VARS, exps):
             m[int(v)] = e
         out[tuple(m)] = int(c)
     return Polynomial(out)

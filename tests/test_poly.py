@@ -17,7 +17,6 @@ from singmin.exact import (
 )
 from singmin.exact.poly import (
     MAX_DEGREE,
-    _mono_content,
     mono_div,
     pack_monomial,
     unpack_monomial,
@@ -137,13 +136,6 @@ def test_packed_product_is_the_fieldwise_sum(a, b):
     want = tuple(x + y for x, y in zip(a, b))
     assert pack_monomial(a) + pack_monomial(b) == pack_monomial(want)
     assert (Polynomial({a: 2}) * Polynomial({b: 3})).items() == [(want, 6)]
-
-
-@given(st.lists(exponent_tuples(), min_size=1, max_size=6))
-@settings(**PACKING)
-def test_common_monomial_is_the_fieldwise_min(monos):
-    want = tuple(map(min, *monos)) if len(monos) > 1 else monos[0]
-    assert _mono_content(pack_monomial(m) for m in monos) == pack_monomial(want)
 
 
 # -- the constructor's monomial checks ----------------------------------------

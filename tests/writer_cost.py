@@ -5,8 +5,8 @@
 prints, for one 4,096-row block each of a 200x200 sphere ``residual``, a
 ``catenary`` trajectory and a 100x100 ``curvature`` grid: the block's
 distinct values (over all its columns, each column deduplicated by bit
-pattern), how many of them ``format_rows`` formatted by the exact numpy path
-(0 when the block stays on CPython's ``%``), and the median wall time of
+pattern), how many of them lie in the range ``1e-4 <= |x| < 1e17`` that
+``format_rows`` formats by its exact numpy path, and the median wall time of
 the block's writer in milliseconds.  ``writer_cost`` returns the same
 numbers as a dict.
 """
@@ -46,7 +46,7 @@ def writer_cost(repeat: int = 21) -> dict:
 
     def counted(values):
         rows, fixed = fixed_rows(values)
-        seen.update(distinct=len(values), numpy=0 if rows is None else int(fixed.sum()))
+        seen.update(distinct=len(values), numpy=int(fixed.sum()))
         return rows, fixed
 
     cost = {}
