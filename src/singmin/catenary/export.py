@@ -76,7 +76,7 @@ def load_trajectory_json(path: Path) -> Trajectory:
         termination = doc["termination"]
     except KeyError as exc:
         raise ParameterError(f"trajectory file {path} has no {exc} key") from None
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ParameterError(f"trajectory file {path} is malformed: {exc}") from None
     if len(points) < 2:
         raise ParameterError(

@@ -177,27 +177,12 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._t)
-        for m, c in other._t.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = -c
-            else:
-                s = s - c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial._raw(out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw({m: -c for m, c in self._t.items()})
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, int):
-            if not other:
-                return Polynomial._raw({})
-            return Polynomial._raw({m: c * other for m, c in self._t.items()})
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -323,14 +308,6 @@ def exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
     if a.is_zero():
         return Polynomial.zero()
     bt = b._t
-    if b.is_constant():
-        d = bt[0]
-        q: dict = {}
-        for m, c in a._t.items():
-            q[m], r = divmod(c, d)
-            if r:
-                return None
-        return Polynomial._raw(q)
     lead_b = max(bt)
     # in graded lex order the largest and the smallest monomial of a product
     # are the products of the factors' own, so either may refuse at once

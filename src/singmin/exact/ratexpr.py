@@ -25,9 +25,11 @@ joins the base.  A primitive cofactor of degree 1 in some variable, whose
 two coefficients in that variable are coprime, is irreducible, so a failed
 trial division by it shows coprimality.  For any other entry a failed trial
 division leaves a proper common factor possible: ``poly_gcd`` runs there,
-against a new cofactor and against a numerator that entry did not divide,
-and an entry that shares a factor is split (factor refinement: Bach,
-Driscoll and Shallit, J. Algorithms 1993).  Which factors the base holds
+against a new cofactor and against a numerator that entry did not divide.
+An entry that shares a factor g is split by ``_split_entry`` alone, into
+the coprime pieces of g and its cofactor (factor refinement: Bach, Driscoll
+and Shallit, J. Algorithms 1993), and a new cofactor that caused the split
+is factored again over the refined base.  Which factors the base holds
 depends on what the process computed before, but the canonical pair does
 not, so no output does either.
 """
@@ -44,7 +46,7 @@ from .errors import (
     StrayMonomialError,
     SubstitutionDomainError,
 )
-from .poly import Polynomial, content, exact_div, poly_gcd
+from .poly import Polynomial, _deflate, content, exact_div, poly_gcd
 from .symbols import VAR_NAMES, Var
 from .textio import render, render_poly
 
@@ -310,7 +312,7 @@ def _coerce(x) -> Union[RationalExpr, type(NotImplemented)]:
 
 class _Factor:
     """One entry of the factor base.  ``parts`` is None while the entry is in
-    the base, and its base factorization once refinement has split it."""
+    the base, and its base factorization once ``_split_entry`` has split it."""
 
     __slots__ = ("poly", "irreducible", "parts")
 
@@ -387,7 +389,7 @@ def _factor(p: Polynomial) -> tuple[int, Factored]:
     """Content and base factorization of p (positive leading coefficient),
     its cofactor over the base added to the base."""
     c = content(p)
-    rest = exact_div(p, Polynomial.const(c)) if c != 1 else p
+    rest = _deflate(p, c)
     fac: Factored = {}
     for f in _BASE:
         if rest.is_constant():
@@ -402,61 +404,53 @@ def _factor(p: Polynomial) -> tuple[int, Factored]:
 
 
 def _enter(p: Polynomial) -> list[tuple[_Factor, int]]:
-    """The base factorization of p, primitive, non-constant and coprime to
-    every irreducible entry, after its new factors have joined the base."""
+    """The base factorization of p, primitive, non-constant and divisible by
+    no entry, after its new factors have joined the base."""
     g = _linear_gcd(p)
     if g is not None and not g.is_constant():
         # p = g * q with q linear in x and irreducible, and g free of x: q
         # joins as it is, and g is factored over the base q has joined
         return _enter(exact_div(p, g)) + list(_factor(g)[1].items())
-    reducible = [f for f in _BASE if not f.irreducible]
     new = _Factor(p, g is not None)
-    if new.irreducible:
-        # p joins as it is; an entry that p divides is split
-        for f in reducible:
-            rest, k = _divide_out(f.poly, new)
-            if k:
-                _retire(f, [(new, k)] + ([] if rest.is_constant() else [(_add(_Factor(rest)), 1)]))
-        return [(_add(new), 1)]
-    hits = [f for f in reducible if not poly_gcd(p, f.poly).is_constant()]
-    n = len(hits) + 1
-    pieces = _refine([(p, (1,) + (0,) * (n - 1))] + [
-        (f.poly, tuple(int(i == j) for i in range(n))) for j, f in enumerate(hits, 1)
-    ])
-    made = [(_add(_Factor(q)), exps) for q, exps in pieces]
-    for j, f in enumerate(hits, 1):
-        _retire(f, [(g, exps[j]) for g, exps in made if exps[j]])
-    return [(g, exps[0]) for g, exps in made if exps[0]]
+    for f in [f for f in _BASE if not f.irreducible]:
+        if new.irreducible:
+            # an irreducible p shares a factor with f only by dividing it
+            common = p if _trial(f.poly, new) is not None else Polynomial.one()
+        else:
+            common = poly_gcd(p, f.poly)
+        if not common.is_constant():
+            # f splits, and p is factored again over the refined base
+            _split_entry(f, common)
+            return list(_factor(p)[1].items())
+    _BASE.append(new)
+    return [(new, 1)]
 
 
-def _add(f: _Factor) -> _Factor:
-    _BASE.append(f)
-    return f
-
-
-def _retire(f: _Factor, parts: list[tuple[_Factor, int]]) -> None:
+def _split_entry(f: _Factor, g: Polynomial) -> None:
+    """Replace entry f by the coprime pieces of g, a proper factor of f, and
+    of f/g; f keeps them as its parts."""
     _BASE.remove(f)
-    f.parts = parts
+    f.parts = [(_Factor(q), e) for q, e in _refine([(g, 1), (exact_div(f.poly, g), 1)])]
+    _BASE.extend(piece for piece, _ in f.parts)
 
 
-def _refine(items: list[tuple[Polynomial, tuple[int, ...]]]) -> list[tuple[Polynomial, tuple[int, ...]]]:
-    """Factor refinement: pairwise coprime primitive pieces q with exponent
-    vectors, such that item i is the product of q ** exps[i]."""
-    done: list[tuple[Polynomial, tuple[int, ...]]] = []
+def _refine(items: list[tuple[Polynomial, int]]) -> list[tuple[Polynomial, int]]:
+    """Factor refinement: pairwise coprime primitive pieces q with exponents
+    e, such that the product of q ** e is the product of the items."""
+    done: list[tuple[Polynomial, int]] = []
     todo = list(items)
     while todo:
-        q, eq = todo.pop()
+        q, e = todo.pop()
         if q.is_constant():
             continue
-        for i, (r, er) in enumerate(done):
+        for i, (r, k) in enumerate(done):
             g = poly_gcd(q, r)
             if not g.is_constant():
                 del done[i]
-                todo += [(exact_div(q, g), eq), (g, tuple(map(sum, zip(eq, er)))),
-                         (exact_div(r, g), er)]
+                todo += [(exact_div(q, g), e), (g, e + k), (exact_div(r, g), k)]
                 break
         else:
-            done.append((q, eq))
+            done.append((q, e))
     return done
 
 
@@ -483,8 +477,7 @@ def _cancel(num: Polynomial, den: Polynomial, dc: int, fac: Factored, tried, con
             # f did not divide num, but a factor of f might: split f there
             g = poly_gcd(num, f.poly)
             if not g.is_constant():
-                pieces = _refine([(g, (1,)), (exact_div(f.poly, g), (1,))])
-                _retire(f, [(_add(_Factor(q)), exps[0]) for q, exps in pieces])
+                _split_entry(f, g)
                 left = fac.pop(f)
                 for piece, m in f.parts:
                     fac[piece] = left * m
@@ -492,9 +485,7 @@ def _cancel(num: Polynomial, den: Polynomial, dc: int, fac: Factored, tried, con
     if content_too and dc > 1:
         g = math.gcd(content(num), dc)
         if g > 1:
-            num = exact_div(num, Polynomial.const(g))
-            dc //= g
-            removed = Polynomial.const(g) if removed is None else removed * g
+            num, den, dc = _deflate(num, g), _deflate(den, g), dc // g
     if removed is not None:
         den = exact_div(den, removed)
     return num, den, dc, fac

@@ -167,16 +167,11 @@ def strip_registered(p: Polynomial, registry: tuple[Polynomial, ...]) -> Polynom
     if p.is_zero():
         return p
     rem = primitive(p)
-    progress = True
-    while progress and not rem.is_constant():
-        progress = False
-        for q in registry:
-            while not rem.is_constant():
-                d = exact_div(rem, q)
-                if d is None:
-                    break
-                rem = primitive(d)
-                progress = True
+    # a quotient has no factor that its dividend lacks, so an entry that
+    # stops dividing never divides again, and one pass is enough
+    for q in registry:
+        while not rem.is_constant() and (d := exact_div(rem, q)) is not None:
+            rem = primitive(d)
     return rem
 
 

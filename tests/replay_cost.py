@@ -7,8 +7,11 @@ the factor base) empty, and prints one JSON object: the op's wall time, the
 checkpoint names whose expected value each theorem has built by its end (in
 the order built), the gcd counters (gcds computed, as calls of
 ``_gcd_primitive``, and trial divisions made by ``_gcdheu``) and the factor
-base counters (its size at the end, trial divisions by its factors, and the
-gcds it runs to test a new factor for irreducibility or to refine the base).
+base counters: its size at the end; its trial divisions, as calls of
+``_trial``, each one division by an entry (the division of an entry by an
+irreducible newcomer counts too, but not the cofactor division of
+``_split_entry``); and every ``poly_gcd`` it runs, to test a new entry for
+irreducibility, to find a factor an entry shares, or within a split.
 ``run_all`` is one ``run_all()``; ``mutants`` is the sweep of sign-flip
 mutants that the benchmark's ``proof-replay`` workload times (``MUTANTS`` in
 ``perfbench/run.py``).  With PROVE_JSON, ``singmin prove --json PROVE_JSON``
@@ -58,7 +61,7 @@ def _measure(op: str, prove_json: str | None) -> dict:
     from singmin.proofs import run_all, theorem1, theorem2, theorem3
 
     counts = {"computed": 0, "trial_divisions": 0, "base_trial_divisions": 0,
-              "refinement_gcds": 0}
+              "base_gcds": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -72,7 +75,7 @@ def _measure(op: str, prove_json: str | None) -> dict:
     poly._gcd_primitive = counted("computed", poly._gcd_primitive)
     poly.divides = counted("trial_divisions", poly.divides)
     ratexpr._trial = counted("base_trial_divisions", ratexpr._trial)
-    ratexpr.poly_gcd = counted("refinement_gcds", ratexpr.poly_gcd)
+    ratexpr.poly_gcd = counted("base_gcds", ratexpr.poly_gcd)
 
     runners = {"theorem1": theorem1.run_theorem1, "theorem2": theorem2.run_theorem2,
                "theorem3": theorem3.run_theorem3}
@@ -93,7 +96,7 @@ def _measure(op: str, prove_json: str | None) -> dict:
                   (("theorem1", theorem1), ("theorem2", theorem2), ("theorem3", theorem3))},
         "gcd": {"computed": counts["computed"], "trial_divisions": counts["trial_divisions"]},
         "base": {"size": len(ratexpr._BASE), "trial_divisions": counts["base_trial_divisions"],
-                 "refinement_gcds": counts["refinement_gcds"]},
+                 "gcds": counts["base_gcds"]},
     }
     if prove_json is not None:
         from singmin.cli import main

@@ -394,6 +394,9 @@ def test_config_out_without_a_name_is_usage_error(tmp_path, monkeypatch, capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
+HUGE = 10 ** 400
+
+
 def _points(*rows, termination="reached-smax") -> str:
     """A trajectory file whose states are ``rows`` of (s, x, y, theta), each with J = 1."""
     return json.dumps({"alpha": "1", "step": "0.01", "termination": termination,
@@ -428,10 +431,21 @@ def _points(*rows, termination="reached-smax") -> str:
         (_points(("0", "0", "1", "0"), ("0.01", "0.01", "1", "0")).replace('"alpha": "1"',
                                                                           '"alpha": "0"'),
          "has alpha = 0, which is excluded"),
+        # JSON integers too large for a float
+        (_points(("0", "0", "1", "0"), ("0.01", "0.01", "1", "0")).replace('"0.01", "0.01"',
+                                                                          f'"0.01", {HUGE}'),
+         "is malformed"),
+        (_points(("0", "0", "1", "0"), ("0.01", "0.01", "1", "0")).replace('"alpha": "1"',
+                                                                          f'"alpha": {HUGE}'),
+         "is malformed"),
+        (_points(("0", "0", "1", "0"), ("0.01", "0.01", "1", "0")).replace('"step": "0.01"',
+                                                                          f'"step": {HUGE}'),
+         "is malformed"),
     ],
     ids=["bad-json", "no-points", "no-alpha", "no-step", "short-row", "nan-x", "inf-theta",
          "null-x", "negative-y", "zero-y", "unknown-termination", "null-termination",
-         "one-state", "no-state", "nan-alpha", "zero-alpha"],
+         "one-state", "no-state", "nan-alpha", "zero-alpha", "huge-x", "huge-alpha",
+         "huge-step"],
 )
 def test_extrude_malformed_trajectory_is_usage_error(tmp_path, capsys, text, message):
     traj = tmp_path / "t.json"

@@ -6,10 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import singmin
-from singmin.exact import RationalExpr, Var
+from singmin.exact import RationalExpr, Var, divides
 from singmin.proofs import (
     OP_E1,
     OP_E2,
@@ -28,7 +28,7 @@ from singmin.proofs.context import (
 )
 from singmin.proofs.theorem1 import REGISTRY, build_context, targets
 
-from conftest import rational_exprs
+from conftest import polynomials, rational_exprs
 
 AL = RationalExpr.variable(Var.ALPHA)
 C = RationalExpr.variable(Var.C)
@@ -125,6 +125,36 @@ def test_strip_registered_explains_products():
     stray = (AL + 3) * K
     rem = strip_registered(stray.num, REGISTRY)
     assert not rem.is_constant()
+
+
+# the registries the chains audit with, theorem 1's at a fixed alpha included
+REGISTRIES = (
+    theorem1.REGISTRY,
+    theorem2.REGISTRY,
+    theorem1.REGISTRY + theorem1._registry_at(2),
+    theorem1.REGISTRY + theorem1._registry_at(-2),
+)
+
+
+@st.composite
+def registered_products(draw):
+    """A registry, the same registry in another order, and a product of its
+    entries times a drawn cofactor."""
+    registry = draw(st.sampled_from(REGISTRIES))
+    p = draw(polynomials(variables=(Var.ALPHA, Var.C, Var.K1), max_terms=3, max_degree=2))
+    for q in draw(st.lists(st.sampled_from(registry), max_size=4)):
+        p = p * q
+    return registry, tuple(draw(st.permutations(registry))), p
+
+
+@given(registered_products())
+@settings(max_examples=60, deadline=None)
+def test_strip_registered_leaves_no_registered_factor(case):
+    registry, shuffled, p = case
+    rem = strip_registered(p, registry)
+    assert strip_registered(p, shuffled) == rem
+    if not rem.is_constant():
+        assert not any(divides(q, rem) for q in registry)
 
 
 def test_audit_factor_flags_unregistered():

@@ -17,7 +17,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import singmin
-from singmin.exact import VAR_NAMES, Polynomial, RationalExpr, Var, exact_div, poly_gcd
+from singmin.exact import (
+    VAR_NAMES, Polynomial, RationalExpr, Var, exact_div, poly_gcd, render_poly,
+)
 
 from conftest import polynomials
 from sympy_reader import SYMBOLS, poly_terms, read
@@ -108,24 +110,28 @@ def test_chained_results_match_one_full_gcd_and_sympy(first, steps):
         check(acc, n, d)
 
 
-# Each script starts from an empty base, makes k1^2 - 1 an entry (it fails
-# the linear test) and then brings in a factor of it one way.
+# Each script starts from an empty base, makes a first denominator an entry
+# (it fails the linear test) and then brings in a factor of it one way.
 SPLITS = {
     # k1 - 1 enters as a denominator and is irreducible: it divides the entry
-    "linear-denominator": "1 / (K - 1)",
+    "linear-denominator": ("1 / (K ** 2 - 1)", "1 / (K - 1)"),
     # (k1 + 1)^2 fails the linear test: a gcd with the entry refines both
-    "nonlinear-denominator": "1 / (K ** 2 + 2 * K + 1)",
+    "nonlinear-denominator": ("1 / (K ** 2 - 1)", "1 / (K ** 2 + 2 * K + 1)"),
     # k1 - 1 as a numerator: the entry does not divide it, a gcd shows a factor
-    "numerator": "K - 1",
+    "numerator": ("1 / (K ** 2 - 1)", "K - 1"),
+    # the gcd k1 - 1 divides the cofactor (k1 - 1)*(k1 + 1) again, so
+    # refinement adds the exponents of the piece k1 - 1; the product is
+    # (1)/(k1^2 - 1)
+    "shared-piece": ("1 / ((K - 1) ** 2 * (K + 1))", "K - 1"),
 }
 SPLIT_SCRIPT = """
 import json, sys
 from singmin.exact import RationalExpr, Var, ratexpr, render_poly
 K, U = RationalExpr.variable(Var.K1), RationalExpr.variable(Var.U1)
-a = 1 / (K ** 2 - 1)
+a = eval(sys.argv[1])
 base = lambda: sorted((render_poly(f.poly), f.irreducible) for f in ratexpr._BASE)
 before = base()
-b = eval(sys.argv[1])
+b = eval(sys.argv[2])
 print(json.dumps({"before": before, "product": str(a * b), "sum": str(a + b),
                   "after": base()}))
 """
@@ -138,13 +144,13 @@ def fresh(script: str, *args: str) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
-@pytest.mark.parametrize("second", list(SPLITS.values()), ids=list(SPLITS))
-def test_a_later_factor_splits_a_reducible_entry(second):
-    got = json.loads(fresh(SPLIT_SCRIPT, second))
-    assert got["before"] == [["k1^2 - 1", False]]
-    assert got["after"] == [["k1 + 1", True], ["k1 - 1", True]]
+@pytest.mark.parametrize("first,second", list(SPLITS.values()), ids=list(SPLITS))
+def test_a_later_factor_splits_a_reducible_entry(first, second):
+    got = json.loads(fresh(SPLIT_SCRIPT, first, second))
     K = RationalExpr.variable(Var.K1)
-    a, b = 1 / (K ** 2 - 1), eval(second)
+    a, b = eval(first), eval(second)
+    assert got["before"] == [[render_poly(a.den), False]]
+    assert got["after"] == [["k1 + 1", True], ["k1 - 1", True]]
     assert (got["product"], got["sum"]) == (str(a * b), str(a + b))
 
 
@@ -158,10 +164,11 @@ def test_a_later_factor_splits_a_reducible_entry(second):
     ("1 / ((K + 1) * (U * K + 1))", [["k1 + 1", True], ["k1 - 1", True], ["k1*u1 + 1", True]]),
 ], ids=["coprime-to-the-base", "splits-an-entry"])
 def test_a_linear_factor_and_the_gcd_of_its_coefficients_enter_apart(second, after):
-    got = json.loads(fresh(SPLIT_SCRIPT, second))
+    first = "1 / (K ** 2 - 1)"
+    got = json.loads(fresh(SPLIT_SCRIPT, first, second))
     assert got["after"] == after
     K, U = RationalExpr.variable(Var.K1), RationalExpr.variable(Var.U1)
-    a, b = 1 / (K ** 2 - 1), eval(second)
+    a, b = eval(first), eval(second)
     assert (got["product"], got["sum"]) == (str(a * b), str(a + b))
 
 

@@ -214,6 +214,10 @@ def test_exact_division_roundtrip():
 def test_exact_division_by_constant():
     assert exact_div(2 * K, Polynomial.const(2)) == K
     assert exact_div(K, Polynomial.const(2)) is None
+    assert exact_div(6 * K ** 2 - 4 * C, Polynomial.const(-2)) == 2 * C - 3 * K ** 2
+    # every term but the last divides: the remainder shows only at the end
+    assert exact_div(4 * K ** 2 + 2 * K * C + 3, Polynomial.const(2)) is None
+    assert exact_div(Polynomial.zero(), Polynomial.const(-3)) == Polynomial.zero()
 
 
 def test_division_by_zero_polynomial():
@@ -279,4 +283,4 @@ def test_gcd_work_per_cold_run_all_is_bounded():
     # exact and repeat from run to run.
     cost = replay_cost("run_all")
     assert cost["gcd"] == {"computed": 24, "trial_divisions": 6}
-    assert cost["base"] == {"size": 22, "trial_divisions": 1871, "refinement_gcds": 26}
+    assert cost["base"] == {"size": 22, "trial_divisions": 1871, "gcds": 26}
