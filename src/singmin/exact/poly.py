@@ -12,10 +12,11 @@ Division is in Z[vars] too: ``exact_div`` returns None unless the quotient
 has integer coefficients.
 The monomial order is graded lex with ``Var.ALPHA`` most significant, which
 is plain integer order on packed monomials.
-``poly_gcd`` is a heuristic gcd by integer evaluation with a recursive
-content / primitive-part reduction over subresultant pseudo-remainder
-sequences as the fallback, sized for the handful of variables and moderate
-degrees this engine produces.
+``poly_gcd`` is the heuristic gcd by integer evaluation, ``_gcdheu``, which
+decides every trivial case and the integer content; when it gives up, the
+subresultant pseudo-remainder sequence ``_subresultant_gcd`` runs on the
+primitive parts.  Both are sized for the few variables and moderate degrees
+this engine produces.
 """
 from __future__ import annotations
 
@@ -179,6 +180,12 @@ class Polynomial:
             return NotImplemented
         return self + -other
 
+    def __rsub__(self, other) -> "Polynomial":
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + -self
+
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw({m: -c for m, c in self._t.items()})
 
@@ -279,14 +286,8 @@ def _coerce(x) -> Union[Polynomial, type(NotImplemented)]:
 def content(p: Polynomial) -> int:
     """Integer content: p == content(p) * primitive(p); the sign follows the
     leading coefficient so the primitive part has a positive one.  0 for 0."""
-    g = 0
-    for c in p._t.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    if g and p.leading_coeff() < 0:
-        g = -g
-    return g
+    g = math.gcd(*p._t.values())
+    return -g if p.leading_coeff() < 0 else g
 
 
 def primitive(p: Polynomial) -> Polynomial:
@@ -401,27 +402,22 @@ def _join(groups: dict[int, Polynomial], v: Var) -> Polynomial:
 
 
 def _content_in(groups: dict[int, Polynomial]) -> Polynomial:
-    cont = Polynomial.zero()
-    for p in groups.values():
-        cont = poly_gcd(cont, p)
-        if cont.is_one():
-            break
-    return cont
+    return reduce(poly_gcd, groups.values())
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Greatest common divisor over Z[vars] (integer content included),
     normalized to a positive leading coefficient."""
     if a.is_zero():
-        return -b if b.leading_coeff() < 0 else b
-    if b.is_zero():
-        return -a if a.leading_coeff() < 0 else a
-
-    ca = content(a)
-    cb = content(b)
-    if a.is_constant() or b.is_constant():
-        return Polynomial.const(math.gcd(ca, cb))
-    return _gcd_primitive(_deflate(a, ca), _deflate(b, cb)) * math.gcd(ca, cb)
+        g = b
+    elif b.is_zero():
+        g = a
+    else:
+        g = _gcdheu(a, b)
+        if g is None:
+            ca, cb = content(a), content(b)
+            g = _subresultant_gcd(_deflate(a, ca), _deflate(b, cb)) * math.gcd(ca, cb)
+    return -g if g.leading_coeff() < 0 else g
 
 
 def _max_norm(p: Polynomial) -> int:
@@ -459,24 +455,19 @@ def _balanced_digit(p: Polynomial, xi: int) -> Polynomial:
 
 
 def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial]:
-    """Heuristic gcd by evaluation at a large integer, with reconstruction by
-    balanced digits and a verification divide; None when the heuristic fails.
-
-    Integer content is split off exactly at every level (evaluation can only
-    overestimate it), and each reconstructed primitive candidate is checked by
-    exact trial division, so a returned value is always correct; the
-    subresultant path below stays as the fallback.
-    """
+    """Heuristic gcd of nonzero f and g by evaluation at a large integer,
+    with reconstruction by balanced digits (GCDHEU: Char, Geddes and Gonnet
+    1989); None when the heuristic gives up.  The trivial cases and the
+    integer content (which evaluation can only overestimate) are decided
+    here, as the recursion meets them at every level, and each candidate is
+    checked by exact trial division, so a result is a gcd up to sign."""
     if f._t == g._t:
         return f
-    if f.is_constant():
-        return Polynomial.const(math.gcd(f.constant_value(), content(g)))
-    if g.is_constant():
-        return Polynomial.const(math.gcd(g.constant_value(), content(f)))
-
     cf = abs(content(f))
     cg = abs(content(g))
     c = math.gcd(cf, cg)
+    if f.is_constant() or g.is_constant():
+        return Polynomial.const(c)
     f = _deflate(f, cf)
     g = _deflate(g, cg)
 
@@ -512,31 +503,20 @@ def _gcdheu(f: Polynomial, g: Polynomial, depth: int = 0) -> Optional[Polynomial
     return None
 
 
-def _gcd_primitive(f: Polynomial, g: Polynomial) -> Polynomial:
-    """gcd of integer-primitive polynomials, primitive positive result."""
-    if f._t == g._t:
-        return f
-    if f.is_constant() or g.is_constant():
-        return Polynomial.one()
-    fv = f.variables()
-    gv = g.variables()
-    common = [v for v in fv if v in gv]
+def _subresultant_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """gcd of primitive f and g by the subresultant pseudo-remainder sequence
+    (Brown and Traub 1971) in their first shared variable, after splitting
+    off the content in that variable; primitive, positive result."""
+    common = [v for v in f.variables() if g.degree_in(v) > 0]
     if not common:
         return Polynomial.one()
-
-    heur = _gcdheu(f, g)
-    if heur is not None:
-        return primitive(heur)
-
     v = common[0]
 
     fg = f.coeffs_in(v)
     gg = g.coeffs_in(v)
     cont_f = _content_in(fg)
     cont_g = _content_in(gg)
-    cont = _gcd_primitive(primitive(cont_f), primitive(cont_g)) if not (
-        cont_f.is_constant() or cont_g.is_constant()
-    ) else Polynomial.one()
+    cont = poly_gcd(cont_f, cont_g)
 
     pf = {e: _exact(p, cont_f) for e, p in fg.items()}
     pg = {e: _exact(p, cont_g) for e, p in gg.items()}
@@ -544,12 +524,10 @@ def _gcd_primitive(f: Polynomial, g: Polynomial) -> Polynomial:
     if max(pf) < max(pg):
         pf, pg = pg, pf
 
-    gg1 = Polynomial.one()
-    h = Polynomial.one()
+    gg1 = h = Polynomial.one()
     A, B = pf, pg
     while True:
-        da, db = max(A), max(B)
-        delta = da - db
+        delta = max(A) - max(B)
         R = _prem(A, B)
         if not R:
             result = B
@@ -567,10 +545,8 @@ def _gcd_primitive(f: Polynomial, g: Polynomial) -> Polynomial:
             h = _exact(gg1 ** delta, h ** (delta - 1))
 
     if result is None:
-        core = Polynomial.one()
-    else:
-        core = primitive(_exact(_join(result, v), _content_in(result)))
-    return primitive(core * cont)
+        return cont
+    return primitive(_exact(_join(result, v), _content_in(result)) * cont)
 
 
 def _exact(a: Polynomial, b: Polynomial) -> Polynomial:

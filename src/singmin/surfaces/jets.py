@@ -107,12 +107,24 @@ def degenerate_metric(jet: Jet2Vec3):
         )
 
 
+def _scaled(H, K):
+    """``(h, q, s)`` with ``H = s*h`` and ``K = s*s*q``: ``s`` is 1, except
+    at finite samples where ``H*H`` or ``4K`` overflows, where it is
+    ``max(|H|, 2*sqrt(|K|))``, so that ``h*h - 4q`` is a float there too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(H * H - 4.0 * K).all():  # nothing overflowed
+            return H, K, 1.0
+        wide = (np.isinf(H * H) | np.isinf(4.0 * K)) & np.isfinite(H) & np.isfinite(K)
+    s = np.where(wide, np.maximum(np.abs(H), 2.0 * np.sqrt(np.abs(K))), 1.0)
+    return H / s, K / s / s, s
+
+
 def inconsistent_curvature(sample: CurvatureSample):
     """Flags the samples whose ``H^2 - 4K`` is negative beyond the rounding
     that ``curvature_sample`` clamps at umbilic points."""
-    H, K = sample.H, sample.K
-    scale = np.maximum(np.maximum(H * H, np.abs(4.0 * K)), 1.0)
-    return H * H - 4.0 * K < UMBILIC_CLAMP * scale
+    h, q, _ = _scaled(sample.H, sample.K)
+    scale = np.maximum(np.maximum(h * h, np.abs(4.0 * q)), 1.0)
+    return h * h - 4.0 * q < UMBILIC_CLAMP * scale
 
 
 def curvature_sample(jet: Jet2Vec3) -> CurvatureSample:
@@ -127,9 +139,10 @@ def curvature_sample(jet: Jet2Vec3) -> CurvatureSample:
     det = E * G - F * F
     K = (L * N - M * M) / det
     H = (G * L - 2.0 * F * M + E * N) / det
-    root = np.sqrt(np.maximum(H * H - 4.0 * K, 0.0))
+    h, q, s = _scaled(H, K)
+    root = np.sqrt(np.maximum(h * h - 4.0 * q, 0.0))
     return CurvatureSample(point=jet.value, normal=normal, E=E, F=F, G=G, L=L, M=M, N=N,
-                           H=H, K=K, k1=0.5 * (H + root), k2=0.5 * (H - root))
+                           H=H, K=K, k1=0.5 * (h + root) * s, k2=0.5 * (h - root) * s)
 
 
 def valid_curvature(jet: Jet2Vec3, a=None):
@@ -143,7 +156,8 @@ def valid_curvature(jet: Jet2Vec3, a=None):
     halfspace violations and of each of ``REJECTION_REASONS`` as an int
     array.
     """
-    outside = np.zeros(len(jet.value), dtype=bool) if a is None else dot(jet.value, a) <= 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed position
+        outside = np.zeros(len(jet.value), dtype=bool) if a is None else dot(jet.value, a) <= 0.0
     degenerate = degenerate_metric(jet) & ~outside
     keep = ~(outside | degenerate)
     sample = curvature_sample(jet if keep.all() else jet[keep])

@@ -91,6 +91,13 @@ class SurfacePatch:
     v_range: tuple[float, float]
     chart: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[], tuple]]]
 
+    def __post_init__(self):
+        for axis, (lo, hi) in (("u", self.u_range), ("v", self.v_range)):
+            if not math.isfinite(hi - lo):  # the grid spacing would overflow
+                raise ParameterError(
+                    f"{self.name} {axis} range [{lo:.6g}, {hi:.6g}] is wider than the largest float"
+                )
+
     def jet(self, u, v) -> Jet2Vec3:
         value, partials = self.chart(u, v)
         return Jet2Vec3(value, *partials())
@@ -134,7 +141,8 @@ def scan_grid(patch: SurfacePatch, nu: int, nv: int, a, columns, emit) -> dict:
     counts = np.zeros(3, dtype=int)
     for start in range(0, nu * nv, ROW_BLOCK):
         u, v = patch.grid(nu, nv, start, start + ROW_BLOCK)
-        jet = patch.jet(u, v)
+        with np.errstate(over="ignore"):  # a sample whose position overflows fails a check
+            jet = patch.jet(u, v)
         keep, sample, rejected = valid_curvature(jet, unit)
         counts += rejected
         emit({"u": u[keep], "v": v[keep], **columns(u, v, jet, keep, sample)}, start)

@@ -18,18 +18,28 @@ RESIDUAL_TOL_ANALYTIC = 1e-9
 
 def smr_residual(sample: CurvatureSample, alpha: float, a):
     """H*<Phi,a> - alpha*<N,a> at the sample's points; requires a finite
-    alpha and every point strictly above the plane."""
+    alpha, every point strictly above the plane, and a residual that does
+    not overflow."""
     if not np.isfinite(alpha):
         raise ParameterError(f"alpha must be finite, got {alpha}")
     a = unit_vec(a, "a")
-    height = dot(sample.point, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        height = dot(sample.point, a)
+        res = sample.H * height - alpha * dot(sample.normal, a)
     reject_first(
         height <= 0.0,
         lambda i: HalfspaceViolation(
             f"<pos, a> = {np.ravel(height)[i]:.6g} is not positive"
         ),
     )
-    return sample.H * height - alpha * dot(sample.normal, a)
+    reject_first(
+        ~np.isfinite(res),
+        lambda i: ParameterError(
+            f"residual H*<x,a> - alpha*<N,a> overflows at H = "
+            f"{np.ravel(sample.H)[i]:.6g}, <x,a> = {np.ravel(height)[i]:.6g}"
+        ),
+    )
+    return res
 
 
 def _mean_abs(abs_res: np.ndarray, top: float) -> float:

@@ -5,8 +5,9 @@
 runs one op with the process-wide caches (the targets, the rule tables and
 the factor base) empty, and prints one JSON object: the op's wall time, the
 checkpoint names whose expected value each theorem has built by its end (in
-the order built), the gcd counters (gcds computed, as calls of
-``_gcd_primitive``, and trial divisions made by ``_gcdheu``) and the factor
+the order built), the gcd counters (gcds computed, as top-level calls of
+``_gcdheu`` on two non-constant operands; trial divisions made by
+``_gcdheu``; and fallbacks, as calls of ``_subresultant_gcd``) and the factor
 base counters: its size at the end; its trial divisions, as calls of
 ``_trial``, each one division by an entry (the division of an entry by an
 irreducible newcomer counts too, but not the cofactor division of
@@ -60,8 +61,8 @@ def _measure(op: str, prove_json: str | None) -> dict:
     from singmin.exact import Var, poly, ratexpr
     from singmin.proofs import run_all, theorem1, theorem2, theorem3
 
-    counts = {"computed": 0, "trial_divisions": 0, "base_trial_divisions": 0,
-              "base_gcds": 0}
+    counts = {"computed": 0, "trial_divisions": 0, "fallbacks": 0,
+              "base_trial_divisions": 0, "base_gcds": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -70,10 +71,20 @@ def _measure(op: str, prove_json: str | None) -> dict:
 
         return wrapper
 
-    # _gcdheu is the only caller of divides, and the factor base the only
-    # caller of poly_gcd in ratexpr
-    poly._gcd_primitive = counted("computed", poly._gcd_primitive)
+    gcdheu = poly._gcdheu
+
+    def top_level_gcdheu(f, g, depth=0):
+        # the recursion passes its depth; poly_gcd calls with none
+        if not depth and not (f.is_constant() or g.is_constant()):
+            counts["computed"] += 1
+        return gcdheu(f, g, depth)
+
+    # _gcdheu is the only caller of divides, poly_gcd the only caller of
+    # _subresultant_gcd, and the factor base the only caller of poly_gcd in
+    # ratexpr
+    poly._gcdheu = top_level_gcdheu
     poly.divides = counted("trial_divisions", poly.divides)
+    poly._subresultant_gcd = counted("fallbacks", poly._subresultant_gcd)
     ratexpr._trial = counted("base_trial_divisions", ratexpr._trial)
     ratexpr.poly_gcd = counted("base_gcds", ratexpr.poly_gcd)
 
@@ -94,7 +105,7 @@ def _measure(op: str, prove_json: str | None) -> dict:
         "wall_s": time.perf_counter() - start,
         "built": {name: list(m.targets()) for name, m in
                   (("theorem1", theorem1), ("theorem2", theorem2), ("theorem3", theorem3))},
-        "gcd": {"computed": counts["computed"], "trial_divisions": counts["trial_divisions"]},
+        "gcd": {name: counts[name] for name in ("computed", "trial_divisions", "fallbacks")},
         "base": {"size": len(ratexpr._BASE), "trial_divisions": counts["base_trial_divisions"],
                  "gcds": counts["base_gcds"]},
     }

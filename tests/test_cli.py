@@ -51,6 +51,18 @@ VALUE_FLAG = {"prove": "--json", "residual": "--out", "curvature": "--out",
               "catenary": "--out", "extrude": "--out"}
 
 
+def test_principal_curvatures_stay_finite_where_h_squared_overflows(tmp_path, capsys):
+    # H is about 6.3e199 and K = 0: k1 and k2 were once inf and -inf
+    argv = ["extrude", "--alpha=1e200", "--smax", "0.5", "--step", "0.1", "--nu", "2", "--nv", "2"]
+    assert run([*argv, "--out", str(tmp_path / "e")]) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = (tmp_path / "e.csv").read_text().splitlines()
+    for row in rows:
+        sample = dict(zip(header.split(","), map(float, row.split(","))))
+        assert abs(sample["H"]) > 1e199 and sample["K"] == 0.0
+        assert (sample["k1"], sample["k2"]) == (max(sample["H"], 0.0), min(sample["H"], 0.0))
+
+
 @pytest.mark.parametrize(
     "make_args",
     [
@@ -510,6 +522,15 @@ def test_curvature_without_any_fitting_stencil_is_usage_error(tmp_path, capsys, 
     ["residual", "--patch", "sphere", "--alpha", "-2", "--r", "1e-78", "--expect-pass"],
     # u + h == u: the differences were 0 / 0
     ["curvature", "--patch", "sphere", "--fd-h", "1e-300"],
+    # H*<x,a> = 2*1e308 overflows: the run once warned, printed
+    # max|residual|=inf and exited 0
+    ["residual", "--patch", "sphere", "--center=0,0,1e308", "--alpha", "-2"],
+    # center + r*radial overflows in every sample, which degenerate_metric
+    # rejects; numpy once warned about the positions and heights first
+    ["residual", "--patch", "sphere", "--r=1e308", "--center=1e308,0,0", "--alpha", "-2"],
+    # the arc-length range [-1e308, 1e308] is wider than the largest float:
+    # the grid spacing overflowed, with numpy warnings before the error line
+    ["extrude", "--alpha", "1", "--smax", "1e308", "--step", "1e308", "--y0", "1e308"],
 ])
 def test_unusable_floats_are_one_error_line(tmp_path, capsys, args):
     assert run([*args, "--nu", "4", "--nv", "4", "--out", str(tmp_path / "g")]) == 2

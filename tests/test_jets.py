@@ -103,11 +103,17 @@ def test_degenerate_metric_rejected():
     assert degenerate_metric(sphere_patch().jet(0.6, 2.0)) == np.False_
 
 
-def test_inconsistent_discriminant_rejected():
+@pytest.mark.parametrize("H, K, flagged", [
     # H^2 - 4K below zero, which no real immersion produces
+    (0.0, 1.0, True),
+    # 1e308 - 4e308, though 4K itself is not a float
+    (1e154, 1e308, True),
+    (1e200, 1e308, False),
+])
+def test_inconsistent_discriminant_rejected(H, K, flagged):
     s = curvature_sample(sphere_patch().jet(0.6, 2.0))
-    s = replace(s, H=np.float64(0.0), K=np.float64(1.0))
-    assert inconsistent_curvature(s) == np.True_
+    s = replace(s, H=np.float64(H), K=np.float64(K))
+    assert inconsistent_curvature(s) == np.bool_(flagged)
 
 
 def test_umbilic_clamp():
@@ -120,3 +126,24 @@ def test_umbilic_clamp():
     assert inconsistent_curvature(s) == np.False_
     assert s.k1 == s.k2
     assert s.k1 == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("duu, dvv, k1, k2", [
+    # K = 0 and H*H overflows: k1 and k2 are exactly max(H, 0) and min(H, 0)
+    (1e200, 0.0, 1e200, 0.0),
+    (-1e200, 0.0, 0.0, -1e200),
+    # H = 0 and 4K overflows
+    (1e154, -1e154, 1e154, -1e154),
+    # an umbilic point where both H*H and 4K overflow
+    (1e154, 1e154, 1e154, 1e154),
+])
+def test_principal_curvatures_where_h_squared_or_4k_overflows(duu, dvv, k1, k2):
+    # H and K are finite here, so k1 and k2 are too; numpy must not warn
+    e1, e2, e3 = np.eye(3)
+    jet = Jet2Vec3(value=np.zeros(3), du=e1, dv=e2, duu=duu * e3, duv=np.zeros(3), dvv=dvv * e3)
+    s = curvature_sample(jet)
+    assert inconsistent_curvature(s) == np.False_
+    assert (s.k1, s.k2) == (pytest.approx(k1, rel=1e-15), pytest.approx(k2, rel=1e-15))
+    if dvv == 0.0:
+        assert (s.k1, s.k2) == (max(s.H, 0.0), min(s.H, 0.0))
+

@@ -70,6 +70,13 @@ def test_ring_identities():
     assert p * Polynomial.one() == p
 
 
+def test_int_minus_polynomial():
+    assert 1 - K == -(K - 1)
+    assert 0 - K == -K
+    with pytest.raises(TypeError):
+        1.5 - K
+
+
 def test_graded_lex_leading_monomial():
     p = K ** 3 + 5 * C ** 2 * K ** 2 + AL
     packed = [pack_monomial(m) for m, _ in p.items()]
@@ -282,5 +289,5 @@ def test_gcd_work_per_cold_run_all_is_bounded():
     # base factor for irreducibility or to refine the base.  The counts are
     # exact and repeat from run to run.
     cost = replay_cost("run_all")
-    assert cost["gcd"] == {"computed": 24, "trial_divisions": 6}
+    assert cost["gcd"] == {"computed": 24, "trial_divisions": 6, "fallbacks": 0}
     assert cost["base"] == {"size": 22, "trial_divisions": 1871, "gcds": 26}

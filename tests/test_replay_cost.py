@@ -57,6 +57,11 @@ def test_mutant_sweep_builds_only_the_targets_it_reads(sweep):
     }
 
 
+def test_mutant_sweep_never_falls_back_to_the_subresultant_gcd(sweep):
+    cost, _ = sweep
+    assert cost["gcd"] == {"computed": 1, "trial_divisions": 0, "fallbacks": 0}
+
+
 def test_prove_json_after_the_sweep_matches_a_cold_one(sweep, tmp_path):
     _, after = sweep
     cold = tmp_path / "cold.json"
